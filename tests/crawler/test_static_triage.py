@@ -11,6 +11,8 @@ that line and pin the flush semantics that make it true.
 
 import os
 
+import pytest
+
 from repro import perf
 from repro.browser.browser import Browser
 from repro.crawler.crawl import CrawlTarget, run_crawl
@@ -215,6 +217,25 @@ class TestParseErrorContainment:
             "https://c.example/#inline-2",
             "https://c.example/#inline-3",
         ]
+
+    @pytest.mark.parametrize("triage", [False, True])
+    @pytest.mark.parametrize("bad", ["var a = 0x;", "var a = @;"])
+    def test_malformed_script_does_not_crash_the_page(self, bad, triage):
+        # A malformed literal used to escape as a bare ValueError and record
+        # the whole site as crashed; it must fail only its own script, like
+        # any other syntax error.
+        net = Network()
+        server = net.server_for("bad.example")
+        server.add_script("/bad.js", bad)
+        server.add_script("/fp.js", FP_SCRIPT)
+        server.add_resource(
+            "/", '<html><title>t</title><script src="/bad.js"></script><script src="/fp.js"></script></html>'
+        )
+        dataset = run_crawl(net, [CrawlTarget("bad.example", 1, "top")], static_triage=triage)
+        [observation] = dataset.observations
+        assert observation.success, observation.failure_reason
+        assert len(observation.extractions) == 1
+        assert any("bad.js" in err for err in observation.script_errors)
 
     def test_parse_bomb_with_triage_matches_without(self, tmp_path):
         net, _ = make_network()

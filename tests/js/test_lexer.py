@@ -80,6 +80,17 @@ class TestErrors:
         with pytest.raises(JSSyntaxError):
             tokenize("var a = @;")
 
+    @pytest.mark.parametrize(
+        "source",
+        ["var a = 0x;", "var a = 0xg;", "var a = '\\xZZ';", "var a = '\\u12G4';", "var a = ²;"],
+    )
+    def test_malformed_literal_is_a_syntax_error(self, source):
+        # int()/float() rejected these with a bare ValueError, which no
+        # caller contains; the literal starts at line 2, column 9.
+        with pytest.raises(JSSyntaxError) as info:
+            tokenize("\n" + source)
+        assert (info.value.line, info.value.col) == (2, 9)
+
 
 @given(st.floats(min_value=0, max_value=1e9, allow_nan=False).map(lambda x: round(x, 4)))
 def test_number_roundtrip(x):

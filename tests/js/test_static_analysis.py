@@ -274,6 +274,11 @@ class TestVerdicts:
         assert not v.skippable
         assert v.reads_top  # worst-case assumption: could read anything
 
+    def test_malformed_literal_is_a_parse_error_verdict(self):
+        v = verdict_for_source("var a = 0x;")
+        assert v.classification == CLASS_PARSE_ERROR
+        assert v.parse_error.startswith("JSSyntaxError")
+
     def test_verdict_cache_hits_on_second_lookup(self):
         src = "var __t_cache_probe = 1 + 2 + 3;"
         before = perf.PERF.snapshot().get("js.static", {})
