@@ -16,8 +16,8 @@ Since the stage-graph refactor this module is a thin assembly layer: the
 steps above are typed stages in :mod:`repro.core.stages.study`, executed by
 :class:`~repro.core.stages.graph.StageGraph`.  ``run_study`` builds the
 :class:`~repro.core.stages.study.StudyContext`, executes the graph (with
-optional parallel crawling via ``jobs`` and content-addressed caching via
-``cache_dir``) and assembles the artifacts into a :class:`StudyResult`.
+optional parallel crawling via ``execution`` and content-addressed caching
+via ``cache_dir``) and assembles the artifacts into a :class:`StudyResult`.
 The result is identical to the old monolithic pipeline's, whatever the
 worker count or cache temperature.
 """
@@ -53,8 +53,7 @@ from repro.core.stages.study import StudyContext, build_study_graph
 from repro.crawler.collector import CanvasCollector
 from repro.crawler.crawl import CrawlDataset, CrawlTarget
 from repro.crawler.resilience import PageBudget, RetryPolicy
-from repro.crawler.shards import plan_shards, run_sharded_crawl
-from repro.crawler.supervisor import SupervisorConfig
+from repro.crawler.shards import ExecutionConfig, plan_shards, run_sharded_crawl
 from repro.net.server import Network
 from repro.net.url import URL
 from repro.obs.recorder import RunRecorder, resolve_run_dir
@@ -221,14 +220,11 @@ def run_study(
     cross_machine_sample: int = 200,
     retry_policy: Optional[RetryPolicy] = None,
     page_budget: Optional[PageBudget] = None,
-    jobs: int = 1,
+    execution: ExecutionConfig = ExecutionConfig(),
     cache_dir: Optional[Union[str, Path]] = None,
     stages: Optional[Sequence[str]] = None,
     render_cache: Optional[perf.RenderCacheConfig] = None,
     obs_dir: Optional[Union[str, Path]] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-    js_prewarm: Optional[Sequence[str]] = None,
-    static_triage: Optional[bool] = None,
 ) -> StudyResult:
     """Run the full measurement study over a network.
 
@@ -237,42 +233,43 @@ def run_study(
     the whole methodology holds up under transient faults — e.g. a
     :class:`~repro.net.faults.FaultyNetwork` wrapping ``network``.
 
-    ``jobs`` shards every crawl across that many worker processes and
+    ``execution`` (an :class:`~repro.crawler.shards.ExecutionConfig`) says
+    how every crawl the study performs — control, both ad-blocker crawls and
+    both cross-machine devices — executes, and reaches every crawl worker
+    as one value:
+
+    * ``jobs > 1`` shards every crawl over that many supervised worker
+      processes (:mod:`repro.crawler.supervisor`): a worker that dies or
+      stops making progress is re-dispatched from its checkpoint, and a
+      site that keeps killing workers is quarantined, so the study
+      completes in degraded mode with every skipped site accounted as a
+      ``quarantined:*`` failure row (see ``StudyResult.quarantined``);
+    * ``supervisor`` tunes that supervisor, or with ``jobs=1`` isolates the
+      crawl in one supervised worker;
+    * ``js_prewarm`` is a list of script sources each worker compiles into
+      its warm JS cache before the first page load (typically
+      :func:`repro.webgen.vendors.prewarm_sources`, passed as plain strings
+      so this layer never imports ``webgen``);
+    * ``static_triage`` defers scripts the static analyzer proves
+      canvas-inert and effect-free toward the rest of the page (``None``
+      honours ``REPRO_JS_STATIC_TRIAGE``).
+
+    All four are pure execution knobs: a no-fault run returns a
+    :class:`StudyResult` equal to a serial one, and only latency and the
+    ``js.cache``/``js.static.triage`` counters move.
+
     ``cache_dir`` enables the content-addressed stage cache (warm re-runs
-    load every artifact and perform zero page loads).  Neither changes the
-    result: a parallel cached run returns a :class:`StudyResult` equal to a
-    serial uncached one.  ``stages`` optionally restricts execution to the
-    named stages plus their dependencies (see
+    load every artifact and perform zero page loads) and, like
+    ``execution``, never changes the result.  ``stages`` optionally
+    restricts execution to the named stages plus their dependencies (see
     :data:`repro.core.stages.study.STAGE_DOCS`); the result then only
     carries the artifacts that were produced.
 
     ``render_cache`` overrides the render-acceleration configuration for
-    this run (and, via the shard payloads, for every crawl worker).  The
+    this run (and, via the worker tasks, for every crawl worker).  The
     caches are exactly transparent — enabled, disabled, cold or warm, the
     study result is byte-identical; only ``StudyResult.perf_counters`` and
     the timing section change.
-
-    ``supervisor`` opts every crawl into the shard supervisor of
-    :mod:`repro.crawler.supervisor`: heartbeat-monitored workers, crash
-    re-dispatch from the per-shard checkpoints, and bisecting poison-site
-    quarantine, so a run whose workers die completes in degraded mode with
-    every skipped site accounted as a ``quarantined:*`` failure row (see
-    ``StudyResult.quarantined``).  Like ``jobs`` it is an execution knob:
-    a no-fault supervised run returns an identical result.
-
-    ``js_prewarm`` hands every crawl worker a list of script sources to
-    compile into its warm JS cache before the first page load (typically
-    :func:`repro.webgen.vendors.prewarm_sources`, passed as plain strings so
-    this layer never imports ``webgen``).  Another pure execution knob:
-    compilation is exactly transparent, so it shifts ``js.cache`` counters
-    and latency, never the artifacts.
-
-    ``static_triage`` opts every crawl worker into static-analysis triage:
-    scripts the analyzer proves canvas-inert and effect-free toward the rest
-    of the page are deferred and never executed.  ``None`` honours the
-    ``REPRO_JS_STATIC_TRIAGE`` environment variable.  A third pure execution
-    knob: datasets are byte-identical with triage on or off; only the
-    ``js.static.triage`` counters and crawl latency move.
 
     ``obs_dir`` names the directory that receives this run's observability
     artifacts (``manifest.json`` + ``trace.jsonl``, inspectable with
@@ -286,7 +283,7 @@ def run_study(
     # Sampling profiler (REPRO_OBS_PROFILE=1): start it for the study
     # process and discard any samples taken before this run, so the run's
     # rollup covers exactly this study.  Shard workers start their own
-    # sampler from the same ObsConfig carried in their payloads.
+    # sampler from the same ObsConfig carried in their tasks.
     if obs_layer.profiler.maybe_start(obs_layer.config()):
         obs_layer.profiler.drain()
     perf_before = perf.PERF.snapshot()
@@ -306,11 +303,8 @@ def run_study(
         cross_machine_sample=cross_machine_sample,
         retry_policy=retry_policy,
         page_budget=page_budget,
-        jobs=jobs,
+        execution=execution,
         checkpoint_dir=Path(cache_dir) / "shards" if cache_dir is not None else None,
-        supervisor=supervisor,
-        js_prewarm=js_prewarm,
-        static_triage=static_triage,
     )
     graph = build_study_graph(ctx, cache=cache)
 
@@ -319,18 +313,18 @@ def run_study(
     )
     recorder: Optional[RunRecorder] = None
     if run_dir is not None:
-        planned = plan_shards(targets, max(1, jobs))
+        planned = plan_shards(targets, max(1, execution.jobs))
         recorder = RunRecorder(
             run_dir,
             label="study",
             shard_plan={
                 "shards": len(planned),
-                "jobs": jobs,
+                "jobs": execution.jobs,
                 "sizes": [len(shard) for shard in planned],
             },
         ).start(metrics_before)
 
-    with obs_layer.span("study.run", targets=len(targets), jobs=jobs):
+    with obs_layer.span("study.run", targets=len(targets), jobs=execution.jobs):
         run = graph.execute(ctx, only=stages)
     result = _assemble_result(ctx, run)
     result.perf_counters = perf.diff_snapshots(perf_before, perf.PERF.snapshot())
@@ -396,8 +390,7 @@ def validate_cross_machine(
     devices: Sequence[DeviceProfile] = (INTEL_UBUNTU, APPLE_M1),
     retry_policy: Optional[RetryPolicy] = None,
     page_budget: Optional[PageBudget] = None,
-    jobs: int = 1,
-    supervisor: Optional[SupervisorConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> bool:
     """§3.1's validation, generalized to any device fleet.
 
@@ -413,10 +406,9 @@ def validate_cross_machine(
             targets,
             BrowserProfile(device=device),
             label=device.name,
-            jobs=jobs,
             retry_policy=retry_policy,
             page_budget=page_budget,
-            supervisor=supervisor,
+            execution=execution,
         )
         outcomes = detector.detect_all(dataset.successful())
         clusters = cluster_canvases(outcomes, dataset.populations())

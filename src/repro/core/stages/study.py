@@ -22,8 +22,9 @@ cross_machine      bool consistency verdict (conditional)      §3.1
 =================  ==========================================  ==========
 
 Crawl stages run through :func:`~repro.crawler.shards.run_sharded_crawl`,
-so ``jobs`` in the :class:`StudyContext` parallelizes them — deliberately
-*outside* every cache key, because worker count cannot change the artifact.
+so the :class:`~repro.crawler.shards.ExecutionConfig` in the
+:class:`StudyContext` parallelizes them — deliberately *outside* every
+cache key, because how a crawl executes cannot change the artifact.
 
 Since the streaming-reducer refactor the observation-heavy analyses
 (detection, clustering, prevalence, reach, render-twice) flow through one
@@ -72,8 +73,7 @@ from repro.core.stages.graph import StageGraph
 from repro.core.stages.stage import Stage
 from repro.crawler.crawl import CrawlTarget
 from repro.crawler.resilience import PageBudget, RetryPolicy
-from repro.crawler.shards import run_sharded_crawl
-from repro.crawler.supervisor import SupervisorConfig
+from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
 
 __all__ = ["StudyContext", "build_study_graph", "control_bundle_spec", "STAGE_DOCS"]
 
@@ -101,8 +101,8 @@ STAGE_DOCS = {
 class StudyContext:
     """Everything ``run_study`` was parameterized by, plus execution knobs.
 
-    The execution knobs (``jobs``, ``checkpoint_dir``) shape *how* stages
-    run, never *what* they produce — they are excluded from every
+    The execution knobs (``execution``, ``checkpoint_dir``) shape *how*
+    stages run, never *what* they produce — they are excluded from every
     ``config_fingerprint`` on purpose.
     """
 
@@ -122,24 +122,12 @@ class StudyContext:
     detector: FingerprintDetector = field(default_factory=FingerprintDetector)
     cross_machine_devices: Tuple[DeviceProfile, ...] = (INTEL_UBUNTU, APPLE_M1)
     # -- execution knobs (never fingerprinted) --------------------------------
-    jobs: int = 1
+    #: How every crawl executes (workers, supervisor, JS prewarm, static
+    #: triage).  A no-fault run produces the identical artifact whatever its
+    #: value, and a faulted supervised one degrades the *data* (visible as
+    #: ``quarantined:*`` rows), not the cache key.
+    execution: ExecutionConfig = ExecutionConfig()
     checkpoint_dir: Optional[Path] = None
-    #: Opt-in shard supervision (heartbeats, crash re-dispatch, quarantine).
-    #: An execution knob like ``jobs``: a no-fault supervised crawl produces
-    #: the identical artifact, and a faulted one degrades the *data* (visible
-    #: as ``quarantined:*`` rows), not the cache key.
-    supervisor: Optional[SupervisorConfig] = None
-    #: Script sources compiled into every crawl worker's warm JS cache before
-    #: its first page load (typically ``webgen.vendors.prewarm_sources()``,
-    #: passed as plain strings so ``core`` never imports ``webgen``).  Purely
-    #: an execution knob: compilation is exactly transparent, so prewarming
-    #: changes page-load latency and ``js.cache`` counters, never the dataset.
-    js_prewarm: Optional[Sequence[str]] = None
-    #: Crawl-time static triage (skip execution of provably inert scripts).
-    #: An execution knob like ``jobs``: triage-on datasets are byte-identical
-    #: to triage-off, so it never enters a cache key.  ``None`` honours
-    #: ``REPRO_JS_STATIC_TRIAGE``.
-    static_triage: Optional[bool] = None
 
     _network_fp: Optional[str] = field(default=None, repr=False, compare=False)
     #: Crawl-stage name -> merged AnalysisBundle folded live during the crawl
@@ -241,14 +229,11 @@ class CrawlStage(Stage):
             ctx.targets,
             profile=self._profile(ctx),
             label=self.label,
-            jobs=ctx.jobs,
             checkpoint_dir=checkpoint_dir,
             retry_policy=ctx.retry_policy,
             page_budget=ctx.page_budget,
-            supervisor=ctx.supervisor,
             fold=fold,
-            js_prewarm=ctx.js_prewarm,
-            static_triage=ctx.static_triage,
+            execution=ctx.execution,
         )
         if fold is not None:
             ctx._live_bundles[self.name] = fold.merge(dataset)
@@ -586,8 +571,7 @@ class CrossMachineStage(Stage):
             devices=ctx.cross_machine_devices,
             retry_policy=ctx.retry_policy,
             page_budget=ctx.page_budget,
-            jobs=ctx.jobs,
-            supervisor=ctx.supervisor,
+            execution=ctx.execution,
         )
 
 

@@ -17,6 +17,7 @@ from repro.crawler.resilience import (
     is_transient,
 )
 from repro.crawler.shards import (
+    ExecutionConfig,
     merge_shard_datasets,
     plan_shards,
     run_sharded_crawl,
@@ -36,7 +37,6 @@ from repro.crawler.supervisor import (
     SupervisorConfig,
     SupervisorError,
     quarantine_ledger_path,
-    run_supervised_crawl,
 )
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "RetryPolicy",
     "collect_with_retries",
     "is_transient",
+    "ExecutionConfig",
     "plan_shards",
     "run_sharded_crawl",
     "merge_shard_datasets",
@@ -61,7 +62,6 @@ __all__ = [
     "QuarantineLedger",
     "QuarantineRecord",
     "quarantine_ledger_path",
-    "run_supervised_crawl",
     "CheckpointWriter",
     "DatasetError",
     "checkpoint_path",

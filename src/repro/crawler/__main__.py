@@ -15,16 +15,18 @@ Usage::
     python -m repro.crawler --scale 0.05 --stage crawl.control --cache-dir .stage-cache \\
         --out crawl.jsonl.gz
 
-``--jobs`` shards the target list over worker processes (each shard
-checkpoints independently under ``<out>.shards/``, so ``--resume`` works for
-parallel crawls too).  ``--supervised`` runs the shards under the crawl
-supervisor (heartbeats, crash re-dispatch, poison-site quarantine): a crawl
-whose workers are OOM-killed or hang completes in degraded mode, with the
-skipped sites recorded in ``<out>.shards/quarantine.jsonl`` and counted in
-the crawl health output.  ``--stage`` runs one of the study pipeline's crawl
-stages through the stage graph instead; with ``--cache-dir``, an unchanged
-re-run loads the dataset from the content-addressed cache without a single
-page load.
+``--jobs N`` with N > 1 shards the target list over N worker processes, always
+under the crawl supervisor (each shard checkpoints independently under
+``<out>.shards/``, so ``--resume`` works for parallel crawls too).  The
+supervisor re-dispatches a worker that dies or shows no checkpoint progress
+for ``--liveness-deadline`` seconds, and quarantines a site that keeps
+killing workers: such a crawl completes in degraded mode, with the skipped
+sites recorded in ``<out>.shards/quarantine.jsonl`` and counted in the crawl
+health output.  ``--supervised`` only matters at ``--jobs 1``, where it
+isolates the crawl in one supervised worker.  ``--stage`` runs one of the
+study pipeline's crawl stages through the stage graph instead; with
+``--cache-dir``, an unchanged re-run loads the dataset from the
+content-addressed cache without a single page load.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.canvas.device import DEVICE_PROFILES, INTEL_UBUNTU
 from repro.config import StudyScale
 from repro.crawler.crawl import resume_crawl
 from repro.crawler.resilience import PageBudget, RetryPolicy
-from repro.crawler.shards import run_sharded_crawl
+from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
 from repro.crawler.storage import save_dataset
 from repro.crawler.supervisor import SupervisorConfig
 from repro.net.faults import FaultConfig, FaultyNetwork
@@ -105,21 +107,22 @@ def main(argv=None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; >1 shards the crawl (checkpoints in <out>.shards/)",
+        help="worker processes; >1 shards the crawl over supervised workers "
+        "(checkpoints in <out>.shards/)",
     )
     parser.add_argument(
         "--supervised",
         action="store_true",
-        help="run shards under the crawl supervisor: heartbeat-monitored "
-        "workers, crash re-dispatch, poison-site quarantine "
-        "(quarantine.jsonl lands next to the shard checkpoints)",
+        help="at --jobs 1, crawl in one supervised worker (--jobs >1 is always "
+        "supervised): liveness deadline, crash re-dispatch, poison-site "
+        "quarantine (quarantine.jsonl lands next to the shard checkpoints)",
     )
     parser.add_argument(
         "--liveness-deadline",
         type=float,
         default=60.0,
-        help="supervised: max heartbeat silence (s) before a worker is "
-        "presumed hung and killed",
+        help="whenever the supervisor runs: max time (s) without checkpoint "
+        "progress before a worker is presumed hung and killed",
     )
     parser.add_argument(
         "--static-triage",
@@ -156,8 +159,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # None = honour REPRO_JS_STATIC_TRIAGE; the flag forces it on.
-    static_triage = True if args.static_triage else None
 
     if args.profile:
         obs.configure(replace(obs.config(), profile=True))
@@ -182,10 +183,15 @@ def main(argv=None) -> int:
 
     retry_policy = RetryPolicy(max_attempts=args.max_attempts) if args.max_attempts > 1 else None
     page_budget = PageBudget(max_page_ms=args.page_budget_ms)
-    supervisor = (
-        SupervisorConfig(liveness_deadline_s=args.liveness_deadline)
-        if args.supervised
-        else None
+    supervised = args.supervised or args.jobs > 1
+    execution = ExecutionConfig(
+        jobs=args.jobs,
+        supervisor=SupervisorConfig(liveness_deadline_s=args.liveness_deadline)
+        if supervised
+        else None,
+        js_prewarm=prewarm_sources(),
+        # None = honour REPRO_JS_STATIC_TRIAGE; the flag forces it on.
+        static_triage=True if args.static_triage else None,
     )
 
     started = time.time()
@@ -229,13 +235,10 @@ def main(argv=None) -> int:
             dns=world.network.dns,
             retry_policy=retry_policy,
             page_budget=page_budget,
-            jobs=args.jobs,
+            execution=execution,
             checkpoint_dir=Path(args.cache_dir) / "shards"
             if args.cache_dir is not None
             else Path(f"{args.out}.shards"),
-            supervisor=supervisor,
-            js_prewarm=prewarm_sources(),
-            static_triage=static_triage,
         )
         graph = build_study_graph(ctx, cache=cache)
         run = graph.execute(ctx, only=[stage])
@@ -244,21 +247,18 @@ def main(argv=None) -> int:
         timing = run.timings[-1]
         stage_timings = tuple(run.timings)
         print(f"stage {stage}: {timing.status} in {timing.seconds:.1f}s")
-    elif args.jobs > 1 or args.supervised:
+    elif supervised:
         label = f"{args.adblock}-{args.device}" if args.adblock != "none" else args.device
         dataset = run_sharded_crawl(
             network,
             world.all_targets,
             profile=profile,
             label=label,
-            jobs=args.jobs,
             checkpoint_dir=f"{args.out}.shards",
             retry_policy=retry_policy,
             page_budget=page_budget,
             resume=args.resume,
-            supervisor=supervisor,
-            js_prewarm=prewarm_sources(),
-            static_triage=static_triage,
+            execution=execution,
         )
         save_dataset(dataset, args.out)
     else:
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
             retry_policy=retry_policy,
             page_budget=page_budget,
             resume=args.resume,
-            static_triage=static_triage,
+            static_triage=execution.static_triage,
         )
     health = dataset.health()
     if recorder is not None:

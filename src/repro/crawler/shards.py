@@ -1,13 +1,12 @@
-"""Shard planner and parallel crawl executor.
+"""Shard planner and the crawl executor.
 
 The paper's crawl covers 40k homepages; a strictly serial visit loop leaves
 every core but one idle.  This module splits a target list into N
-deterministic shards and crawls them with ``multiprocessing`` workers, each
-with its own checkpoint file (reusing the resume machinery of
-:mod:`repro.crawler.crawl` / :mod:`repro.crawler.storage`), then merges the
-shard datasets back into one :class:`CrawlDataset` in the original target
-order — so a parallel crawl is observation-for-observation identical to a
-serial one.
+deterministic shards, crawls each with its own checkpoint file (reusing the
+resume machinery of :mod:`repro.crawler.crawl` / :mod:`repro.crawler.storage`),
+then merges the shard datasets back into one :class:`CrawlDataset` in the
+original target order — so a parallel crawl is observation-for-observation
+identical to a serial one.
 
 Why this is safe: every page load runs in a fresh JS realm against a
 stateless synthetic network, and fault injection
@@ -17,27 +16,43 @@ site observes, only *when* it is visited.
 
 * :func:`plan_shards` — deterministic round-robin split (shard ``i`` takes
   ``targets[i::n]``), so top/tail populations stay balanced across shards;
-* :func:`run_sharded_crawl` — the executor: serial in-process when
-  ``jobs <= 1`` (progress callbacks supported), worker processes otherwise;
-  with a ``supervisor`` config, the bare pool is replaced by the supervised
-  executor of :mod:`repro.crawler.supervisor` (heartbeats, crash
-  re-dispatch, poison-site quarantine, degraded-mode completion);
+* :class:`ExecutionConfig` — how a crawl executes (worker count, supervisor
+  knobs, JS prewarm, static triage), carried as one value from
+  ``run_study`` and the CLIs down to the worker;
+* :func:`run_sharded_crawl` — the executor: in-process when ``jobs == 1``
+  and no supervisor config is given, otherwise supervised worker processes
+  (:mod:`repro.crawler.supervisor`: liveness deadline, crash re-dispatch,
+  poison-site quarantine, degraded-mode completion);
+* :func:`shard_worker` — the one worker body: a :class:`WorkerTask` in, a
+  :class:`WorkerResult` out;
 * :func:`merge_shard_datasets` — reassemble one dataset in target order;
   merged :class:`~repro.crawler.crawl.CrawlHealth` comes from the merged
   dataset's own ``health()``.
 
-Worker processes receive the (picklable) synthetic network and return
-observations as JSON records; a killed parallel crawl leaves per-shard
-``.partial`` checkpoints behind, and re-running with the same
-``checkpoint_dir`` resumes every shard without re-visiting persisted
-domains.
+A killed crawl leaves per-shard ``.partial`` checkpoints behind, and
+re-running with the same ``checkpoint_dir`` resumes every shard without
+re-visiting persisted domains.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import contextlib
+import os
+import pickle
+import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro import obs, perf
 from repro.browser.profile import BrowserProfile
@@ -47,15 +62,86 @@ from repro.crawler.crawl import CrawlDataset, CrawlTarget, resume_crawl, run_cra
 from repro.crawler.resilience import PageBudget, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (supervisor imports us)
-    from repro.core.reducers import AnalysisFold
+    from repro.core.reducers import AnalysisBundle, AnalysisFold, BundleSpec
     from repro.crawler.supervisor import SupervisorConfig
 
 __all__ = [
+    "ExecutionConfig",
+    "WorkerTask",
+    "WorkerResult",
     "plan_shards",
     "shard_checkpoint_path",
     "merge_shard_datasets",
+    "shard_worker",
     "run_sharded_crawl",
 ]
+
+
+@dataclass(frozen=True)
+class ExecutionConfig:
+    """How a crawl executes — never what it observes.
+
+    Every field is exactly transparent: the datasets, and so the
+    ``StudyResult``, are byte-identical whatever their values.  None of them
+    enters a stage-cache key.
+    """
+
+    #: Worker processes.  ``1`` crawls in-process (unless ``supervisor`` is
+    #: set); more always runs under the supervisor.
+    jobs: int = 1
+    #: Supervisor knobs.  ``None`` with ``jobs > 1`` means the defaults; set
+    #: with ``jobs == 1`` it isolates the crawl in one supervised worker.
+    supervisor: Optional["SupervisorConfig"] = None
+    #: Script sources each worker compiles into its warm JS cache before the
+    #: first page load (typically :func:`repro.webgen.vendors.prewarm_sources`,
+    #: passed as plain strings so the crawler never imports ``webgen``).
+    js_prewarm: Tuple[str, ...] = ()
+    #: Skip executing scripts the static analyzer proves canvas-inert and
+    #: effect-free.  ``None`` honours ``REPRO_JS_STATIC_TRIAGE``.
+    static_triage: Optional[bool] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "js_prewarm", tuple(self.js_prewarm or ()))
+
+
+@dataclass(frozen=True)
+class WorkerTask:
+    """One shard's crawl, as a worker process receives it (picklable)."""
+
+    network: Any
+    targets: Tuple[CrawlTarget, ...]
+    profile: Optional[BrowserProfile]
+    label: str
+    retry_policy: Optional[RetryPolicy]
+    page_budget: Optional[PageBudget]
+    inner_paths: tuple
+    resume: bool
+    execution: ExecutionConfig
+    #: Builds the shard's streaming-analysis partial (``None``: no fold).
+    fold_spec: Optional["BundleSpec"]
+    perf_config: perf.RenderCacheConfig
+    obs_config: obs.ObsConfig
+    #: Trace lane of the shard (``shard-0003``; bisected: ``shard-0003.a``).
+    lane: str
+    #: The shard's checkpoint file (``None``: crawl without one).
+    checkpoint: Optional[Path] = None
+    #: Where a worker process atomically pickles its :class:`WorkerResult`.
+    result_path: Optional[Path] = None
+
+
+@dataclass(frozen=True)
+class WorkerResult:
+    """What one worker task ships home, each part exactly once."""
+
+    #: Observations as JSON records — the checkpoint schema, so the parent
+    #: never depends on pickling in-flight collector objects.
+    records: List[Dict[str, Any]]
+    #: Render/JS cache counters, as a delta from the task start.
+    perf_delta: Dict[str, Dict[str, float]]
+    #: Spans, metrics delta and profiler samples (:func:`repro.obs.worker_payload`).
+    obs_payload: Dict[str, Any]
+    #: The shard's streaming-analysis partial, when the task folds.
+    partial: Optional["AnalysisBundle"]
 
 
 def plan_shards(targets: Sequence[CrawlTarget], shards: int) -> List[List[CrawlTarget]]:
@@ -114,97 +200,74 @@ def merge_shard_datasets(
     return merged
 
 
-def _crawl_shard_worker(payload):
-    """Worker entry point: crawl one shard, return observations as JSON.
+def _crawl_shard(
+    task: WorkerTask, progress: Optional[Callable[[int, SiteObservation], None]] = None
+) -> CrawlDataset:
+    """Crawl one shard in this process: prewarm, then a (checkpointed) crawl.
 
-    Must stay a module-level function (pickled by name by multiprocessing).
-    Observations cross the process boundary as their JSON records — the same
-    schema the checkpoint files use — so the parent never depends on pickle
-    compatibility of in-flight collector objects.  Each worker installs the
-    parent's render-cache and observability configs before crawling.
-
-    Perf counters and obs metrics ship back as *deltas from the task start*,
-    not cumulative snapshots: a pooled worker process runs several shard
-    tasks back to back, and cumulative snapshots would re-count every
-    earlier task when the parent merges them (exactly-once is what
-    ``tests/obs`` asserts under ``jobs=4``).  Trace records are drained by
-    :func:`repro.obs.worker_payload` for the same reason.
+    Re-running the prewarm for a later shard finds the cache warm and
+    records nothing.
     """
-    (network, targets, profile, label, retry_policy, page_budget, inner_paths,
-     checkpoint, resume, perf_config, obs_config, shard_tid, fold_spec,
-     js_prewarm, static_triage) = payload
-    perf.configure(perf_config)
-    obs.configure(obs_config)
-    obs.set_worker_label(shard_tid)
-    # Sampling profiler: (re)start to match the parent's knobs.  This is
-    # fork-aware — a freshly forked pool worker inherits the parent's
-    # sample table, which maybe_start clears so parent samples are never
-    # shipped home twice (the parent drains its own table itself).
-    obs.profiler.maybe_start(obs_config)
+    execution = task.execution
+    if execution.js_prewarm:
+        js_compiler.prewarm(execution.js_prewarm)
+    with obs.span("crawl.shard", shard=task.lane, label=task.label, size=len(task.targets)):
+        kwargs = dict(
+            profile=task.profile,
+            label=task.label,
+            progress=progress,
+            inner_paths=task.inner_paths,
+            retry_policy=task.retry_policy,
+            page_budget=task.page_budget,
+            static_triage=execution.static_triage,
+        )
+        if task.checkpoint is not None:
+            return resume_crawl(
+                task.network, task.targets, task.checkpoint, resume=task.resume, **kwargs
+            )
+        return run_crawl(task.network, task.targets, **kwargs)
+
+
+def shard_worker(task: WorkerTask) -> WorkerResult:
+    """The worker body: crawl one shard and ship its result home.
+
+    Installs the parent's render-cache and observability configs, starts the
+    sampling profiler to match, crawls, folds the shard's analysis partial,
+    and returns records plus perf and obs *deltas from the task start*.  A
+    worker process may be forked after its parent took in other workers'
+    results, so cumulative snapshots would ship those again; the obs layer
+    likewise drops the trace records and profiler samples a forked child
+    inherits.  With a ``result_path`` the result is also pickled there
+    atomically, so a worker that dies mid-write never hands the parent a
+    torn payload.
+    """
+    perf.configure(task.perf_config)
+    obs.configure(task.obs_config)
+    obs.set_worker_label(task.lane)
+    obs.profiler.maybe_start(task.obs_config)
     perf_before = perf.PERF.snapshot()
     metrics_before = obs.METRICS.snapshot()
-    # Warm the compiled-script cache before the first page load, so known
-    # vendor scripts never pay a compile inside a page.  The compile misses
-    # land after the baseline snapshot and therefore ship with this task's
-    # delta; a pooled worker re-running the prewarm on its next task finds
-    # the cache warm and records nothing.
-    if js_prewarm:
-        js_compiler.prewarm(js_prewarm)
-    with obs.span("crawl.shard", shard=shard_tid, label=label, size=len(targets)):
-        dataset = _crawl_one_shard(
-            network, targets, profile, label, retry_policy, page_budget,
-            inner_paths, checkpoint, resume, progress=None,
-            static_triage=static_triage,
-        )
-    records = [observation.to_json() for observation in dataset.observations]
-    # Fold the shard's analysis partial *before* draining the obs delta, so
-    # the parent receives the worker's ``analysis.*`` counters exactly once.
+    # Prewarm compiles land after the baseline snapshot: they ship with
+    # this task's delta.
+    dataset = _crawl_shard(task)
+    # Fold before draining the obs delta, so the worker's ``analysis.*``
+    # counters ship with it.
     partial = None
-    if fold_spec is not None:
-        partial = fold_spec.build()
+    if task.fold_spec is not None:
+        partial = task.fold_spec.build()
         partial.ingest_many(dataset.observations)
-    perf_delta = perf.diff_snapshots(perf_before, perf.PERF.snapshot())
-    return records, perf_delta, obs.worker_payload(metrics_before), partial
-
-
-def _crawl_one_shard(
-    network,
-    targets: Sequence[CrawlTarget],
-    profile: Optional[BrowserProfile],
-    label: str,
-    retry_policy: Optional[RetryPolicy],
-    page_budget: Optional[PageBudget],
-    inner_paths: tuple,
-    checkpoint: Optional[Path],
-    resume: bool,
-    progress: Optional[Callable[[int, SiteObservation], None]],
-    static_triage: Optional[bool] = None,
-) -> CrawlDataset:
-    if checkpoint is not None:
-        return resume_crawl(
-            network,
-            targets,
-            checkpoint,
-            profile=profile,
-            label=label,
-            progress=progress,
-            inner_paths=inner_paths,
-            retry_policy=retry_policy,
-            page_budget=page_budget,
-            resume=resume,
-            static_triage=static_triage,
-        )
-    return run_crawl(
-        network,
-        targets,
-        profile=profile,
-        label=label,
-        progress=progress,
-        inner_paths=inner_paths,
-        retry_policy=retry_policy,
-        page_budget=page_budget,
-        static_triage=static_triage,
+    result = WorkerResult(
+        records=[observation.to_json() for observation in dataset.observations],
+        perf_delta=perf.diff_snapshots(perf_before, perf.PERF.snapshot()),
+        obs_payload=obs.worker_payload(metrics_before),
+        partial=partial,
     )
+    if task.result_path is not None:
+        tmp = task.result_path.with_name(task.result_path.name + ".tmp")
+        with open(tmp, "wb") as fh:
+            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, task.result_path)
+    return result
 
 
 def run_sharded_crawl(
@@ -212,7 +275,6 @@ def run_sharded_crawl(
     targets: Sequence[CrawlTarget],
     profile: Optional[BrowserProfile] = None,
     label: str = "control",
-    jobs: int = 1,
     shards: Optional[int] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -220,144 +282,79 @@ def run_sharded_crawl(
     inner_paths: tuple = (),
     resume: bool = True,
     progress: Optional[Callable[[int, SiteObservation], None]] = None,
-    supervisor: Optional["SupervisorConfig"] = None,
     fold: Optional["AnalysisFold"] = None,
-    js_prewarm: Optional[Sequence[str]] = None,
-    static_triage: Optional[bool] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> CrawlDataset:
-    """Crawl ``targets`` over ``jobs`` workers and merge the shard datasets.
+    """Crawl ``targets`` in shards and merge the shard datasets.
 
-    * ``jobs <= 1`` with no ``checkpoint_dir`` and a single shard falls back
-      to a plain :func:`run_crawl` — byte-for-byte the serial path;
-    * ``shards`` defaults to ``jobs`` (more shards than jobs is allowed:
-      workers drain the shard queue);
+    * ``shards`` defaults to ``execution.jobs`` (more shards than jobs is
+      allowed: workers drain the shard queue);
+    * with ``execution.jobs == 1`` and no ``execution.supervisor`` the
+      shards are crawled in-process, one after the other — the only path
+      that calls ``progress``;
+    * otherwise every shard runs in a supervised worker process
+      (:mod:`repro.crawler.supervisor`): a worker that dies or falls silent
+      for ``liveness_deadline_s`` is re-dispatched from its checkpoint, and a
+      site that keeps killing workers is quarantined.  ``jobs > 1`` with no
+      supervisor config uses the default :class:`SupervisorConfig`;
     * with a ``checkpoint_dir``, every shard checkpoints to its own file and
-      a killed run — serial or parallel — resumes from the per-shard
-      partials, re-visiting nothing that was persisted;
-    * ``progress`` is supported on the serial path only (callbacks cannot
-      cross the process boundary);
-    * with a ``supervisor`` config, execution is delegated to
-      :func:`repro.crawler.supervisor.run_supervised_crawl`: heartbeat-
-      monitored workers, crash re-dispatch from the per-shard checkpoints,
-      and bisecting poison-site quarantine.  A no-fault supervised run
-      produces a dataset identical to this unsupervised path.
+      a killed run resumes from the per-shard partials, re-visiting nothing
+      that was persisted.  Supervised runs always checkpoint: without a
+      ``checkpoint_dir`` the files live in a private temporary directory;
     * with a ``fold`` (an :class:`~repro.core.reducers.AnalysisFold`), each
       shard's observations are also folded into a streaming analysis partial
-      as the crawl proceeds — in the worker process for parallel shards, so
-      partials ride home with the shard records and the parent never
-      re-ingests the dataset.  Call ``fold.merge(dataset)`` afterwards for
-      the combined bundle.
-    * ``js_prewarm`` is a list of script sources each worker compiles into
-      the process-wide compiled-script cache before its first page load
-      (:func:`repro.js.compiler.prewarm`); a no-op when ``REPRO_JS_COMPILE``
-      disables compiled execution.  Sources arrive as plain data, so the
-      crawler stays independent of whatever generator produced them.
+      — in the worker, so partials ride home with the shard records and the
+      parent never re-ingests the dataset.  Call ``fold.merge(dataset)``
+      afterwards for the combined bundle.
 
     The merged dataset equals a serial crawl of the same targets: identical
     observations in identical order (see ``tests/crawler/test_shards.py``).
     """
-    if supervisor is not None:
-        # Local import: supervisor builds on this module's planner/merger.
-        from repro.crawler.supervisor import run_supervised_crawl
-
-        return run_supervised_crawl(
-            network,
-            targets,
-            profile=profile,
-            label=label,
-            jobs=jobs,
-            shards=shards,
-            checkpoint_dir=checkpoint_dir,
-            retry_policy=retry_policy,
-            page_budget=page_budget,
-            inner_paths=inner_paths,
-            resume=resume,
-            config=supervisor,
-            fold=fold,
-            js_prewarm=js_prewarm,
-            static_triage=static_triage,
-        )
-    jobs = max(1, jobs)
-    n_shards = shards if shards is not None else jobs
-    planned = plan_shards(targets, max(1, n_shards))
-
-    if js_prewarm:
-        js_prewarm = tuple(js_prewarm)
-
-    if len(planned) == 1 and jobs == 1 and checkpoint_dir is None:
-        if js_prewarm:
-            js_compiler.prewarm(js_prewarm)
-        dataset = run_crawl(
-            network,
-            targets,
-            profile=profile,
-            label=label,
-            progress=progress,
-            inner_paths=inner_paths,
-            retry_policy=retry_policy,
-            page_budget=page_budget,
-            static_triage=static_triage,
-        )
-        if fold is not None:
-            fold.fold_dataset(dataset)
-        return dataset
-
-    checkpoints: List[Optional[Path]] = [None] * len(planned)
-    if checkpoint_dir is not None:
-        directory = Path(checkpoint_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        checkpoints = [
-            shard_checkpoint_path(directory, label, index, len(planned))
-            for index in range(len(planned))
-        ]
-
-    shard_datasets: List[CrawlDataset]
-    if jobs == 1:
-        if js_prewarm:
-            js_compiler.prewarm(js_prewarm)
-        shard_datasets = []
-        for index, shard in enumerate(planned):
-            with obs.span(
-                "crawl.shard", shard=f"shard-{index}", label=label, size=len(shard)
-            ):
-                shard_dataset = _crawl_one_shard(
-                    network, shard, profile, label, retry_policy, page_budget,
-                    inner_paths, checkpoints[index], resume, progress,
-                    static_triage=static_triage,
-                )
-                if fold is not None:
-                    fold.fold_dataset(shard_dataset)
-                shard_datasets.append(shard_dataset)
-    else:
-        fold_spec = fold.spec if fold is not None else None
-        payloads = [
-            (network, shard, profile, label, retry_policy, page_budget,
-             inner_paths, checkpoints[index], resume, perf.current_config(),
-             obs.config(), f"shard-{index}", fold_spec, js_prewarm,
-             static_triage)
+    jobs = max(1, execution.jobs)
+    planned = plan_shards(targets, max(1, shards if shards is not None else jobs))
+    supervised = jobs > 1 or execution.supervisor is not None
+    scratch = (
+        tempfile.TemporaryDirectory(prefix="repro-supervisor-")
+        if supervised and checkpoint_dir is None
+        else contextlib.nullcontext(checkpoint_dir)
+    )
+    with scratch as directory:
+        if directory is not None:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        tasks = [
+            WorkerTask(
+                network=network,
+                targets=tuple(shard),
+                profile=profile,
+                label=label,
+                retry_policy=retry_policy,
+                page_budget=page_budget,
+                inner_paths=inner_paths,
+                resume=resume,
+                execution=execution,
+                fold_spec=fold.spec if fold is not None else None,
+                perf_config=perf.current_config(),
+                obs_config=obs.config(),
+                lane=f"shard-{index:04d}",
+                checkpoint=shard_checkpoint_path(directory, label, index, len(planned))
+                if directory is not None
+                else None,
+            )
             for index, shard in enumerate(planned)
         ]
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(planned)))
-        try:
-            results = list(pool.map(_crawl_shard_worker, payloads))
-        except BaseException:
-            # Ctrl-C (or any abort) must not leak live workers: cancel the
-            # queued shards, skip the blocking result wait, and re-raise.
-            # Per-shard .partial checkpoints survive for a later resume.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown()
-        shard_datasets = []
-        for records, perf_delta, obs_payload, partial in results:
-            perf.PERF.merge(perf_delta)
-            obs.ingest_worker(obs_payload)
-            dataset = CrawlDataset(label=label)
-            dataset.observations.extend(
-                SiteObservation.from_json(record) for record in records
-            )
-            shard_datasets.append(dataset)
-            if fold is not None:
-                fold.add_partial(partial)
+        if supervised:
+            # Local import: the supervisor builds on this module.
+            from repro.crawler.supervisor import SupervisorConfig, supervise
 
+            shard_datasets = supervise(
+                tasks, Path(directory), execution.supervisor or SupervisorConfig(), jobs, fold
+            )
+        else:
+            shard_datasets = []
+            for task in tasks:
+                dataset = _crawl_shard(task, progress)
+                if fold is not None:
+                    fold.fold_dataset(dataset)
+                shard_datasets.append(dataset)
     return merge_shard_datasets(label, targets, shard_datasets)
+

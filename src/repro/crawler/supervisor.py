@@ -1,24 +1,25 @@
-"""Shard supervisor: heartbeats, crash re-dispatch, poison-site quarantine.
+"""Shard supervisor: the crawl executor for every multi-process run.
 
 PR 1 made single *pages* fault-tolerant (retry/backoff, watchdog,
-checkpoint/resume) and the sharded executor made crawls parallel — but a
-bare :class:`~concurrent.futures.ProcessPoolExecutor` still dies wholesale
-when one shard *worker* is OOM-killed, segfaults, or wedges: the pool
-raises ``BrokenProcessPool`` and every other shard aborts with it.  At the
-paper's 40k-site scale one poison page can therefore sink the whole study.
+checkpoint/resume); sharding made crawls parallel.  But at the paper's
+40k-site scale one poison page — a worker that is OOM-killed, segfaults or
+wedges — must not sink the whole crawl.  Every crawl with ``jobs > 1`` (or
+an explicit :class:`SupervisorConfig`) therefore runs its shards in
+**supervised worker processes**:
 
-This module replaces the pool with **supervised worker processes**:
+* liveness comes from checkpoint progress: a worker flushes one checkpoint
+  line per page, so the newest mtime of the shard's checkpoint (the
+  ``.partial`` file, then the promoted file) is its last sign of life;
+* the supervisor waits on the live workers' process sentinels (a finished
+  worker is collected at once) and classifies each worker through a small
+  state machine::
 
-* every worker writes a *heartbeat file* (task start + after every page);
-* the supervisor polls worker liveness and classifies each worker through a
-  small state machine::
-
-      healthy ──(no beat for deadline/2)──> suspect
-      suspect ──(beat arrives)───────────> healthy
-      healthy/suspect ──(process exit ≠ 0)─────────────┐
-      healthy/suspect ──(no beat for deadline)──kill──>│ dead
-      healthy/suspect ──(shard wall budget spent)─kill>│
-                                                       ▼
+      healthy ──(no progress for deadline/2)──> suspect
+      suspect ──(progress resumes)────────────> healthy
+      healthy/suspect ──(process exit ≠ 0)─────────────────┐
+      healthy/suspect ──(no progress for deadline)──kill──>│ dead
+      healthy/suspect ──(shard wall budget spent)─kill────>│
+                                                           ▼
                                         respawn (remainder, same checkpoint)
                                         or — after ``max_shard_crashes`` —
                                         bisect / quarantine
@@ -37,8 +38,8 @@ This module replaces the pool with **supervised worker processes**:
   are computed over an explicitly-accounted site set, never a silently
   truncated one.
 
-A no-fault supervised crawl is byte-identical to the unsupervised sharded
-path (``tests/crawler/test_supervisor.py`` pins this): supervision changes
+A no-fault supervised crawl is byte-identical to the in-process path
+(``tests/crawler/test_supervisor.py`` pins this): supervision changes
 *when and by whom* sites are visited, never what any site observes.
 """
 
@@ -48,23 +49,18 @@ import json
 import multiprocessing
 import os
 import pickle
-import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from repro import obs, perf
-from repro.browser.profile import BrowserProfile
 from repro.core.records import SiteObservation
-from repro.crawler.crawl import (
-    QUARANTINE_PREFIX,
-    CrawlDataset,
-    CrawlTarget,
-)
-from repro.crawler.resilience import PageBudget, RetryPolicy
-from repro.crawler.storage import load_checkpoint
+from repro.crawler.crawl import QUARANTINE_PREFIX, CrawlDataset, CrawlTarget
+from repro.crawler.shards import WorkerTask, shard_worker
+from repro.crawler.storage import checkpoint_path, load_checkpoint
 
 __all__ = [
     "SupervisorConfig",
@@ -72,7 +68,7 @@ __all__ = [
     "QuarantineRecord",
     "QuarantineLedger",
     "quarantine_ledger_path",
-    "run_supervised_crawl",
+    "supervise",
 ]
 
 
@@ -88,14 +84,16 @@ class SupervisorConfig:
     minutes); tests shrink the deadlines to keep chaos runs fast.
     """
 
-    #: Max silence (no heartbeat, s) before a live worker is presumed hung
-    #: and killed.  Workers beat at task start and after every page, so this
-    #: bounds the time one page may take — align it with the page watchdog.
+    #: Max silence (s) before a live worker is presumed hung and killed.
+    #: Silence is time since the worker's spawn or its last checkpoint line,
+    #: and workers flush one line per page, so this bounds the time one page
+    #: may take — align it with the page watchdog.
     liveness_deadline_s: float = 60.0
     #: Optional wall-clock ceiling for one shard attempt; ``None`` disables.
     #: A worker that outlives it is killed and handled like a crash.
     shard_wall_budget_s: Optional[float] = None
-    #: Supervisor poll cadence (s).
+    #: Longest wait (s) between liveness checks; a worker that exits is
+    #: collected at once.
     poll_interval_s: float = 0.05
     #: Worker deaths one shard tolerates before its remainder is bisected.
     #: Sub-shards inherit ``max_shard_crashes - 1`` crashes: once a shard is
@@ -208,81 +206,6 @@ class QuarantineLedger:
         return ledger
 
 
-# -- worker side --------------------------------------------------------------------
-
-
-def _write_heartbeat(path: Path, domain: str, index: int) -> None:
-    """Atomically refresh the worker's heartbeat file.
-
-    The parent only needs the mtime for liveness; the payload (current
-    domain + index) is for post-mortem debugging of a killed worker.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps({"ts": time.time(), "domain": domain, "index": index}),
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-
-
-def _supervised_shard_worker(payload, heartbeat_path: Path, result_path: Path) -> None:
-    """Worker entry point (module-level: pickled by name across the spawn).
-
-    Mirrors ``shards._crawl_shard_worker`` — same payload tuple, same
-    JSON-records result schema, same delta-from-task-start perf/obs
-    propagation — but beats a heartbeat after every page and ships its
-    result through an atomically-promoted pickle file instead of the pool's
-    return channel, so a crash mid-result can never hand the parent a torn
-    payload.
-    """
-    from repro.crawler.shards import _crawl_one_shard
-    from repro.js import compiler as js_compiler
-
-    (network, targets, profile, label, retry_policy, page_budget, inner_paths,
-     checkpoint, resume, perf_config, obs_config, shard_tid, fold_spec,
-     js_prewarm, static_triage) = payload
-    perf.configure(perf_config)
-    obs.configure(obs_config)
-    obs.set_worker_label(shard_tid)
-    # Fork-aware profiler start: clears the sample table inherited from the
-    # supervisor's fork so parent samples never double-count, then samples
-    # this worker's pages until the task's worker_payload drains the table.
-    obs.profiler.maybe_start(obs_config)
-    perf_before = perf.PERF.snapshot()
-    metrics_before = obs.METRICS.snapshot()
-    # Same warm-start as the pool worker: compile known vendor scripts before
-    # the first page, counted after the baseline snapshot (exactly-once).
-    if js_prewarm:
-        js_compiler.prewarm(js_prewarm)
-    _write_heartbeat(heartbeat_path, domain="", index=-1)
-
-    def beat(index: int, observation: SiteObservation) -> None:
-        _write_heartbeat(heartbeat_path, domain=observation.domain, index=index)
-
-    with obs.span("crawl.shard", shard=shard_tid, label=label, size=len(targets)):
-        dataset = _crawl_one_shard(
-            network, targets, profile, label, retry_policy, page_budget,
-            inner_paths, checkpoint, resume, progress=beat,
-            static_triage=static_triage,
-        )
-    records = [observation.to_json() for observation in dataset.observations]
-    # Fold before draining the obs delta so analysis counters ship with it.
-    partial = None
-    if fold_spec is not None:
-        partial = fold_spec.build()
-        partial.ingest_many(dataset.observations)
-    result = (
-        records,
-        perf.diff_snapshots(perf_before, perf.PERF.snapshot()),
-        obs.worker_payload(metrics_before),
-        partial,
-    )
-    tmp = result_path.with_name(result_path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, result_path)
-
-
 # -- supervisor side ----------------------------------------------------------------
 
 
@@ -290,9 +213,10 @@ def _supervised_shard_worker(payload, heartbeat_path: Path, result_path: Path) -
 class _ShardTask:
     """One dispatchable unit of crawl work (a shard or a bisected sub-shard)."""
 
+    #: Lineage id (``0003``, bisected ``0003.a.b``); the worker's lane is
+    #: ``shard-<shard_id>``.
     shard_id: str
-    targets: List[CrawlTarget]
-    checkpoint: Path
+    work: WorkerTask
     crashes: int = 0
     #: Domains whose page metrics the supervisor already credited
     #: parent-side after a worker death (see ``_credit_orphan_metrics``) —
@@ -304,21 +228,27 @@ class _ShardTask:
 class _WorkerHandle:
     """A live worker process plus its liveness bookkeeping."""
 
-    def __init__(self, task: _ShardTask, process, heartbeat_path: Path,
-                 result_path: Path) -> None:
+    def __init__(self, task: _ShardTask, process, result_path: Path) -> None:
         self.task = task
         self.process = process
-        self.heartbeat_path = heartbeat_path
         self.result_path = result_path
         self.spawned_at = time.time()
+        #: Newest sign of life seen so far.  Kept here rather than re-read,
+        #: so the instant the finalize rename moves the checkpoint never
+        #: reads as silence.
+        self.last_seen = self.spawned_at
         self.state = "healthy"  # healthy | suspect
 
     def last_sign_of_life(self) -> float:
-        try:
-            beat = os.stat(self.heartbeat_path).st_mtime
-        except OSError:
-            beat = 0.0
-        return max(self.spawned_at, beat)
+        """The newest checkpoint mtime (one line lands per page), or spawn time."""
+        checkpoint = self.task.work.checkpoint
+        for path in (checkpoint_path(checkpoint), checkpoint):
+            try:
+                self.last_seen = max(self.last_seen, os.stat(path).st_mtime)
+                break
+            except OSError:
+                continue
+        return self.last_seen
 
 
 def _mp_context():
@@ -363,19 +293,9 @@ def _credit_observation_metrics(observation: SiteObservation, label: str) -> Non
 class _Supervisor:
     """State for one supervised crawl: task queue, live workers, salvage pool."""
 
-    def __init__(self, network, profile: Optional[BrowserProfile], label: str,
-                 retry_policy: Optional[RetryPolicy],
-                 page_budget: Optional[PageBudget], inner_paths: tuple,
-                 resume: bool, config: SupervisorConfig, scratch: Path,
-                 ledger: QuarantineLedger, jobs: int, fold=None,
-                 js_prewarm=None, static_triage=None) -> None:
-        self.network = network
-        self.profile = profile
+    def __init__(self, label: str, config: SupervisorConfig, scratch: Path,
+                 ledger: QuarantineLedger, jobs: int, fold=None) -> None:
         self.label = label
-        self.retry_policy = retry_policy
-        self.page_budget = page_budget
-        self.inner_paths = inner_paths
-        self.resume = resume
         self.config = config
         self.scratch = scratch
         self.ledger = ledger
@@ -391,12 +311,7 @@ class _Supervisor:
         #: Optional streaming AnalysisFold: workers fold shard partials and
         #: ship them home; salvaged observations are folded parent-side.
         self.fold = fold
-        #: Script sources each worker compiles before its first page load.
-        self.js_prewarm = tuple(js_prewarm) if js_prewarm else None
-        #: Static-triage knob forwarded verbatim to every worker's Browser.
-        self.static_triage = static_triage
         self.respawns = 0
-        self.spawned = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -406,49 +321,39 @@ class _Supervisor:
             while self.pending or self.active:
                 while self.pending and len(self.active) < self.jobs:
                     self._spawn(self.pending.popleft())
-                if not self._poll_once():
-                    time.sleep(self.config.poll_interval_s)
+                wait(
+                    [handle.process.sentinel for handle in self.active.values()],
+                    timeout=self.config.poll_interval_s,
+                )
+                self._poll_once()
         except BaseException:
             # Respawn-budget blowout or a KeyboardInterrupt: put every live
             # worker down before propagating — never leak crawling processes.
+            # Their .partial checkpoints stay for a resume.
             for handle in self.active.values():
                 self._kill(handle.process)
             self.active.clear()
             raise
 
     def _spawn(self, task: _ShardTask) -> None:
-        attempt = f"{task.shard_id}-try{task.crashes}"
-        heartbeat = self.scratch / f"heartbeat-{attempt}.json"
-        result = self.scratch / f"result-{attempt}.pkl"
-        payload = (
-            self.network, task.targets, self.profile, self.label,
-            self.retry_policy, self.page_budget, self.inner_paths,
-            task.checkpoint, self.resume, perf.current_config(), obs.config(),
-            f"shard-{task.shard_id}",
-            self.fold.spec if self.fold is not None else None,
-            self.js_prewarm,
-            self.static_triage,
-        )
+        result = self.scratch / f"result-{task.shard_id}-try{task.crashes}.pkl"
         process = self.mp.Process(
-            target=_supervised_shard_worker,
-            args=(payload, heartbeat, result),
+            target=shard_worker,
+            args=(replace(task.work, result_path=result),),
             daemon=True,
         )
         process.start()
-        self.spawned += 1
         obs.inc("supervisor.workers_spawned")
-        self.active[task.shard_id] = _WorkerHandle(task, process, heartbeat, result)
+        self.active[task.shard_id] = _WorkerHandle(task, process, result)
 
-    def _poll_once(self) -> bool:
-        """One supervision sweep; True when any worker settled (skip sleep)."""
-        progressed = False
+    def _poll_once(self) -> None:
+        """One supervision sweep over every live worker."""
         for shard_id in list(self.active):
             handle = self.active[shard_id]
             process = handle.process
             if not process.is_alive():
                 process.join()
                 del self.active[shard_id]
-                progressed = True
                 if process.exitcode == 0 and handle.result_path.exists():
                     self._collect(handle)
                 else:
@@ -462,13 +367,11 @@ class _Supervisor:
                 del self.active[shard_id]
                 obs.inc("supervisor.heartbeat_timeouts")
                 self._on_worker_death(handle.task, "heartbeat-timeout")
-                progressed = True
             elif budget is not None and now - handle.spawned_at > budget:
                 self._kill(process)
                 del self.active[shard_id]
                 obs.inc("supervisor.wall_budget_kills")
                 self._on_worker_death(handle.task, "wall-budget")
-                progressed = True
             elif silent_for > self.config.liveness_deadline_s / 2:
                 if handle.state == "healthy":
                     handle.state = "suspect"
@@ -480,8 +383,7 @@ class _Supervisor:
                         silent_for_s=round(silent_for, 3),
                     )
             elif handle.state == "suspect":
-                handle.state = "healthy"  # a beat arrived after all
-        return progressed
+                handle.state = "healthy"  # progress resumed after all
 
     def _kill(self, process) -> None:
         """SIGTERM, short grace, then SIGKILL — never wait on a wedged worker."""
@@ -493,17 +395,17 @@ class _Supervisor:
 
     def _collect(self, handle: _WorkerHandle) -> None:
         with open(handle.result_path, "rb") as fh:
-            records, perf_delta, obs_payload, partial = pickle.load(fh)
+            result = pickle.load(fh)
         handle.result_path.unlink(missing_ok=True)
-        perf.PERF.merge(perf_delta)
-        obs.ingest_worker(obs_payload)
+        perf.PERF.merge(result.perf_delta)
+        obs.ingest_worker(result.obs_payload)
         dataset = CrawlDataset(label=self.label)
         dataset.observations.extend(
-            SiteObservation.from_json(record) for record in records
+            SiteObservation.from_json(record) for record in result.records
         )
         self.datasets.append(dataset)
         if self.fold is not None:
-            self.fold.add_partial(partial)
+            self.fold.add_partial(result.partial)
 
     # -- failure handling -----------------------------------------------------
 
@@ -525,12 +427,12 @@ class _Supervisor:
             shard=task.shard_id,
             signal=signal,
             crashes=task.crashes,
-            remaining=len(task.targets),
+            remaining=len(task.work.targets),
         )
-        persisted = load_checkpoint(task.checkpoint)
+        persisted = load_checkpoint(task.work.checkpoint)
         self._credit_orphan_metrics(task, persisted)
         done = {o.domain for o in persisted.observations} if persisted else set()
-        remainder = [t for t in task.targets if t.domain not in done]
+        remainder = [t for t in task.work.targets if t.domain not in done]
         if not remainder:
             # Died after the last page but before the result was promoted:
             # the checkpoint has every observation — salvage it directly.
@@ -556,8 +458,12 @@ class _Supervisor:
             self.pending.append(
                 _ShardTask(
                     shard_id=sub_id,
-                    targets=part,
-                    checkpoint=self.scratch / f"{self.label}.shard-{sub_id}.jsonl",
+                    work=replace(
+                        task.work,
+                        targets=tuple(part),
+                        lane=f"shard-{sub_id}",
+                        checkpoint=self.scratch / f"{self.label}.shard-{sub_id}.jsonl",
+                    ),
                     # Sub-shards are already suspects: one more death splits
                     # (or quarantines) them, keeping isolation logarithmic.
                     crashes=self.config.max_shard_crashes - 1,
@@ -623,88 +529,41 @@ class _Supervisor:
         _credit_observation_metrics(observation, self.label)
 
 
-def run_supervised_crawl(
-    network,
-    targets: Sequence[CrawlTarget],
-    profile: Optional[BrowserProfile] = None,
-    label: str = "control",
-    jobs: int = 1,
-    shards: Optional[int] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    page_budget: Optional[PageBudget] = None,
-    inner_paths: tuple = (),
-    resume: bool = True,
-    config: Optional[SupervisorConfig] = None,
+def supervise(
+    tasks: Sequence[WorkerTask],
+    directory: Path,
+    config: SupervisorConfig,
+    jobs: int,
     fold=None,
-    js_prewarm: Optional[Sequence[str]] = None,
-    static_triage: Optional[bool] = None,
-) -> CrawlDataset:
-    """Crawl ``targets`` under supervised worker processes.
+) -> List[CrawlDataset]:
+    """Run one crawl's shard ``tasks`` in supervised worker processes.
 
-    Signature-compatible with :func:`~repro.crawler.shards.run_sharded_crawl`
-    (which delegates here when given a ``supervisor`` config) and returns the
-    same merged :class:`CrawlDataset` — except that a run whose workers died
-    completes anyway, with each isolated poison site carried as a failed
-    observation with reason ``quarantined:<signal>`` and appended to the
-    ``quarantine.jsonl`` ledger next to the shard checkpoints.
-
-    Supervision *requires* per-shard checkpoints (re-dispatch resumes from
-    them).  Without a ``checkpoint_dir`` they live in a private temporary
-    directory that is deleted on return — pass a real directory to keep the
-    checkpoints and the quarantine ledger.
+    Called by :func:`~repro.crawler.shards.run_sharded_crawl`, which plans
+    the shards and merges the returned datasets.  Every task must carry a
+    checkpoint under ``directory`` (re-dispatch resumes from it); bisected
+    sub-shards, worker result files and the ``quarantine.jsonl`` ledger land
+    there too.  A run whose workers died completes anyway: each isolated
+    poison site comes back as a failed observation with reason
+    ``quarantined:<signal>``, among the salvaged rows of the last dataset.
     """
-    from repro.crawler.shards import (
-        merge_shard_datasets,
-        plan_shards,
-        shard_checkpoint_path,
-    )
-
-    config = config or SupervisorConfig()
-    jobs = max(1, jobs)
-    planned = plan_shards(targets, max(1, shards if shards is not None else jobs))
-
-    scratch_tmp: Optional[tempfile.TemporaryDirectory] = None
-    if checkpoint_dir is not None:
-        directory = Path(checkpoint_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-    else:
-        scratch_tmp = tempfile.TemporaryDirectory(prefix="repro-supervisor-")
-        directory = Path(scratch_tmp.name)
-
-    try:
-        ledger = QuarantineLedger(quarantine_ledger_path(directory))
-        supervisor = _Supervisor(
-            network, profile, label, retry_policy, page_budget, inner_paths,
-            resume, config, directory, ledger, jobs, fold=fold,
-            js_prewarm=js_prewarm, static_triage=static_triage,
+    label = tasks[0].label if tasks else ""
+    ledger = QuarantineLedger(quarantine_ledger_path(directory))
+    supervisor = _Supervisor(label, config, directory, ledger, jobs, fold=fold)
+    with obs.span("crawl.supervised", label=label, shards=len(tasks), jobs=jobs) as span:
+        supervisor.run(
+            [_ShardTask(shard_id=f"{index:04d}", work=task) for index, task in enumerate(tasks)]
         )
-        tasks = [
-            _ShardTask(
-                shard_id=f"{index:04d}",
-                targets=list(shard),
-                checkpoint=shard_checkpoint_path(directory, label, index, len(planned)),
-            )
-            for index, shard in enumerate(planned)
-        ]
-        with obs.span(
-            "crawl.supervised", label=label, shards=len(tasks), jobs=jobs
-        ) as span:
-            supervisor.run(tasks)
-            span.set_attr("respawns", supervisor.respawns)
-            span.set_attr("quarantined", len(supervisor.quarantined))
-        shard_datasets = list(supervisor.datasets)
-        if supervisor.salvaged:
-            salvage = CrawlDataset(label=label)
-            salvage.observations.extend(supervisor.salvaged)
-            shard_datasets.append(salvage)
-            # Salvaged rows never crossed a worker boundary, so their partial
-            # is folded here.  If a salvaged domain was also re-crawled (the
-            # partials overlap), the fold's merge-time partition check fails
-            # and the bundle is re-folded from the merged dataset instead.
-            if fold is not None:
-                fold.fold_dataset(salvage)
-        return merge_shard_datasets(label, targets, shard_datasets)
-    finally:
-        if scratch_tmp is not None:
-            scratch_tmp.cleanup()
+        span.set_attr("respawns", supervisor.respawns)
+        span.set_attr("quarantined", len(supervisor.quarantined))
+    shard_datasets = list(supervisor.datasets)
+    if supervisor.salvaged:
+        salvage = CrawlDataset(label=label)
+        salvage.observations.extend(supervisor.salvaged)
+        shard_datasets.append(salvage)
+        # Salvaged rows never crossed a worker boundary, so their partial
+        # is folded here.  If a salvaged domain was also re-crawled (the
+        # partials overlap), the fold's merge-time partition check fails
+        # and the bundle is re-folded from the merged dataset instead.
+        if fold is not None:
+            fold.fold_dataset(salvage)
+    return shard_datasets

@@ -1736,8 +1736,8 @@ def prewarm(sources) -> int:
 
     Called by shard workers before their first page load so every vendor
     script is already compiled when pages start executing.  Already-cached
-    sources are skipped without touching hit counters (re-warming a pooled
-    worker must not inflate the hit rate).
+    sources are skipped without touching hit counters (re-warming a warm
+    process must not inflate the hit rate).
     """
     if not compile_enabled():
         return 0

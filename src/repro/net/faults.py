@@ -86,7 +86,7 @@ class FaultConfig:
     #: converge on the culprit.
     worker_crash_domains: Tuple[str, ...] = ()
     #: Poison sites whose document fetch wedges the fetching process in a
-    #: real ``time.sleep`` — the heartbeat-starving hang a supervisor must
+    #: real ``time.sleep`` — the progress-starving hang a supervisor must
     #: detect by liveness deadline rather than process exit.
     worker_hang_domains: Tuple[str, ...] = ()
     #: Exit status a worker-crash poison site dies with (137 = 128+SIGKILL,
@@ -215,9 +215,9 @@ class FaultyNetwork:
 
         ``worker-crash`` exits via ``os._exit`` — no cleanup, no exception
         propagation, exactly like an OOM kill: the checkpoint keeps whatever
-        was flushed, the heartbeat file simply stops updating, and the parent
-        observes a dead process.  ``worker-hang`` sleeps wall-clock time so
-        only a liveness deadline (not an exit code) can surface it.
+        was flushed and the parent observes a dead process.  ``worker-hang``
+        sleeps wall-clock time, so no checkpoint line lands and only the
+        supervisor's liveness deadline (not an exit code) can surface it.
         """
         host = getattr(request.url, "host", "") or ""
         kind = self.injector.process_fault(host)

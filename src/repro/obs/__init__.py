@@ -29,6 +29,7 @@ Span taxonomy and metric names are catalogued in ``docs/observability.md``.
 
 from __future__ import annotations
 
+import os
 from typing import Any, Dict, Optional
 
 from repro.obs import profiler
@@ -67,6 +68,11 @@ _CONFIG = ObsConfig.from_env()
 #: of these module globals and ship deltas back to the parent).
 TRACE = Tracer(_CONFIG)
 METRICS = MetricsRegistry()
+
+# A forked worker starts with a copy of its parent's trace buffer.  Those
+# records are the parent's to ship, so the child forgets them: its
+# worker_payload then carries only what the child itself recorded.
+os.register_at_fork(after_in_child=TRACE.forget_inherited)
 
 
 def config() -> ObsConfig:
@@ -135,10 +141,11 @@ def worker_payload(metrics_before: Dict[str, Any]) -> Dict[str, Any]:
     """Everything a worker ships back for one task: span records + metric delta.
 
     ``metrics_before`` must be the ``METRICS.snapshot()`` taken when the
-    task *started*: pooled worker processes run several tasks back to back,
-    and shipping cumulative snapshots would double-count every earlier task
-    on merge.  Spans are drained (handed off exactly once) for the same
-    reason.
+    task *started*: a worker forked after its parent took in other workers'
+    deltas inherits those counts, and shipping a cumulative snapshot would
+    double-count them on merge.  Spans are drained (handed off exactly
+    once) for the same reason, and a forked child never holds its parent's
+    records (see :meth:`Tracer.forget_inherited`).
     """
     return {
         "spans": TRACE.drain(),

@@ -11,8 +11,8 @@ Snapshots are plain picklable dicts and merge associatively, exactly like
 :class:`repro.perf.PerfCounters` snapshots: shard workers snapshot a
 *delta* (``diff_snapshots(before, after)``) for each task they run and the
 parent merges the deltas, so metrics cross the multiprocessing boundary
-with no loss and no double-counting even when one pooled worker process
-runs several shard tasks back to back.
+with no loss and no double-counting even when a worker is forked after its
+parent has merged other workers' deltas.
 
 Merge semantics per instrument:
 

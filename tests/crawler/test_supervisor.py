@@ -12,12 +12,14 @@ quarantined.
 """
 
 import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
 from repro.crawler.crawl import QUARANTINE_PREFIX, CrawlTarget, run_crawl
-from repro.crawler.shards import run_sharded_crawl
+from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
 from repro.crawler.storage import save_dataset
 from repro.crawler.supervisor import (
     QuarantineLedger,
@@ -25,7 +27,6 @@ from repro.crawler.supervisor import (
     SupervisorConfig,
     SupervisorError,
     quarantine_ledger_path,
-    run_supervised_crawl,
 )
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.net.server import Network
@@ -73,41 +74,42 @@ def fast_config(**overrides):
     return SupervisorConfig(**defaults)
 
 
+def supervised(jobs=JOBS, **overrides):
+    """Execution under the supervisor with test-sized deadlines."""
+    return ExecutionConfig(jobs=jobs, supervisor=fast_config(**overrides))
+
+
 class TestNoFaultEquivalence:
-    """A no-fault supervised run is byte-identical to the unsupervised path."""
+    """A no-fault supervised run is byte-identical to the in-process path."""
 
     def test_supervised_equals_unsupervised(self):
         targets = make_targets(10)
-        plain = run_sharded_crawl(
-            make_network(10), targets, label="control", jobs=JOBS, shards=4
+        plain = run_sharded_crawl(make_network(10), targets, label="control", shards=4)
+        supervised_run = run_sharded_crawl(
+            make_network(10), targets, label="control", shards=4,
+            execution=supervised(),
         )
-        supervised = run_sharded_crawl(
-            make_network(10), targets, label="control", jobs=JOBS, shards=4,
-            supervisor=fast_config(),
-        )
-        assert supervised.observations == plain.observations
-        assert supervised.health() == plain.health()
+        assert supervised_run.observations == plain.observations
+        assert supervised_run.health() == plain.health()
 
     def test_supervised_dataset_bytes_identical(self, tmp_path):
         targets = make_targets(8)
-        plain = run_sharded_crawl(
-            make_network(8), targets, label="control", jobs=JOBS, shards=3
-        )
-        supervised = run_supervised_crawl(
-            make_network(8), targets, label="control", jobs=JOBS, shards=3,
-            config=fast_config(),
+        plain = run_sharded_crawl(make_network(8), targets, label="control", shards=3)
+        supervised_run = run_sharded_crawl(
+            make_network(8), targets, label="control", shards=3,
+            execution=supervised(),
         )
         save_dataset(plain, tmp_path / "plain.jsonl")
-        save_dataset(supervised, tmp_path / "supervised.jsonl")
+        save_dataset(supervised_run, tmp_path / "supervised.jsonl")
         assert (tmp_path / "plain.jsonl").read_bytes() == (
             tmp_path / "supervised.jsonl"
         ).read_bytes()
 
     def test_no_fault_run_writes_no_quarantine(self, tmp_path):
         targets = make_targets(6)
-        dataset = run_supervised_crawl(
-            make_network(6), targets, label="control", jobs=JOBS, shards=2,
-            checkpoint_dir=tmp_path, config=fast_config(),
+        dataset = run_sharded_crawl(
+            make_network(6), targets, label="control", shards=2,
+            checkpoint_dir=tmp_path, execution=supervised(),
         )
         assert dataset.quarantined_sites() == {}
         assert dataset.health().quarantined == 0
@@ -117,11 +119,24 @@ class TestNoFaultEquivalence:
         """jobs=1 under supervision still matches the plain serial crawl."""
         targets = make_targets(5)
         plain = run_crawl(make_network(5), targets, label="control")
-        supervised = run_supervised_crawl(
-            make_network(5), targets, label="control", jobs=1, shards=1,
-            config=fast_config(),
+        supervised_run = run_sharded_crawl(
+            make_network(5), targets, label="control", shards=1,
+            execution=supervised(jobs=1),
         )
-        assert supervised.observations == plain.observations
+        assert supervised_run.observations == plain.observations
+
+    def test_parallel_crawl_is_always_supervised(self):
+        """jobs > 1 with no supervisor config runs the default supervisor."""
+        from repro import obs
+
+        before = obs.METRICS.snapshot()
+        dataset = run_sharded_crawl(
+            make_network(6), make_targets(6), label="control", shards=3,
+            execution=ExecutionConfig(jobs=2),
+        )
+        delta = obs.diff_metric_snapshots(before, obs.METRICS.snapshot())
+        assert delta["counters"].get("supervisor.workers_spawned") == 3
+        assert len(dataset.observations) == 6
 
 
 class TestCrashRecovery:
@@ -131,8 +146,8 @@ class TestCrashRecovery:
         targets = make_targets(8)
         poison = targets[3].domain
         dataset = run_sharded_crawl(
-            crashy_network(8, poison), targets, label="chaos", jobs=JOBS, shards=2,
-            checkpoint_dir=tmp_path, supervisor=fast_config(),
+            crashy_network(8, poison), targets, label="chaos", shards=2,
+            checkpoint_dir=tmp_path, execution=supervised(),
         )
         # Every planned site is accounted for: crawled or quarantined.
         assert [o.domain for o in dataset.observations] == [t.domain for t in targets]
@@ -148,8 +163,8 @@ class TestCrashRecovery:
         targets = make_targets(6)
         poison = targets[2].domain
         run_sharded_crawl(
-            crashy_network(6, poison), targets, label="chaos", jobs=JOBS, shards=2,
-            checkpoint_dir=tmp_path, supervisor=fast_config(),
+            crashy_network(6, poison), targets, label="chaos", shards=2,
+            checkpoint_dir=tmp_path, execution=supervised(),
         )
         ledger = QuarantineLedger.load(quarantine_ledger_path(tmp_path))
         assert len(ledger.records) == 1
@@ -166,8 +181,8 @@ class TestCrashRecovery:
         targets = make_targets(10)
         poison = targets[7].domain
         dataset = run_sharded_crawl(
-            crashy_network(10, poison), targets, label="chaos", jobs=JOBS, shards=2,
-            checkpoint_dir=tmp_path, supervisor=fast_config(),
+            crashy_network(10, poison), targets, label="chaos", shards=2,
+            checkpoint_dir=tmp_path, execution=supervised(),
         )
         seen = []
         for path in tmp_path.glob("chaos.shard-*"):
@@ -186,8 +201,8 @@ class TestCrashRecovery:
         targets = make_targets(8)
         poison = {targets[1].domain, targets[6].domain}
         dataset = run_sharded_crawl(
-            crashy_network(8, *poison), targets, label="chaos", jobs=JOBS, shards=2,
-            checkpoint_dir=tmp_path, supervisor=fast_config(),
+            crashy_network(8, *poison), targets, label="chaos", shards=2,
+            checkpoint_dir=tmp_path, execution=supervised(),
         )
         assert set(dataset.quarantined_sites()) == poison
         assert dataset.health().successes == len(targets) - len(poison)
@@ -201,7 +216,7 @@ class TestCrashRecovery:
         before = obs.METRICS.snapshot()
         run_sharded_crawl(
             crashy_network(8, targets[0].domain), targets, label="chaos",
-            jobs=JOBS, shards=2, checkpoint_dir=tmp_path, supervisor=fast_config(),
+            shards=2, checkpoint_dir=tmp_path, execution=supervised(),
         )
         delta = obs.diff_metric_snapshots(before, obs.METRICS.snapshot())
         counters = delta.get("counters", {})
@@ -213,10 +228,10 @@ class TestCrashRecovery:
     def test_respawn_budget_blowout_raises(self, tmp_path):
         targets = make_targets(4)
         with pytest.raises(SupervisorError):
-            run_supervised_crawl(
+            run_sharded_crawl(
                 crashy_network(4, targets[0].domain), targets, label="chaos",
-                jobs=JOBS, shards=2, checkpoint_dir=tmp_path,
-                config=fast_config(max_total_respawns=1),
+                shards=2, checkpoint_dir=tmp_path,
+                execution=supervised(max_total_respawns=1),
             )
 
 
@@ -228,14 +243,104 @@ class TestHangRecovery:
         tarpit = targets[1].domain
         dataset = run_sharded_crawl(
             crashy_network(4, hang=(tarpit,)), targets, label="chaos",
-            jobs=JOBS, shards=2, checkpoint_dir=tmp_path,
-            supervisor=fast_config(liveness_deadline_s=0.5),
+            shards=2, checkpoint_dir=tmp_path,
+            execution=supervised(liveness_deadline_s=0.5),
         )
         assert dataset.quarantined_sites() == {tarpit: "quarantined:heartbeat-timeout"}
         healthy = [o for o in dataset.observations if o.domain != tarpit]
         assert all(o.success for o in healthy)
         ledger = QuarantineLedger.load(quarantine_ledger_path(tmp_path))
         assert ledger.records[0].last_signal == "heartbeat-timeout"
+
+    def test_slow_pages_under_the_deadline_are_not_killed(self, tmp_path):
+        """Liveness is per page, not per shard: every page stalls well under
+        the deadline while the shard as a whole outlives it, and the
+        checkpoint line each page flushes keeps the worker alive."""
+        from repro import obs
+
+        targets = make_targets(6)
+        slow = FaultyNetwork(
+            make_network(6),
+            FaultConfig(
+                worker_hang_domains=tuple(t.domain for t in targets),
+                worker_hang_seconds=0.2,
+            ),
+        )
+        deadline = 0.8
+        before = obs.METRICS.snapshot()
+        started = time.monotonic()
+        dataset = run_sharded_crawl(
+            slow, targets, label="slow", shards=1, checkpoint_dir=tmp_path,
+            execution=supervised(jobs=1, liveness_deadline_s=deadline),
+        )
+        elapsed = time.monotonic() - started
+        counters = obs.diff_metric_snapshots(before, obs.METRICS.snapshot())["counters"]
+        assert elapsed > deadline  # the shard outlived the deadline...
+        assert "supervisor.heartbeat_timeouts" not in counters  # ...unkilled
+        assert "supervisor.respawns" not in counters
+        assert dataset.quarantined_sites() == {}
+        assert all(o.success for o in dataset.observations)
+        assert not quarantine_ledger_path(tmp_path).exists()
+
+
+class TestKeyboardInterruptShutdown:
+    """Ctrl-C mid-crawl must put every worker down and keep the partials."""
+
+    def test_interrupt_kills_workers(self, tmp_path, monkeypatch):
+        from repro.crawler import supervisor as supervisor_mod
+        from repro.crawler.shards import shard_checkpoint_path
+        from repro.crawler.storage import checkpoint_path, load_checkpoint
+
+        targets = make_targets(8)
+        slow = FaultyNetwork(
+            make_network(8),
+            FaultConfig(
+                worker_hang_domains=tuple(t.domain for t in targets),
+                worker_hang_seconds=0.2,
+            ),
+        )
+        checkpoints = [shard_checkpoint_path(tmp_path, "control", i, 2) for i in range(2)]
+        interrupted = []
+        poll_once = supervisor_mod._Supervisor._poll_once
+
+        def poll_then_interrupt(self):
+            poll_once(self)
+            persisted = [
+                checkpoint_path(path).read_text(encoding="utf-8").count("\n")
+                for path in checkpoints
+                if checkpoint_path(path).exists()
+            ]
+            # Interrupt once a page is persisted while workers still run.
+            if self.active and any(lines > 1 for lines in persisted):
+                interrupted.extend(handle.process for handle in self.active.values())
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(supervisor_mod._Supervisor, "_poll_once", poll_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_sharded_crawl(
+                slow, targets, label="control", shards=2, checkpoint_dir=tmp_path,
+                execution=supervised(jobs=2),
+            )
+        monkeypatch.undo()
+        assert interrupted, "the interrupt never fired mid-crawl"
+        assert not any(process.is_alive() for process in interrupted)
+        assert multiprocessing.active_children() == []
+        persisted = sum(
+            len(load_checkpoint(path).observations)
+            for path in checkpoints
+            if checkpoint_path(path).exists()
+        )
+        assert 0 < persisted < len(targets)
+
+        # A re-run over the same checkpoints visits only the remainder.
+        reference_network = make_network(8)
+        reference = run_crawl(reference_network, targets, label="control")
+        network = make_network(8)
+        resumed = run_sharded_crawl(
+            network, targets, label="control", shards=2, checkpoint_dir=tmp_path
+        )
+        assert resumed.observations == reference.observations
+        assert network.requests_served < reference_network.requests_served
 
 
 class TestLedger:
@@ -286,8 +391,8 @@ class TestStudyIntegration:
         poison = targets[5].domain
         result = run_study(
             crashy_network(8, poison), targets, [],
-            include_adblock_crawls=False, jobs=JOBS,
-            stages=["crawl.control"], supervisor=fast_config(),
+            include_adblock_crawls=False, execution=supervised(),
+            stages=["crawl.control"],
         )
         assert result.quarantined == {poison: "quarantined:exit:137"}
         assert len(result.control.observations) == len(targets)

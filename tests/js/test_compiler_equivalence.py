@@ -26,7 +26,7 @@ import pytest
 
 from repro.browser.browser import Browser
 from repro.crawler.crawl import CrawlTarget
-from repro.crawler.shards import run_sharded_crawl
+from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
 from repro.crawler.storage import save_dataset
 from repro.js import compiler
 from repro.js.errors import JSError
@@ -374,11 +374,12 @@ class TestCrawlEquivalence:
 
     def test_parallel_prewarmed_crawl_datasets_identical(self, tmp_path):
         compiled = crawl_bytes(
-            tmp_path, "compiled-par", js_compile=True,
-            jobs=2, shards=3, js_prewarm=prewarm_sources(),
+            tmp_path, "compiled-par", js_compile=True, shards=3,
+            execution=ExecutionConfig(jobs=2, js_prewarm=prewarm_sources()),
         )
         interp = crawl_bytes(
-            tmp_path, "interp-par", js_compile=False, jobs=2, shards=3,
+            tmp_path, "interp-par", js_compile=False, shards=3,
+            execution=ExecutionConfig(jobs=2),
         )
         assert compiled == interp
 
@@ -394,12 +395,14 @@ class TestCrawlEquivalence:
 
         config = SupervisorConfig(liveness_deadline_s=30.0, poll_interval_s=0.01)
         compiled = crawl_bytes(
-            tmp_path, "compiled-faulty", js_compile=True, network=faulty(),
-            jobs=2, shards=3, supervisor=config, js_prewarm=prewarm_sources(),
+            tmp_path, "compiled-faulty", js_compile=True, network=faulty(), shards=3,
+            execution=ExecutionConfig(
+                jobs=2, supervisor=config, js_prewarm=prewarm_sources()
+            ),
         )
         interp = crawl_bytes(
-            tmp_path, "interp-faulty", js_compile=False, network=faulty(),
-            jobs=2, shards=3, supervisor=config,
+            tmp_path, "interp-faulty", js_compile=False, network=faulty(), shards=3,
+            execution=ExecutionConfig(jobs=2, supervisor=config),
         )
         assert compiled == interp
 

@@ -1,10 +1,13 @@
 """Cross-process propagation: spans and metrics from shard workers must
 appear exactly once in the merged run log under ``jobs=4`` with fault
-injection — the ISSUE's satellite test.
+injection.
 
-Also pins the pooled-worker delta semantics: a worker process that runs
-several shard tasks back to back must not re-ship earlier tasks' perf or
-metric activity (cumulative snapshots would double-count on merge).
+The run log holds two crawls of more shards than jobs, so most workers are
+forked after the parent already took in other workers' spans and metrics;
+none of those may ship home twice.  Also pins the per-task delta semantics
+of the worker body: running it twice in one process must not re-ship the
+first task's perf or metric activity (cumulative snapshots would
+double-count on merge).
 """
 
 from dataclasses import asdict
@@ -14,7 +17,12 @@ import pytest
 from repro import obs, perf
 from repro.config import StudyScale
 from repro.crawler.resilience import RetryPolicy
-from repro.crawler.shards import _crawl_shard_worker, run_sharded_crawl
+from repro.crawler.shards import (
+    ExecutionConfig,
+    WorkerTask,
+    run_sharded_crawl,
+    shard_worker,
+)
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.obs.config import ObsConfig
 from repro.obs.inspect import crawl_totals, load_run
@@ -34,6 +42,8 @@ def faulty(world, seed=7):
 
 
 class TestShardedRunLog:
+    LABELS = ("control", "recrawl")
+
     @pytest.fixture(scope="class")
     def sharded(self, world, tmp_path_factory):
         previous = obs.config()
@@ -42,49 +52,70 @@ class TestShardedRunLog:
         run_dir = tmp_path_factory.mktemp("sharded") / "obs"
         try:
             recorder = RunRecorder(run_dir, label="crawl", seed=7).start()
-            # More shards than jobs: pooled workers run several tasks each,
-            # which is exactly the double-count trap the deltas must avoid.
-            dataset = run_sharded_crawl(
-                faulty(world),
-                world.all_targets,
-                label="control",
-                jobs=4,
-                shards=8,
-                retry_policy=RETRIES,
-            )
-            recorder.finish(health=asdict(dataset.health()))
+            # More shards than jobs, and two crawls in one log: workers forked
+            # after the parent took in earlier shards' spans must not ship
+            # them again.
+            datasets = {
+                label: run_sharded_crawl(
+                    faulty(world),
+                    world.all_targets,
+                    label=label,
+                    shards=8,
+                    retry_policy=RETRIES,
+                    execution=ExecutionConfig(jobs=4),
+                )
+                for label in self.LABELS
+            }
+            recorder.finish(health=asdict(datasets["control"].health()))
         finally:
             obs.configure(previous)
-        return dataset, run_dir
+        return datasets, run_dir
+
+    @staticmethod
+    def crawl_label(log, record):
+        """The label of the ``crawl.shard`` span a record nests under."""
+        by_id = {r.get("id"): r for r in log.spans()}
+        parent = by_id.get(record.get("parent"))
+        while parent is not None and parent["name"] != "crawl.shard":
+            parent = by_id.get(parent.get("parent"))
+        return parent["attrs"]["label"] if parent is not None else None
 
     def test_metrics_totals_exactly_once(self, sharded):
-        dataset, run_dir = sharded
-        health = dataset.health()
-        totals = crawl_totals(load_run(run_dir), "control")
-        assert totals["total"] == health.total
-        assert totals["successes"] == health.successes
-        assert totals["recovered"] == health.recovered
-        assert totals["attempts_histogram"] == health.attempts_histogram
-        assert totals["failure_rows"] == tuple(health.failure_rows)
-        assert totals["total_attempts"] == health.total_attempts
+        datasets, run_dir = sharded
+        log = load_run(run_dir)
+        for label, dataset in datasets.items():
+            health = dataset.health()
+            totals = crawl_totals(log, label)
+            assert totals["total"] == health.total
+            assert totals["successes"] == health.successes
+            assert totals["recovered"] == health.recovered
+            assert totals["attempts_histogram"] == health.attempts_histogram
+            assert totals["failure_rows"] == tuple(health.failure_rows)
+            assert totals["total_attempts"] == health.total_attempts
 
     def test_page_spans_exactly_once(self, sharded):
-        dataset, run_dir = sharded
+        datasets, run_dir = sharded
         log = load_run(run_dir)
-        domains = [r["attrs"]["domain"] for r in log.spans("crawl.page")]
-        assert len(domains) == len(set(domains)), "a worker span was merged twice"
-        assert sorted(domains) == sorted(o.domain for o in dataset.observations)
+        pages = log.spans("crawl.page")
+        assert len(pages) == sum(len(d.observations) for d in datasets.values())
+        for label, dataset in datasets.items():
+            domains = [
+                r["attrs"]["domain"] for r in pages if self.crawl_label(log, r) == label
+            ]
+            assert len(domains) == len(set(domains)), "a worker span was merged twice"
+            assert sorted(domains) == sorted(o.domain for o in dataset.observations)
 
     def test_worker_lanes_are_labelled(self, sharded):
         _, run_dir = sharded
         log = load_run(run_dir)
         shard_spans = log.spans("crawl.shard")
-        assert len(shard_spans) == 8
-        tids = {r["tid"] for r in shard_spans}
-        assert tids == {f"shard-{i}" for i in range(8)}
+        assert len(shard_spans) == 8 * len(self.LABELS)
+        for label in self.LABELS:
+            tids = [r["tid"] for r in shard_spans if r["attrs"]["label"] == label]
+            assert sorted(tids) == [f"shard-{i:04d}" for i in range(8)]
         # Page spans carry their worker's lane, not the parent's.
         page_tids = {r["tid"] for r in log.spans("crawl.page")}
-        assert page_tids <= tids
+        assert page_tids <= {r["tid"] for r in shard_spans}
 
     def test_serial_counters_match_serial_health(self, world):
         """The counter path agrees with health() regardless of jobs.
@@ -101,7 +132,6 @@ class TestShardedRunLog:
                 faulty(world),
                 world.all_targets,
                 label="control",
-                jobs=1,
                 retry_policy=RETRIES,
             )
             counters = obs.METRICS.snapshot()["counters"]
@@ -119,34 +149,57 @@ class TestShardedRunLog:
         assert histogram == health.attempts_histogram
 
 
+def worker_task(world, **changes):
+    """A shard task over four fingerprinting sites (they draw canvases)."""
+    fp_sites = set(world.ground_truth_fp_sites("top")) | set(
+        world.ground_truth_fp_sites("tail")
+    )
+    fields = dict(
+        network=faulty(world),
+        targets=tuple(t for t in world.all_targets if t.domain in fp_sites)[:4],
+        profile=None,
+        label="control",
+        retry_policy=RETRIES,
+        page_budget=None,
+        inner_paths=(),
+        resume=False,
+        execution=ExecutionConfig(),
+        fold_spec=None,
+        perf_config=perf.current_config(),
+        obs_config=ObsConfig(trace=True),
+        lane="shard-0000",
+    )
+    fields.update(changes)
+    return WorkerTask(**fields)
+
+
 class TestPooledWorkerDeltas:
     def test_worker_ships_per_task_deltas(self, world, untraced):
-        """Calling the worker entry point twice in one process must not
-        re-ship the first task's perf counters or metrics."""
-        shard = list(world.all_targets[:4])
-        payload = (
-            faulty(world), shard, None, "control", RETRIES, None, (),
-            None, False, perf.current_config(), ObsConfig(trace=True), "shard-0",
-            None, None, None,
-        )
-        _, perf_delta_1, obs_payload_1, _ = _crawl_shard_worker(payload)
-        _, perf_delta_2, obs_payload_2, _ = _crawl_shard_worker(payload)
-        pages_1 = obs_payload_1["metrics"]["counters"]["crawler.pages[control]"]
-        pages_2 = obs_payload_2["metrics"]["counters"]["crawler.pages[control]"]
+        """Running the worker body twice in one process must not re-ship the
+        first task's perf counters, metrics or spans."""
+        # A fresh (identically seeded) faulty network per task, so both see
+        # the same fault schedule.
+        first = shard_worker(worker_task(world))
+        second = shard_worker(worker_task(world))
+        shard = worker_task(world).targets
+        pages_1 = first.obs_payload["metrics"]["counters"]["crawler.pages[control]"]
+        pages_2 = second.obs_payload["metrics"]["counters"]["crawler.pages[control]"]
         assert pages_1 == len(shard)
         assert pages_2 == len(shard), "second task re-shipped the first task's metrics"
         # Span buffers drain per task, too.
-        spans_1 = [r for r in obs_payload_1["spans"] if r["name"] == "crawl.page"]
-        spans_2 = [r for r in obs_payload_2["spans"] if r["name"] == "crawl.page"]
-        assert len(spans_1) == len(shard)
-        assert len(spans_2) == len(shard)
-        # Perf deltas are windows, not cumulative snapshots: merging both
-        # must equal the sum of the windows (no double-count).
-        for layer in perf_delta_2:
-            if layer in perf_delta_1:
-                assert perf_delta_2[layer]["misses"] <= (
-                    perf_delta_1[layer]["misses"] + perf_delta_2[layer]["misses"]
-                )
+        for result in (first, second):
+            spans = [r for r in result.obs_payload["spans"] if r["name"] == "crawl.page"]
+            assert len(spans) == len(shard)
+        # Perf deltas are windows, not cumulative snapshots: the same pages
+        # make the same number of render-cache lookups in each task (hits
+        # the second time), never the running total.
+        def lookups(result):
+            row = result.perf_delta["render_cache"]
+            return row["hits"] + row["misses"]
+
+        assert lookups(first) > 0
+        assert lookups(second) == lookups(first), "second task re-shipped perf counters"
+        assert len(first.records) == len(second.records) == len(shard)
 
     def test_ingest_worker_is_exactly_once_per_payload(self, untraced):
         obs.configure(ObsConfig(trace=True))

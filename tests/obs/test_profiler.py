@@ -6,9 +6,9 @@ The two properties the ISSUE pins:
   with profiling on produces a byte-identical dataset (and equal health /
   ``StudyResult``) to the same crawl with profiling off.
 * **Exactly-once sample shipping** — worker sample tables drain per task
-  over the ``worker_payload``/``ingest_worker`` channel, so pooled workers
-  never re-ship earlier tasks' samples and fork-inherited parent tables
-  are cleared before a child ever records.
+  over the ``worker_payload``/``ingest_worker`` channel, so a process that
+  runs the worker body twice never re-ships the first task's samples, and
+  fork-inherited parent tables are cleared before a child ever records.
 
 Plus the attribution criterion: in a profiled seeded study ≥90% of samples
 carry a context tag, and the by-stage sampled seconds agree (loosely — it
@@ -26,9 +26,14 @@ from repro.config import StudyScale
 from repro.core.pipeline import run_study
 from repro.crawler.crawl import CrawlTarget
 from repro.crawler.resilience import RetryPolicy
-from repro.crawler.shards import _crawl_shard_worker
+from repro.crawler.shards import (
+    ExecutionConfig,
+    WorkerTask,
+    run_sharded_crawl,
+    shard_worker,
+)
 from repro.crawler.storage import save_dataset
-from repro.crawler.supervisor import SupervisorConfig, run_supervised_crawl
+from repro.crawler.supervisor import SupervisorConfig
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.net.server import Network
 from repro.obs import profiler
@@ -338,10 +343,10 @@ class TestTransparency:
         try:
             if profile:
                 obs.profiler.maybe_start(obs.config())
-            dataset = run_supervised_crawl(
-                crashy_network(8, poison), targets, label="chaos",
-                jobs=self.JOBS, shards=2,
-                checkpoint_dir=tmp_path / f"{name}.shards", config=fast_config(),
+            dataset = run_sharded_crawl(
+                crashy_network(8, poison), targets, label="chaos", shards=2,
+                checkpoint_dir=tmp_path / f"{name}.shards",
+                execution=ExecutionConfig(jobs=self.JOBS, supervisor=fast_config()),
             )
         finally:
             obs.reset()
@@ -361,17 +366,25 @@ class TestTransparency:
 
 
 class TestExactlyOnceShipping:
-    """Satellite (d), second half: sample tables drain per task — pooled
-    workers and respawns never double-count (mirrors
+    """Satellite (d), second half: sample tables drain per task — repeat
+    tasks and respawns never double-count (mirrors
     tests/obs/test_cross_process.py's delta semantics)."""
 
-    def worker_args(self, world, profile_hz=499.0):
-        shard = list(world.all_targets[:4])
-        return (
-            world.network, shard, None, "control", RetryPolicy(max_attempts=3),
-            None, (), None, False, perf.current_config(),
-            ObsConfig(trace=True, profile=True, profile_hz=profile_hz),
-            "shard-0", None, None, None,
+    def worker_task(self, world, profile_hz=499.0):
+        return WorkerTask(
+            network=world.network,
+            targets=tuple(world.all_targets[:4]),
+            profile=None,
+            label="control",
+            retry_policy=RetryPolicy(max_attempts=3),
+            page_budget=None,
+            inner_paths=(),
+            resume=False,
+            execution=ExecutionConfig(),
+            fold_spec=None,
+            perf_config=perf.current_config(),
+            obs_config=ObsConfig(trace=True, profile=True, profile_hz=profile_hz),
+            lane="shard-0000",
         )
 
     def has_sentinel(self, snapshot):
@@ -381,15 +394,15 @@ class TestExactlyOnceShipping:
         )
 
     def test_worker_ships_profile_delta_per_task(self, world, untraced):
-        """A pooled worker running two tasks back to back must not re-ship
-        the first task's samples: a sentinel sample recorded before task 1
+        """A process running two tasks back to back must not re-ship the
+        first task's samples: a sentinel sample recorded before task 1
         appears in task 1's payload and never again."""
-        payload = self.worker_args(world)
+        task = self.worker_task(world)
         profiler.TABLE.record((("site", "sentinel.example"),), ("sentinel:frame",), 1.0)
-        _, _, obs_payload_1, _ = _crawl_shard_worker(payload)
-        _, _, obs_payload_2, _ = _crawl_shard_worker(payload)
-        assert self.has_sentinel(obs_payload_1["profile"])
-        assert not self.has_sentinel(obs_payload_2["profile"])
+        first = shard_worker(task)
+        second = shard_worker(task)
+        assert self.has_sentinel(first.obs_payload["profile"])
+        assert not self.has_sentinel(second.obs_payload["profile"])
         # Nothing is left behind to leak into a third task either.
         assert not self.has_sentinel(profiler.drain())
 
@@ -434,7 +447,6 @@ class TestStudyProfile:
                 ubo_extra_text=world.ubo_extra_text,
                 dns=world.network.dns,
                 include_adblock_crawls=False,
-                jobs=1,
                 obs_dir=run_dir,
             )
         finally:

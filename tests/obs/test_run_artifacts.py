@@ -71,9 +71,7 @@ class TestStudyArtifacts:
         obs.configure(ObsConfig(trace=True))
         obs.reset()
         try:
-            result, run_dir = run_traced_study(
-                world, tmp_path_factory.mktemp("study"), jobs=1
-            )
+            result, run_dir = run_traced_study(world, tmp_path_factory.mktemp("study"))
         finally:
             obs.configure(previous)
         return result, run_dir
@@ -236,7 +234,8 @@ class TestQuarantineInSummary:
         from dataclasses import asdict
 
         from repro.crawler.crawl import CrawlTarget
-        from repro.crawler.supervisor import SupervisorConfig, run_supervised_crawl
+        from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
+        from repro.crawler.supervisor import SupervisorConfig
         from repro.net.server import Network
 
         net = Network()
@@ -251,10 +250,13 @@ class TestQuarantineInSummary:
         )
         run_dir = tmp_path / "obs"
         recorder = RunRecorder(run_dir, label="crawl").start()
-        dataset = run_supervised_crawl(
-            network, targets, label="chaos", jobs=2, shards=2,
+        dataset = run_sharded_crawl(
+            network, targets, label="chaos", shards=2,
             checkpoint_dir=tmp_path / "shards",
-            config=SupervisorConfig(liveness_deadline_s=30.0, poll_interval_s=0.01),
+            execution=ExecutionConfig(
+                jobs=2,
+                supervisor=SupervisorConfig(liveness_deadline_s=30.0, poll_interval_s=0.01),
+            ),
         )
         recorder.finish(health=asdict(dataset.health()))
         return dataset, load_run(run_dir)
@@ -290,7 +292,7 @@ class TestSampling:
         obs.configure(ObsConfig(trace=True, sample=0.25))
         obs.reset()
         try:
-            result, run_dir = run_traced_study(world, tmp_path, jobs=1)
+            result, run_dir = run_traced_study(world, tmp_path)
         finally:
             obs.configure(previous)
         log = load_run(run_dir)

@@ -110,6 +110,30 @@ class TestCrawlAnalyzeCLI:
 
         assert load_dataset(out_path).label == "apple-m1"
 
+    def test_parallel_crawl_runs_supervised_with_the_liveness_deadline(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """--jobs N>1 is always supervised, and --liveness-deadline reaches it."""
+        import repro.crawler.__main__ as crawl_cli
+
+        seen = []
+        crawl = crawl_cli.run_sharded_crawl
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["execution"])
+            return crawl(*args, **kwargs)
+
+        monkeypatch.setattr(crawl_cli, "run_sharded_crawl", spy)
+        out_path = tmp_path / "parallel.jsonl.gz"
+        rc = crawl_cli.main(
+            ["--scale", "0.005", "--jobs", "2", "--liveness-deadline", "45",
+             "--out", str(out_path)]
+        )
+        assert rc == 0
+        (execution,) = seen
+        assert execution.jobs == 2
+        assert execution.supervisor.liveness_deadline_s == 45.0
+
 
 class TestSupervisedCrawlAnalyzeSmoke:
     """The CI smoke pipeline: a supervised parallel crawl persisted to gzip

@@ -82,50 +82,6 @@ class TestDynamicCacheLayer:
         assert [f[2] for f in bad] == ["dynamic-cache-layer"]
 
 
-class TestWorkerMissingPayload:
-    GOOD = (
-        "def _crawl_shard_worker(payload):\n"
-        "    before = perf.PERF.snapshot()\n"
-        "    metrics_before = obs.METRICS.snapshot()\n"
-        "    records = crawl(payload)\n"
-        "    delta = perf.diff_snapshots(before, perf.PERF.snapshot())\n"
-        "    return records, delta, obs.worker_payload(metrics_before)\n"
-    )
-
-    def test_compliant_worker_is_allowed(self, tmp_path):
-        assert _lint_source(tmp_path, self.GOOD) == []
-
-    def test_worker_missing_both_calls_is_flagged(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            "def _rogue_shard_worker(payload):\n"
-            "    return crawl(payload)\n",
-        )
-        assert [f[2] for f in findings] == ["worker-missing-payload"]
-        assert "diff_snapshots" in findings[0][3]
-        assert "worker_payload" in findings[0][3]
-
-    def test_worker_missing_one_call_is_flagged(self, tmp_path):
-        findings = _lint_source(
-            tmp_path,
-            "def _half_shard_worker(payload):\n"
-            "    delta = perf.diff_snapshots(a, b)\n"
-            "    return delta\n",
-        )
-        assert [f[2] for f in findings] == ["worker-missing-payload"]
-        assert "worker_payload" in findings[0][3]
-        assert "diff_snapshots" not in findings[0][3]
-
-    def test_public_helpers_named_worker_are_not_entry_points(self, tmp_path):
-        # obs.ingest_worker is the parent-side fold, not a dispatch target.
-        findings = _lint_source(
-            tmp_path,
-            "def ingest_worker(payload):\n"
-            "    return payload\n",
-        )
-        assert findings == []
-
-
 class TestCLI:
     def test_src_repro_is_clean(self):
         # The gate CI runs: the real tree must satisfy its own lint.

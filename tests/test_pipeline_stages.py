@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import StudyScale
 from repro.core.stages import StudyContext, build_study_graph
+from repro.crawler.shards import ExecutionConfig
 from repro.webgen import build_world
 
 SCALE = StudyScale(fraction=0.01, seed=909)
@@ -63,6 +64,42 @@ class TestStageSelection:
         assert result.signatures == []
 
 
+class TestExecutionReachesEveryCrawl:
+    def test_every_study_crawl_receives_the_study_execution(self, monkeypatch):
+        """Control, both ad-blocker crawls and both cross-machine devices get
+        the study's one ExecutionConfig — triage and prewarm included."""
+        import repro.core.pipeline as pipeline
+        import repro.core.stages.study as study
+        from repro.canvas.device import APPLE_M1, INTEL_UBUNTU
+        from repro.crawler.shards import run_sharded_crawl
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["label"], kwargs.get("execution")))
+            return run_sharded_crawl(*args, **kwargs)
+
+        monkeypatch.setattr(study, "run_sharded_crawl", spy)
+        monkeypatch.setattr(pipeline, "run_sharded_crawl", spy)
+        world = fresh_world()
+        execution = ExecutionConfig(static_triage=True, js_prewarm=("var warm = 1;",))
+        pipeline.run_study(
+            world.network,
+            world.all_targets[:24],
+            world.vendor_knowledge(),
+            easylist_text=world.easylist_text,
+            ubo_extra_text=world.ubo_extra_text,
+            include_cross_machine=True,
+            cross_machine_sample=12,
+            execution=execution,
+            stages=["crawl.control", "crawl.abp", "crawl.ubo", "cross_machine"],
+        )
+        assert sorted(label for label, _ in seen) == sorted(
+            ["control", "abp", "ubo", INTEL_UBUNTU.name, APPLE_M1.name]
+        )
+        assert all(received == execution for _, received in seen)
+
+
 class TestCacheInvalidation:
     def _ctx(self, world, **overrides):
         kwargs = dict(
@@ -87,8 +124,8 @@ class TestCacheInvalidation:
 
     def test_jobs_do_not_change_any_cache_key(self):
         world = build_world(SCALE)
-        k1 = self._keys(self._ctx(world, jobs=1))
-        k4 = self._keys(self._ctx(world, jobs=4))
+        k1 = self._keys(self._ctx(world, execution=ExecutionConfig(jobs=1)))
+        k4 = self._keys(self._ctx(world, execution=ExecutionConfig(jobs=4)))
         assert k1 == k4
 
     def test_blocklist_change_invalidates_only_dependent_stages(self):

@@ -22,6 +22,7 @@ from repro import obs
 from repro.config import StudyScale
 from repro.core.pipeline import run_study
 from repro.core.stages.study import ReduceStage
+from repro.crawler.shards import ExecutionConfig
 from repro.crawler.supervisor import SupervisorConfig
 from repro.webgen import build_world
 
@@ -62,12 +63,12 @@ class TestStreamingEqualsBatch:
     def test_live_fold_and_block_fold_agree_and_report_their_mode(self, tmp_path):
         live_world, cached_world = build_world(SCALE), build_world(SCALE)
         live, live_counters = run_with_counters(
-            live_world, include_adblock_crawls=False, jobs=2
+            live_world, include_adblock_crawls=False, execution=ExecutionConfig(jobs=2)
         )
         cached, cached_counters = run_with_counters(
             cached_world,
             include_adblock_crawls=False,
-            jobs=2,
+            execution=ExecutionConfig(jobs=2),
             cache_dir=tmp_path / "cache",
         )
         assert live == cached

@@ -10,7 +10,7 @@ exactly-once if all counters live in the process-wide singletons — a second
 registry instantiated at module scope would accumulate counts that no
 payload ever carries, silently losing telemetry for every sharded run.
 
-Three rules, all enforced purely on the AST (nothing is imported):
+Two rules, both enforced purely on the AST (nothing is imported):
 
 ``detached-registry``
     Module-level instantiation of ``PerfCounters`` / ``MetricsRegistry`` /
@@ -26,12 +26,9 @@ Three rules, all enforced purely on the AST (nothing is imported):
     a computed name cannot be merged deterministically across workers or
     compared across runs.
 
-``worker-missing-payload``
-    A shard worker entry point (private module-level function named
-    ``_*_worker`` — the shape multiprocessing dispatch targets take here)
-    that never calls both ``diff_snapshots`` and ``worker_payload``.  Such
-    a worker does its work, then exits with its counters stranded in the
-    child process.
+That every worker ships both deltas needs no rule: the one worker body,
+``repro.crawler.shards.shard_worker``, returns a ``WorkerResult`` whose
+fields require them, and ``tests/obs`` fails if either stops arriving.
 
 Usage::
 
@@ -56,9 +53,6 @@ SINGLETON_HOMES = {
     "repro/obs/__init__.py": {"MetricsRegistry"},
     "repro/obs/profiler.py": {"SampleTable"},
 }
-
-#: Both must appear in a worker entry point for the channel to round-trip.
-PAYLOAD_CALLS = ("diff_snapshots", "worker_payload")
 
 Finding = Tuple[Path, int, str, str]
 
@@ -85,15 +79,6 @@ def _module_level_calls(tree: ast.Module) -> Iterator[ast.Call]:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call):
                 yield node
-
-
-def _is_worker_def(node: ast.stmt) -> bool:
-    return (
-        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.endswith("_worker")
-        and node.name.startswith("_")
-        and not node.name.startswith("_on_")
-    )
 
 
 def lint_file(path: Path, root: Path) -> List[Finding]:
@@ -141,27 +126,6 @@ def lint_file(path: Path, root: Path) -> List[Finding]:
                     "dynamic-cache-layer",
                     "ByteBudgetLRU layer name must be a string literal: it "
                     "is the merge key for worker perf payloads",
-                )
-            )
-
-    for stmt in tree.body:
-        if not _is_worker_def(stmt):
-            continue
-        called = {
-            _call_name(node)
-            for node in ast.walk(stmt)
-            if isinstance(node, ast.Call)
-        }
-        missing = [name for name in PAYLOAD_CALLS if name not in called]
-        if missing:
-            findings.append(
-                (
-                    path,
-                    stmt.lineno,
-                    "worker-missing-payload",
-                    f"worker entry point {stmt.name}() never calls "
-                    f"{' / '.join(missing)}: its telemetry dies with the "
-                    "child process",
                 )
             )
 
