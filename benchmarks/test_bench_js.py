@@ -1,6 +1,6 @@
-"""Benchmark: the compiled JS engine vs the tree-walking interpreter.
+"""Benchmark: the compiled-script cache, alone and in page loads.
 
-Three benchmarks, one contract each:
+Two benchmarks, one contract each:
 
 ``js_script_cache``
     Cost of producing an executable program for the shared vendor corpus —
@@ -14,26 +14,16 @@ Three benchmarks, one contract each:
     the only failure mode that matters) and ``raw_speedup`` records the
     uncapped number.
 
-``js_execution``
-    Pure execution: the same compute-heavy script run to completion by
-    compiled closures vs the tree-walk, parse excluded from both sides.
-    This isolates what slot-resolved scopes, pre-dispatched operators and
-    inline caches buy at runtime.
-
 ``js_crawl``
-    The end-to-end delta: full ``Browser.load`` page loads over
-    vendor-script pages in three modes — interpreter, compiled with a cold
-    cache per page, compiled warm — plus the ``js.cache`` / ``js.ic`` hit
-    rates of the warm run (deterministic for a fixed world, so the
+    Full ``Browser.load`` page loads over vendor-script pages with a cold
+    cache per page and with a warm one, plus the ``js.cache`` / ``js.ic``
+    hit rates of the warm run (deterministic for a fixed world, so the
     committed baseline gates them).
 
-All gated metrics are ratios of same-session runs on the same machine,
-never raw wall seconds — and each gated ``speedup`` is capped at its
-*contract* value (the level below which the engine is actually broken),
-with the uncapped ``raw_speedup`` recorded alongside.  Uncapped ratios
-drift ~20% run to run from scheduler noise alone, which a 25% regression
-gate cannot tell apart from a real regression; the caps make the gate a
-stable pass/fail on the claim that matters.
+Gated metrics are the capped cache ``speedup`` and the hit rates, never raw
+wall seconds: uncapped ratios drift ~20% run to run from scheduler noise
+alone, which a 25% regression gate cannot tell apart from a real
+regression.
 """
 
 import hashlib
@@ -42,28 +32,9 @@ import time
 from repro import perf
 from repro.browser.browser import Browser
 from repro.js import compiler
-from repro.js.interpreter import Interpreter
 from repro.webgen.vendors import prewarm_sources
 
 ROUNDS = 3
-
-#: Compute-heavy, DOM-free script for the pure-execution benchmark:
-#: closures, string methods, array growth and member access — the shapes
-#: vendor fingerprinting code is made of.
-EXEC_SNIPPET = """
-function mix(a, b) { return ((a * 31) + b) % 1000003; }
-var acc = 0;
-for (var i = 0; i < 150; i++) {
-  var s = 'canvas-' + i;
-  var h = 0;
-  for (var j = 0; j < s.length; j++) { h = mix(h, s.charCodeAt(j)); }
-  var arr = [];
-  for (var k = 0; k < 20; k++) { arr.push(k * 2); }
-  var total = 0;
-  for (var k = 0; k < arr.length; k++) { total += arr[k]; }
-  acc = mix(mix(acc, h), total);
-}
-"""
 
 
 def _best(fn, rounds=ROUNDS):
@@ -82,7 +53,7 @@ def test_bench_js_script_cache(bench_json):
                 if not warm:
                     cache.clear()
                 for i, source in enumerate(sources):
-                    compiler.get_or_compile(source, f"vendor{i}.js", {}, (f"vendor{i}", 1))
+                    compiler.get_or_compile(source, f"vendor{i}.js")
             return (time.perf_counter() - started) / reps
 
         return _best(once)
@@ -109,40 +80,6 @@ def test_bench_js_script_cache(bench_json):
     assert speedup >= 3.0, f"warm script cache only {speedup:.1f}x faster than cold"
 
 
-def test_bench_js_execution(bench_json):
-    shared_asts = {}  # parse once for the interpreter too: exec-only on both sides
-    key = ("bench-exec", 0)
-    runs = 10
-
-    def run_seconds(js_compile):
-        def once():
-            started = time.perf_counter()
-            for _ in range(runs):
-                interp = Interpreter(ast_cache=shared_asts, js_compile=js_compile)
-                interp.run(EXEC_SNIPPET, script_url="bench-exec.js", cache_key=key)
-            return time.perf_counter() - started
-
-        return _best(once)
-
-    compiled = run_seconds(True)
-    interp = run_seconds(False)
-    speedup = interp / compiled
-
-    print("\npure execution (parse excluded):")
-    print(f"  tree-walk interpreter: {interp:7.3f} s")
-    print(f"  compiled closures:     {compiled:7.3f} s")
-    print(f"  execution speedup:     {speedup:7.2f}x")
-    bench_json(
-        "js",
-        "js_execution",
-        speedup=min(speedup, 1.8),  # contract: compiled is comfortably faster
-        raw_speedup=speedup,
-        interp_seconds=interp,
-        compiled_seconds=compiled,
-    )
-    assert speedup > 1.0, f"compiled execution slower than the interpreter ({speedup:.2f}x)"
-
-
 def _vendor_page_urls(world, limit=30):
     """Targets whose pages execute at least one shared vendor script."""
     cache = compiler.script_cache()
@@ -152,7 +89,7 @@ def _vendor_page_urls(world, limit=30):
         if len(urls) >= limit:
             break
         url = f"https://{target.domain}/"
-        page = Browser(world.network, js_compile=True).load(url)
+        page = Browser(world.network).load(url)
         for source in page.script_sources.values():
             digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
             if cache.contains((digest, compiler.ENGINE_VERSION)):
@@ -165,22 +102,22 @@ def test_bench_js_crawl(world, bench_json):
     urls = _vendor_page_urls(world)
     cache = compiler.script_cache()
 
-    def crawl_seconds(js_compile, warm):
+    def crawl_seconds(warm):
         def once():
             started = time.perf_counter()
             for url in urls:
-                if js_compile and not warm:
+                if not warm:
                     cache.clear()
-                Browser(world.network, js_compile=js_compile).load(url)
+                Browser(world.network).load(url)
             return time.perf_counter() - started
 
         return _best(once)
 
     compiler.prewarm(prewarm_sources())
-    warm = crawl_seconds(True, True)
+    warm = crawl_seconds(True)
 
     before = perf.PERF.snapshot()
-    crawl_seconds(True, True)  # one more warm round, bracketed for hit rates
+    crawl_seconds(True)  # one more warm round, bracketed for hit rates
     delta = perf.diff_snapshots(before, perf.PERF.snapshot())
     hit_rates = {}
     for layer in ("js.cache", "js.ic"):
@@ -188,27 +125,19 @@ def test_bench_js_crawl(world, bench_json):
         lookups = row.get("hits", 0.0) + row.get("misses", 0.0)
         hit_rates[layer] = {"hit_rate": row.get("hits", 0.0) / lookups if lookups else 0.0}
 
-    cold = crawl_seconds(True, False)
-    compiler.prewarm(prewarm_sources())
-    interp = crawl_seconds(False, False)
-    speedup = interp / warm
+    cold = crawl_seconds(False)
+    compiler.prewarm(prewarm_sources())  # leave the process cache warm for later benches
 
     print(f"\nend-to-end page loads, {len(urls)} vendor-script pages:")
-    print(f"  interpreter:          {interp * 1000:8.1f} ms")
-    print(f"  compiled, cold cache: {cold * 1000:8.1f} ms")
-    print(f"  compiled, warm cache: {warm * 1000:8.1f} ms")
-    print(f"  warm speedup:         {speedup:8.2f}x")
+    print(f"  cold cache: {cold * 1000:8.1f} ms")
+    print(f"  warm cache: {warm * 1000:8.1f} ms")
     for layer, row in sorted(hit_rates.items()):
-        print(f"  {layer} hit rate:     {row['hit_rate']:8.3f}")
+        print(f"  {layer} hit rate: {row['hit_rate']:8.3f}")
     bench_json(
         "js",
         "js_crawl",
-        speedup=min(speedup, 1.4),  # contract: warm compiled page loads win end to end
-        raw_speedup=speedup,
-        interp_seconds=interp,
         cold_seconds=cold,
         warm_seconds=warm,
         pages=len(urls),
         hit_rates=hit_rates,
     )
-    assert speedup > 1.0, f"compiled crawl slower than the interpreter ({speedup:.2f}x)"

@@ -114,7 +114,6 @@ class Browser:
         network: Network,
         profile: Optional[BrowserProfile] = None,
         js_step_budget: Optional[int] = None,
-        js_compile: Optional[bool] = None,
         static_triage: Optional[bool] = None,
     ) -> None:
         self.network = network
@@ -123,10 +122,6 @@ class Browser:
         #: exhaustion to a ``timeout`` failure instead of hanging on a
         #: runaway script.  None keeps the interpreter default.
         self.js_step_budget = js_step_budget
-        #: Execute scripts through the closure compiler (None = honour
-        #: REPRO_JS_COMPILE).  Both modes produce identical pages; the
-        #: compiled one shares lowered programs process-wide.
-        self.js_compile = js_compile
         #: Skip execution of scripts the static analyzer proves canvas-inert
         #: and invisible to every other script on the page (None = honour
         #: REPRO_JS_STATIC_TRIAGE).  Pages and datasets are byte-identical
@@ -137,10 +132,6 @@ class Browser:
             )
         self.static_triage = bool(static_triage)
         self._randomization = RandomizationState(self.profile.session_seed)
-        #: Parse cache shared across page loads: each script URL+source is
-        #: parsed once per browser, a large win when thousands of sites embed
-        #: the same vendor script.
-        self._ast_cache: Dict = {}
 
     # -- page loading -------------------------------------------------------------------
 
@@ -158,11 +149,7 @@ class Browser:
         if response.latency_ms:
             clock.advance(response.latency_ms)
 
-        interp = Interpreter(
-            step_budget=self.js_step_budget or Interpreter.DEFAULT_STEP_BUDGET,
-            ast_cache=self._ast_cache,
-            js_compile=self.js_compile,
-        )
+        interp = Interpreter(step_budget=self.js_step_budget or Interpreter.DEFAULT_STEP_BUDGET)
         canvas_counter = {"next": 0}
         document = Document(url=str(url))
         page.document = document
@@ -309,15 +296,9 @@ class Browser:
                 # self-time attributes per vendor script.  Guarded by the
                 # flag: with the profiler off this is one branch.
                 with profiler.context("script", effective_url):
-                    interp.run(
-                        source,
-                        script_url=effective_url,
-                        cache_key=(effective_url, hash(source)),
-                    )
+                    interp.run(source, script_url=effective_url)
             else:
-                interp.run(
-                    source, script_url=effective_url, cache_key=(effective_url, hash(source))
-                )
+                interp.run(source, script_url=effective_url)
         except JSError as exc:
             page.script_errors.append(f"{effective_url}: {exc.message}")
         except (JSThrow, RecursionError) as exc:

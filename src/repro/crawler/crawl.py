@@ -188,9 +188,9 @@ def run_crawl(
 ) -> CrawlDataset:
     """Visit every target with one browser configuration.
 
-    The same browser instance is reused across sites (shared script parse
-    cache), but each page load gets a fresh JS realm — matching how the
-    real collector isolates page contexts within one browser process.
+    The same browser instance is reused across sites, but each page load
+    gets a fresh JS realm — matching how the real collector isolates page
+    contexts within one browser process.
 
     Resilience knobs (all optional, all off by default):
 

@@ -56,7 +56,7 @@ from typing import (
 
 from repro import obs, perf
 from repro.browser.profile import BrowserProfile
-from repro.js import compiler as js_compiler
+from repro.js import compiler
 from repro.core.records import SiteObservation
 from repro.crawler.crawl import CrawlDataset, CrawlTarget, resume_crawl, run_crawl
 from repro.crawler.resilience import PageBudget, RetryPolicy
@@ -210,7 +210,7 @@ def _crawl_shard(
     """
     execution = task.execution
     if execution.js_prewarm:
-        js_compiler.prewarm(execution.js_prewarm)
+        compiler.prewarm(execution.js_prewarm)
     with obs.span("crawl.shard", shard=task.lane, label=task.label, size=len(task.targets)):
         kwargs = dict(
             profile=task.profile,

@@ -16,15 +16,15 @@ index access, ``new``, and strings including template literals.
 Built-ins: ``Math``, ``JSON``, ``console``, and the common
 ``String``/``Array``/``Number`` methods.
 
-Two execution engines share the front end: the tree-walking interpreter
-and a closure compiler (:mod:`repro.js.compiler`) with statically resolved
+One engine runs every script: :class:`Interpreter` executes it through
+the closure compiler (:mod:`repro.js.compiler`), with statically resolved
 scope slots, inline property caches and a cross-page compiled-script
-cache.  Compilation is exactly transparent — identical results, errors and
-step counts — and is selected by ``REPRO_JS_COMPILE`` (default on); see
-``docs/performance.md``.
+cache.  Compiled execution must match the tree-walking oracle in
+``tests/js/reference_interpreter.py`` exactly — results, errors and step
+counts.  See ``docs/performance.md``.
 """
 
-from repro.js.compiler import compile_enabled, prewarm, script_cache
+from repro.js.compiler import prewarm, script_cache
 from repro.js.errors import JSError, JSRuntimeError, JSSyntaxError
 from repro.js.interpreter import Interpreter
 from repro.js.lexer import tokenize
@@ -44,7 +44,6 @@ from repro.js.values import (
 
 __all__ = [
     "Interpreter",
-    "compile_enabled",
     "prewarm",
     "script_cache",
     "tokenize",

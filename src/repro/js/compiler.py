@@ -1,9 +1,10 @@
 """Closure compiler for the ECMAScript subset.
 
 Lowers a parsed :class:`~repro.js.nodes.Program` once into a tree of plain
-Python closures — a "compiled program" — that executes the same semantics
-as :class:`~repro.js.interpreter.Interpreter` but without per-node dynamic
-dispatch, environment-dict chain walks, or repeated AST traversal:
+Python closures — a "compiled program" — which is how
+:class:`~repro.js.interpreter.Interpreter` runs every script.  It has the
+semantics of a tree-walking evaluator without its per-node dynamic
+dispatch, environment-dict chain walks or repeated AST traversal:
 
 * **Slot-resolved scopes.**  Every point where the tree-walker allocates an
   ``Environment`` (function call, block, ``for`` loop header, ``for-of``
@@ -31,19 +32,21 @@ dispatch, environment-dict chain walks, or repeated AST traversal:
   pre-warmed by shard workers (:func:`prewarm`).  Counters flow through
   :data:`repro.perf.PERF` under ``js.cache`` / ``js.compile`` / ``js.ic``.
 
-Transparency is the contract: for any script, compiled and tree-walk
-execution must produce identical results, identical canvas observations,
-identical error messages *and step counts*.  Every closure ticks exactly
-once, mirroring ``Interpreter.eval`` / ``exec_statement``; quirks of the
-tree-walker (double evaluation of member objects in compound assignment,
-un-ticked ``try`` blocks, switch bodies without hoisting) are reproduced
-deliberately.  ``REPRO_JS_COMPILE=0`` disables the whole layer.
+Transparency is the contract.  The tree-walker is kept as an oracle in
+``tests/js/reference_interpreter.py``, and for any script compiled
+execution must produce what it produces: identical results, canvas
+observations, error messages (line and column included) *and step
+counts*.  Every closure ticks exactly once, mirroring the reference's
+``eval`` / ``exec_statement``; quirks of the tree-walker (double
+evaluation of member objects in compound assignment, un-ticked ``try``
+blocks, switch bodies without hoisting) are reproduced deliberately.
+``tests/js/test_compiler_equivalence.py`` holds the engine to it, from
+snippets up to whole crawl datasets.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -72,7 +75,6 @@ __all__ = [
     "CompiledProgram",
     "CompiledFunction",
     "Runtime",
-    "compile_enabled",
     "compile_program",
     "get_or_compile",
     "run_compiled",
@@ -123,19 +125,11 @@ class Runtime:
 
     def __init__(self, interp) -> None:
         self.interp = interp
-        self.gvars: Dict[str, Any] = interp.globals.vars
+        self.gvars: Dict[str, Any] = interp.globals
         self.budget: int = interp.step_budget
         self.steps: int = 0
         self.ic_hits: int = 0
         self.ic_misses: int = 0
-
-
-def ensure_rt(interp) -> Runtime:
-    rt = getattr(interp, "_rt", None)
-    if rt is None:
-        rt = Runtime(interp)
-        interp._rt = rt
-    return rt
 
 
 def _flush_ic(rt: Runtime) -> None:
@@ -180,8 +174,7 @@ class CompiledFunction(JSFunction):
 
     Subclasses :class:`JSFunction` so the value model (``typeof``,
     ``toString``, ``call``/``apply``/``bind`` members, JSON exclusion)
-    treats it identically; :meth:`Interpreter._call` dispatches on the
-    concrete type before the tree-walk path.
+    treats it as any other function.
     """
 
     def __init__(self, template: _FnTemplate, frame: Optional[list], lexical_this: Any = None):
@@ -398,8 +391,6 @@ def _invoke(rt: Runtime, fn: Any, this: Any, args: List[Any], line: int, col: in
         return fn.fn(rt.interp, this, args)
     if isinstance(fn, CompiledFunction):
         return fn.invoke(rt, this, args)
-    if isinstance(fn, JSFunction):
-        return rt.interp._call(fn, this, args, line)
     raise JSRuntimeError(f"{js_to_string(fn)} is not a function", line, rt.interp.current_script, col)
 
 
@@ -1208,10 +1199,6 @@ class _Compiler:
                 this = JSObject()
                 result = fn.invoke(rt, this, args)
                 return result if isinstance(result, JSObject) else this
-            if isinstance(fn, JSFunction):
-                this = JSObject()
-                result = rt.interp._call(fn, this, args, line)
-                return result if isinstance(result, JSObject) else this
             raise JSRuntimeError("not a constructor", line, rt.interp.current_script, col)
         return e
 
@@ -1693,38 +1680,14 @@ def _source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-def compile_enabled(env: Optional[Dict[str, str]] = None) -> bool:
-    """Whether compiled execution is on (``REPRO_JS_COMPILE=0`` disables)."""
-    env = os.environ if env is None else env
-    raw = env.get("REPRO_JS_COMPILE")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-def get_or_compile(
-    source: str,
-    script_url: str = "<inline>",
-    ast_cache: Optional[Dict[Any, N.Program]] = None,
-    ast_key: Any = None,
-) -> CompiledProgram:
+def get_or_compile(source: str, script_url: str = "<inline>") -> CompiledProgram:
     """Fetch the compiled form of ``source`` from the shared cache, compiling on miss."""
     key = (_source_digest(source), ENGINE_VERSION)
     compiled = _SCRIPT_CACHE.get(key)
     if compiled is not None:
         return compiled
     started = time.perf_counter()
-    program = None
-    if ast_cache is not None:
-        if ast_key is None:
-            ast_key = (script_url, key[0])
-        program = ast_cache.get(ast_key)
-        if program is None:
-            program = parse(source, script_url)
-            ast_cache[ast_key] = program
-    else:
-        program = parse(source, script_url)
-    compiled = compile_program(program)
+    compiled = compile_program(parse(source, script_url))
     elapsed = time.perf_counter() - started
     perf.PERF.miss("js.compile", elapsed)
     _SCRIPT_CACHE.put(key, compiled, compiled.nbytes, elapsed)
@@ -1739,8 +1702,6 @@ def prewarm(sources) -> int:
     sources are skipped without touching hit counters (re-warming a warm
     process must not inflate the hit rate).
     """
-    if not compile_enabled():
-        return 0
     warmed = 0
     for source in sources or ():
         key = (_source_digest(source), ENGINE_VERSION)
@@ -1756,13 +1717,13 @@ def prewarm(sources) -> int:
 
 
 def run_compiled(interp, compiled: CompiledProgram, script_url: str = "<inline>") -> Any:
-    """Execute a compiled program against ``interp``'s global environment.
+    """Execute a compiled program against ``interp``'s global namespace.
 
-    Mirrors ``Interpreter.run_program``: resets the step counter, maintains
-    the script-attribution stack, and converts an uncaught ``JSThrow`` into
-    the same ``JSRuntimeError`` the tree-walker raises.
+    Resets the step counter, maintains the script-attribution stack, and
+    converts an uncaught ``JSThrow`` into the ``JSRuntimeError`` the
+    reference's ``run_program`` raises.
     """
-    rt = ensure_rt(interp)
+    rt = interp._rt
     rt.budget = interp.step_budget
     rt.steps = 0
     interp._script_stack.append(script_url)

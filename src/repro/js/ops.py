@@ -1,13 +1,14 @@
-"""Operator semantics shared by the tree-walking interpreter and the compiler.
+"""Operator semantics shared by the compiler and its tree-walking oracle.
 
-Both execution engines (:mod:`repro.js.interpreter` and
-:mod:`repro.js.compiler`) must produce bit-identical results, so the
-arithmetic that is easy to get subtly wrong twice lives here once: int32
-coercions, JS division/modulo edge cases, relational comparison, and the
+The compiled engine (:mod:`repro.js.compiler`) must produce bit-identical
+results to the tree-walking reference kept in
+``tests/js/reference_interpreter.py``, so the arithmetic that is easy to
+get subtly wrong twice lives here once: int32 coercions, JS
+division/modulo edge cases, relational comparison, and the
 compound-assignment variants (which historically differ from the plain
 binary operators — ``+=`` ignores objects, ``/=`` returns NaN on a zero
-divisor where ``/`` returns a signed infinity; both engines must preserve
-those quirks exactly).
+divisor where ``/`` returns a signed infinity; both must preserve those
+quirks exactly).
 """
 
 from __future__ import annotations

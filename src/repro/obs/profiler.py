@@ -77,7 +77,9 @@ MAX_TABLE_KEYS = 50_000
 
 #: Leaf-ward path fragments -> subsystem labels for the rollup.  First
 #: match walking leaf -> root wins, so a render helper called from the JS
-#: interpreter still counts as render time.
+#: interpreter still counts as render time.  A ``repro.js.compiler`` frame
+#: is compilation only under one of :data:`_COMPILING`; elsewhere it is a
+#: closure running a compiled script, which is ``js.exec``.
 _SUBSYSTEMS: Tuple[Tuple[str, str], ...] = (
     ("repro.crawler.supervisor", "supervisor"),
     ("repro.core.reducers", "reducers"),
@@ -89,6 +91,11 @@ _SUBSYSTEMS: Tuple[Tuple[str, str], ...] = (
     ("repro.js.", "js.exec"),
     ("repro.canvas", "render"),
     ("repro.dom", "render"),
+)
+
+#: The compiler's entry points: frames below them compile, not execute.
+_COMPILING = frozenset(
+    f"repro.js.compiler:{name}" for name in ("compile_program", "get_or_compile", "prewarm")
 )
 
 
@@ -375,6 +382,8 @@ def _subsystem(stack: Tuple[str, ...]) -> str:
         module = frame.split(":", 1)[0]
         for fragment, label in _SUBSYSTEMS:
             if module.startswith(fragment):
+                if module == "repro.js.compiler" and _COMPILING.isdisjoint(stack):
+                    return "js.exec"
                 return label
     return "other"
 

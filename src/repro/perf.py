@@ -69,8 +69,9 @@ class RenderCacheConfig:
     #: Encoded PNG/JPEG/WebP payloads keyed by pixel digest.
     encode_cache_bytes: int = 64 * _MB
     #: Compiled JS programs keyed by source digest + engine version
-    #: (:mod:`repro.js.compiler`).  Execution mode itself is gated by
-    #: ``REPRO_JS_COMPILE``, not by ``enabled``.
+    #: (:mod:`repro.js.compiler`).  Every script runs compiled whatever this
+    #: budget; it bounds only the cross-page cache, which ``enabled`` does
+    #: not switch off.
     js_cache_bytes: int = 64 * _MB
     #: Static-analysis verdicts keyed by source digest + analyzer version
     #: (:mod:`repro.js.static`).  Triage itself is gated by

@@ -52,6 +52,12 @@ window.__modeCanvas = c.toDataURL();
 
 PARSE_BOMB = "var x = " + "(" * 400 + "1" + ")" * 400 + ";"
 
+#: Parses fine, then recurses deeper than the Python stack allows.
+DEEP_RECURSION = (
+    "console.log('before');"
+    " function f(n) { return n ? f(n - 1) + 1 : 0; } try { f(5000); } catch (e) {}"
+)
+
 
 def page(*scripts, title="t"):
     tags = "".join(f"<script>{s}</script>" for s in scripts)
@@ -247,3 +253,29 @@ class TestParseErrorContainment:
         net2, _ = make_network()
         on = run_crawl(net2, targets, label="control", static_triage=True)
         assert on.observations == off.observations
+
+
+class TestStackOverflowContainment:
+    """Python's recursion limit is a parse error only while parsing."""
+
+    def test_runtime_overflow_is_a_script_error(self):
+        net = Network()
+        net.server_for("d.example").add_resource("/", page(DEEP_RECURSION, FP_SCRIPT))
+        loaded = Browser(net).load("https://d.example/")
+        assert loaded.parse_errors == []
+        assert loaded.script_errors == [
+            "https://d.example/#inline: maximum call stack size exceeded"
+        ]
+        # The script ran up to the overflow, and its sibling still ran.
+        assert loaded.console == ["before"]
+        assert loaded.instrument.extractions
+
+    def test_parse_overflow_stays_a_parse_error(self):
+        net = Network()
+        net.server_for("b.example").add_resource("/", page(PARSE_BOMB, FP_SCRIPT))
+        loaded = Browser(net).load("https://b.example/")
+        assert loaded.parse_errors == [("https://b.example/#inline", "RecursionError")]
+        assert loaded.script_errors == [
+            "https://b.example/#inline: parse error: RecursionError"
+        ]
+        assert loaded.instrument.extractions

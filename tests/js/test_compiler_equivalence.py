@@ -1,12 +1,15 @@
 """The compiled engine is *exactly* transparent.
 
-Every test here runs the same program through both engines — the
-tree-walking interpreter and the closure compiler of
-:mod:`repro.js.compiler` — and asserts the observable outcomes are
+Every test here runs the same program twice — through the production
+engine (``Interpreter``, executing the closure compiler of
+:mod:`repro.js.compiler`) and through the tree-walking oracle of
+``reference_interpreter.py`` — and asserts the observable outcomes are
 identical: console output, return values, thrown error type / message /
 line / column, executed step counts, canvas extractions, script
 attribution, and (at the top of the stack) whole crawl datasets byte for
-byte.
+byte.  Page loads and crawls take the oracle by patching
+``repro.browser.browser.Interpreter``; forked crawl workers inherit the
+patch.
 
 The snippet corpus deliberately aims at the places a compiler diverges
 from an interpreter: scope-slot resolution vs dict lookups (hoisting,
@@ -19,12 +22,14 @@ throws, not-a-function) where line/column attribution is easy to get
 wrong.
 """
 
+import contextlib
 import hashlib
-import os
 
 import pytest
 
+from repro.browser import browser as browser_module
 from repro.browser.browser import Browser
+from repro.config import StudyScale
 from repro.crawler.crawl import CrawlTarget
 from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
 from repro.crawler.storage import save_dataset
@@ -34,7 +39,19 @@ from repro.js.interpreter import Interpreter
 from repro.js.values import JSObject, ROOT_SHAPE
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.net.server import Network
+from repro.webgen import build_world
 from repro.webgen.vendors import VENDOR_SPECS, VENDORS_BY_NAME, prewarm_sources
+
+from tests.js.reference_interpreter import ReferenceInterpreter
+
+
+@contextlib.contextmanager
+def oracle():
+    """Load every page inside the block on the tree-walking reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(browser_module, "Interpreter", ReferenceInterpreter)
+        yield
+
 
 # ---------------------------------------------------------------------------
 # engine-level equivalence on adversarial snippets
@@ -166,6 +183,10 @@ SNIPPETS = {
         for (var i = 0, j = 10; i < 3; i++, j--) { y = i + j; }
         console.log(x, y);
     """,
+    "bitwise-on-variables": """
+        var a = 12, b = 10, n = -12;
+        console.log(a & b, a | b, a ^ b, ~a, a << 2, n >> 1, n >>> 28);
+    """,
     "do-while": """
         var n = 0;
         do { n++; } while (n < 4);
@@ -220,15 +241,13 @@ FAILING_SNIPPETS = {
 
 
 def run_both(source, step_budget=Interpreter.DEFAULT_STEP_BUDGET):
-    """Run ``source`` through both engines; return (console, error, steps) pairs."""
+    """Run ``source`` on the oracle, then compiled; return (console, error, steps) pairs."""
     results = []
-    for js_compile in (False, True):
-        interp = Interpreter(
-            step_budget=step_budget, ast_cache={}, js_compile=js_compile
-        )
+    for engine in (ReferenceInterpreter, Interpreter):
+        interp = engine(step_budget=step_budget)
         error = None
         try:
-            interp.run(source, script_url="equiv.js", cache_key=("equiv", hash(source)))
+            interp.run(source, script_url="equiv.js")
         except JSError as exc:
             error = (type(exc).__name__, exc.message, exc.line, exc.col)
         results.append((list(interp.console_log), error, interp.steps_executed))
@@ -238,27 +257,27 @@ def run_both(source, step_budget=Interpreter.DEFAULT_STEP_BUDGET):
 class TestSnippetEquivalence:
     @pytest.mark.parametrize("name", sorted(SNIPPETS))
     def test_snippet(self, name):
-        interp, compiled = run_both(SNIPPETS[name])
-        assert compiled == interp
+        reference, compiled = run_both(SNIPPETS[name])
+        assert compiled == reference
 
     @pytest.mark.parametrize("name", sorted(FAILING_SNIPPETS))
     def test_failing_snippet(self, name):
-        interp, compiled = run_both(FAILING_SNIPPETS[name])
-        assert compiled == interp
+        reference, compiled = run_both(FAILING_SNIPPETS[name])
+        assert compiled == reference
         assert compiled[1] is not None, "snippet was expected to raise"
 
     def test_step_budget_exhaustion_identical(self):
         source = "var n = 0;\nwhile (true) { n++; }\n"
-        interp, compiled = run_both(source, step_budget=500)
-        assert compiled == interp
+        reference, compiled = run_both(source, step_budget=500)
+        assert compiled == reference
         assert "step budget exceeded" in compiled[1][1]
 
     def test_step_counts_match_on_every_snippet(self):
         # The tick parity claim, asserted in aggregate: identical budgets
         # charge identically in both engines.
         for name, source in SNIPPETS.items():
-            interp, compiled = run_both(source)
-            assert compiled[2] == interp[2], f"step counts diverge on {name}"
+            reference, compiled = run_both(source)
+            assert compiled[2] == reference[2], f"step counts diverge on {name}"
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +299,14 @@ def vendor_corpus():
     return corpus
 
 
-def load_vendor_page(source, js_compile):
+def load_vendor_page(source):
     network = Network()
     server = network.server_for("vendor-equiv.example")
     server.add_resource("/fp.js", source, content_type="application/javascript")
     server.add_resource(
         "/", "<html><title>equiv</title><script src='/fp.js'></script></html>"
     )
-    browser = Browser(network, js_compile=js_compile)
-    return browser.load("https://vendor-equiv.example/")
+    return Browser(network).load("https://vendor-equiv.example/")
 
 
 def page_fingerprint(page):
@@ -311,9 +329,10 @@ class TestVendorEquivalence:
     @pytest.mark.parametrize("vendor", sorted(vendor_corpus()))
     def test_vendor_page_identical(self, vendor):
         source = vendor_corpus()[vendor]
-        interp = page_fingerprint(load_vendor_page(source, js_compile=False))
-        compiled = page_fingerprint(load_vendor_page(source, js_compile=True))
-        assert compiled == interp
+        with oracle():
+            reference = page_fingerprint(load_vendor_page(source))
+        compiled = page_fingerprint(load_vendor_page(source))
+        assert compiled == reference
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +368,11 @@ def make_targets(n=8):
     ]
 
 
-def crawl_bytes(tmp_path, name, js_compile, network=None, **kwargs):
-    previous = os.environ.get("REPRO_JS_COMPILE")
-    os.environ["REPRO_JS_COMPILE"] = "1" if js_compile else "0"
-    try:
+def crawl_bytes(tmp_path, name, reference, network=None, targets=None, **kwargs):
+    with oracle() if reference else contextlib.nullcontext():
         dataset = run_sharded_crawl(
-            network or make_network(), make_targets(), label="control", **kwargs
+            network or make_network(), targets or make_targets(), label="control", **kwargs
         )
-    finally:
-        if previous is None:
-            del os.environ["REPRO_JS_COMPILE"]
-        else:
-            os.environ["REPRO_JS_COMPILE"] = previous
     path = tmp_path / f"{name}.jsonl"
     save_dataset(dataset, path)
     return path.read_bytes()
@@ -368,20 +380,20 @@ def crawl_bytes(tmp_path, name, js_compile, network=None, **kwargs):
 
 class TestCrawlEquivalence:
     def test_serial_crawl_datasets_identical(self, tmp_path):
-        compiled = crawl_bytes(tmp_path, "compiled", js_compile=True)
-        interp = crawl_bytes(tmp_path, "interp", js_compile=False)
-        assert compiled == interp
+        compiled = crawl_bytes(tmp_path, "compiled", reference=False)
+        reference = crawl_bytes(tmp_path, "reference", reference=True)
+        assert compiled == reference
 
     def test_parallel_prewarmed_crawl_datasets_identical(self, tmp_path):
         compiled = crawl_bytes(
-            tmp_path, "compiled-par", js_compile=True, shards=3,
+            tmp_path, "compiled-par", reference=False, shards=3,
             execution=ExecutionConfig(jobs=2, js_prewarm=prewarm_sources()),
         )
-        interp = crawl_bytes(
-            tmp_path, "interp-par", js_compile=False, shards=3,
+        reference = crawl_bytes(
+            tmp_path, "reference-par", reference=True, shards=3,
             execution=ExecutionConfig(jobs=2),
         )
-        assert compiled == interp
+        assert compiled == reference
 
     def test_fault_injected_supervised_crawl_identical(self, tmp_path):
         from repro.crawler.supervisor import SupervisorConfig
@@ -395,42 +407,36 @@ class TestCrawlEquivalence:
 
         config = SupervisorConfig(liveness_deadline_s=30.0, poll_interval_s=0.01)
         compiled = crawl_bytes(
-            tmp_path, "compiled-faulty", js_compile=True, network=faulty(), shards=3,
+            tmp_path, "compiled-faulty", reference=False, network=faulty(), shards=3,
             execution=ExecutionConfig(
                 jobs=2, supervisor=config, js_prewarm=prewarm_sources()
             ),
         )
-        interp = crawl_bytes(
-            tmp_path, "interp-faulty", js_compile=False, network=faulty(), shards=3,
+        reference = crawl_bytes(
+            tmp_path, "reference-faulty", reference=True, network=faulty(), shards=3,
             execution=ExecutionConfig(jobs=2, supervisor=config),
         )
-        assert compiled == interp
+        assert compiled == reference
+
+    def test_study_world_crawl_identical(self, tmp_path):
+        # Every target of a generated study world: vendor bundles in
+        # first-party code, consent and scroll script groups, benign canvas
+        # users and dead sites, as a default control crawl meets them.
+        world = build_world(StudyScale(fraction=0.005))
+        targets = world.all_targets
+        assert len(targets) == 200
+        compiled = crawl_bytes(
+            tmp_path, "world-compiled", reference=False, network=world.network, targets=targets
+        )
+        reference = crawl_bytes(
+            tmp_path, "world-reference", reference=True, network=world.network, targets=targets
+        )
+        assert compiled == reference
 
 
 # ---------------------------------------------------------------------------
-# the machinery itself: knob, cache, prewarm, shapes
+# the machinery itself: cache, prewarm, shapes
 # ---------------------------------------------------------------------------
-
-
-class TestCompileKnob:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JS_COMPILE", raising=False)
-        assert compiler.compile_enabled() is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no"])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_JS_COMPILE", value)
-        assert compiler.compile_enabled() is False
-
-    def test_interpreter_honours_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JS_COMPILE", "0")
-        assert Interpreter().compile_mode is False
-        monkeypatch.setenv("REPRO_JS_COMPILE", "1")
-        assert Interpreter().compile_mode is True
-
-    def test_explicit_param_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JS_COMPILE", "0")
-        assert Interpreter(js_compile=True).compile_mode is True
 
 
 class TestScriptCache:
@@ -440,13 +446,12 @@ class TestScriptCache:
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         key = (digest, compiler.ENGINE_VERSION)
         cache.clear()
-        first = compiler.get_or_compile(source, "a.js", {}, ("a", 1))
-        second = compiler.get_or_compile(source, "b.js", {}, ("b", 1))
+        first = compiler.get_or_compile(source, "a.js")
+        second = compiler.get_or_compile(source, "b.js")
         assert first is second  # URL is not part of the key, the digest is
         assert cache.contains(key)
 
-    def test_prewarm_compiles_vendor_corpus(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JS_COMPILE", "1")
+    def test_prewarm_compiles_vendor_corpus(self):
         compiler.script_cache().clear()
         sources = prewarm_sources()
         assert compiler.prewarm(sources) == len(sources)
@@ -454,11 +459,6 @@ class TestScriptCache:
         for source in sources:
             digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
             assert cache.contains((digest, compiler.ENGINE_VERSION))
-
-    def test_prewarm_disabled_by_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JS_COMPILE", "0")
-        compiler.script_cache().clear()
-        assert compiler.prewarm(prewarm_sources()) == 0
 
     def test_contains_records_no_counters(self):
         from repro import perf

@@ -246,6 +246,9 @@ class TestSamplerLifecycle:
         clear it so parent samples are never shipped home twice."""
         profiler.TABLE.record((("site", "parent.example"),), ("m:f",), 1.0)
         monkeypatch.setattr(profiler, "_PID", -1)  # simulate post-fork pid change
+        # No thread samples: a sample landing before the assertion would
+        # make the table non-empty for reasons unrelated to the reset.
+        monkeypatch.setattr(profiler._Sampler, "start", lambda self: None)
         assert profiler.maybe_start(ObsConfig(profile=True, profile_hz=499.0)) is True
         assert profiler.TABLE.entries == {}
 
@@ -273,26 +276,43 @@ class TestExports:
         ),
         ((("stage", "detect"),), ("repro.js.parser:parse",), 2, 0.2),
         ((), ("test_profiler:idle",), 1, 0.1),
+        # Compiled-script closures live in the compiler module but execute...
+        (
+            (("stage", "crawl.control"), ("site", "a.example")),
+            ("repro.js.interpreter:run", "repro.js.compiler:run_compiled",
+             "repro.js.compiler:st", "repro.js.compiler:get"),
+            6,
+            0.6,
+        ),
+        # ...while anything under a compiler entry point compiles.
+        (
+            (("stage", "crawl.control"), ("site", "a.example")),
+            ("repro.js.interpreter:run", "repro.js.compiler:get_or_compile",
+             "repro.js.compiler:compile_program", "repro.js.compiler:_stmt"),
+            3,
+            0.3,
+        ),
     ]
 
     def test_rollup_tables(self):
         rollup = profiler.rollup(make_snapshot(self.ROWS, dropped=3))
-        assert rollup["samples"] == 15
-        assert rollup["seconds"] == pytest.approx(1.5)
+        assert rollup["samples"] == 24
+        assert rollup["seconds"] == pytest.approx(2.4)
         assert rollup["dropped"] == 3
         assert rollup["unattributed_samples"] == 1
         assert rollup["by_site"] == [
-            {"name": "a.example", "samples": 12, "seconds": pytest.approx(1.2)}
+            {"name": "a.example", "samples": 21, "seconds": pytest.approx(2.1)}
         ]
         assert rollup["by_script"] == [
             {"name": "https://v.example/fp.js", "samples": 4, "seconds": pytest.approx(0.4)}
         ]
         stages = {row["name"]: row["samples"] for row in rollup["by_stage"]}
-        assert stages == {"crawl.control": 12, "detect": 2}
+        assert stages == {"crawl.control": 21, "detect": 2}
         subsystems = {row["name"]: row["samples"] for row in rollup["by_subsystem"]}
         # Leaf-ward classification: the crawl frame ending in a canvas
-        # helper counts as render time, parsing as js.compile.
-        assert subsystems == {"render": 8, "js.exec": 4, "js.compile": 2, "other": 1}
+        # helper counts as render time, parsing and compiling as
+        # js.compile, compiled closures running a script as js.exec.
+        assert subsystems == {"render": 8, "js.exec": 10, "js.compile": 5, "other": 1}
 
     def test_rollup_of_nothing(self):
         rollup = profiler.rollup(None)
@@ -309,7 +329,7 @@ class TestExports:
         # Context tags are synthetic root frames; untagged samples root at
         # <unattributed> so the attribution rate is visible in the graph.
         assert set(by_root) == {"stage:crawl.control", "stage:detect", "<unattributed>"}
-        assert sum(by_root["stage:crawl.control"]) == 12
+        assert sum(by_root["stage:crawl.control"]) == 21
         deep = next(line for line in lines if "script:" in line)
         assert "site:a.example;script:" in deep
         assert deep.endswith("repro.js.interpreter:run 4")
@@ -321,7 +341,7 @@ class TestExports:
             ev for ev in payload["traceEvents"]
             if ev["ph"] == "X" and ev["args"].get("samples")
         ]
-        assert sum(ev["args"]["samples"] for ev in leaves) == 15
+        assert sum(ev["args"]["samples"] for ev in leaves) == 24
 
     def test_empty_exports(self):
         assert profiler.collapsed_stacks(None) == []
