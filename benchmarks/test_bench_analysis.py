@@ -1,72 +1,38 @@
 """Benchmark: the streaming analysis engine vs the batch entry points.
 
-Three headline numbers:
+Two headline numbers:
 
-* **streaming_equivalence** — one pass through the mergeable reducers must
-  cost about the same wall time as the monolithic batch analyses (they are
-  one code path with two drivers, so the ratio hovers around 1.0; a real
-  drop means the streaming driver grew per-site overhead);
+* **streaming_equivalence** — one pass through the reducers must cost
+  about the same wall time as the monolithic batch analyses (they are one
+  code path with two drivers, so the ratio hovers around 1.0; a real drop
+  means the streaming driver grew per-site overhead);
 * **streaming_memory** — folding a persisted dataset through
   ``iter_observations`` with the CLI's bounded bundle must allocate far
   less than the slurp-then-analyze path (the ratio is the payoff of the
-  streaming refactor);
-* **incremental_append** — appending sites to a block-cached study must
-  re-ingest only the new blocks.  The gated ``speedup`` is the ingest-work
-  reduction (sites in the dataset / sites actually re-ingested): it is
-  deterministic, machine-independent, and exactly the delta property.
-  Reduce-stage wall seconds are recorded but not gated — at bench scale
-  they are dominated by block-key hashing and partial (un)pickling, which
-  cost the same warm or cold.
+  streaming refactor).
 
-``speedup`` and ``hit_rates.*.hit_rate`` feed the CI regression gate
-(``check_regression.py``); raw seconds and byte counts are informational.
+``speedup`` feeds the CI regression gate (``check_regression.py``); raw
+seconds, byte counts and ``memory_ratio`` are informational.
 """
 
-import os
-import tempfile
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-from repro import obs
 from repro.analysis.__main__ import streaming_bundle_spec
-from repro.config import StudyScale
 from repro.core.clustering import cluster_canvases
 from repro.core.detection import FingerprintDetector
 from repro.core.evasion import analyze_serving_context, render_twice_fraction
-from repro.core.pipeline import run_study
 from repro.core.prevalence import compute_prevalence
 from repro.core.reducers import BundleSpec
 from repro.crawler.crawl import run_crawl
 from repro.crawler.storage import iter_observations, load_dataset, save_dataset
-from repro.webgen import build_world
-
-
-def _fresh_world():
-    fraction = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
-    return build_world(StudyScale(fraction=fraction))
 
 
 @pytest.fixture(scope="module")
 def control(world):
     return run_crawl(world.network, world.all_targets, label="control")
-
-
-def _run_study(world, targets, **kwargs):
-    return run_study(
-        world.network,
-        targets,
-        world.vendor_knowledge(),
-        easylist_text=world.easylist_text,
-        easyprivacy_text=world.easyprivacy_text,
-        disconnect=world.disconnect,
-        ubo_extra_text=world.ubo_extra_text,
-        dns=world.network.dns,
-        include_adblock_crawls=False,
-        **kwargs,
-    )
 
 
 def test_bench_streaming_equals_batch(benchmark, bench_json, control):
@@ -160,47 +126,3 @@ def test_bench_streaming_memory(bench_json, control, tmp_path):
         f"{stream_peak / 1e6:.1f}MB ({memory_ratio:.1f}x)"
     )
 
-
-def test_bench_incremental_append(bench_json):
-    world = _fresh_world()
-    targets = world.all_targets
-    base = (len(targets) * 4) // 5
-    stages = ["prevalence", "reach"]
-
-    cold = _run_study(
-        world, targets, stages=stages, cache_dir=Path(tempfile.mkdtemp()) / "cache"
-    )
-    reduce_cold = next(t.seconds for t in cold.stage_timings if t.name == "reduce")
-
-    cache_dir = Path(tempfile.mkdtemp()) / "cache"
-    _run_study(world, targets[:base], stages=stages, cache_dir=cache_dir)
-    before = obs.METRICS.snapshot()["counters"]
-    grown = _run_study(world, targets, stages=stages, cache_dir=cache_dir)
-    after = obs.METRICS.snapshot()["counters"]
-
-    assert grown.prevalence == cold.prevalence and grown.reach == cold.reach
-    reduce_delta = next(t.seconds for t in grown.stage_timings if t.name == "reduce")
-    hits = after.get("analysis.block.hits", 0) - before.get("analysis.block.hits", 0)
-    misses = after.get("analysis.block.misses", 0) - before.get("analysis.block.misses", 0)
-    ingested = after.get("analysis.ingest.sites", 0) - before.get("analysis.ingest.sites", 0)
-    speedup = len(targets) / max(ingested, 1)
-    hit_rate = hits / max(hits + misses, 1)
-
-    bench_json(
-        "analysis",
-        "incremental_append",
-        sites=len(targets),
-        appended=len(targets) - base,
-        reingested=ingested,
-        cold_reduce_seconds=reduce_cold,
-        delta_reduce_seconds=reduce_delta,
-        speedup=speedup,
-        hit_rates={"reduce.block": {"hits": hits, "misses": misses, "hit_rate": hit_rate}},
-    )
-    print()
-    print(
-        f"append {len(targets) - base} of {len(targets)} sites: "
-        f"{ingested:.0f} sites re-ingested ({speedup:.1f}x less analysis work), "
-        f"block hit rate {hit_rate:.0%}; reduce stage "
-        f"{reduce_delta:.3f}s warm vs {reduce_cold:.3f}s cold"
-    )

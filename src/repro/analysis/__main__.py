@@ -6,9 +6,9 @@ they would run over a real crawl (no access to the generator or ground
 truth).
 
 The dataset is *streamed*: observations are folded one at a time into the
-mergeable reducers of :mod:`repro.core.reducers`, so peak memory is bounded
-by the number of distinct canvases and fingerprinting sites, never by the
-size of the crawl file.  A multi-GB dataset analyzes in constant memory
+reducers of :mod:`repro.core.reducers`, so peak memory is bounded by the
+number of distinct canvases and fingerprinting sites, never by the size of
+the crawl file.  A multi-GB dataset analyzes in constant memory
 (``tests/test_offline_analysis.py`` pins this with an RSS regression test).
 
 Usage::

@@ -55,24 +55,6 @@ class CanvasCluster:
         if not self.width:
             self.width, self.height = extraction.width, extraction.height
 
-    def merge_from(self, other: "CanvasCluster") -> None:
-        """Absorb another partial cluster of the *same* canvas hash.
-
-        Order-insensitive: all observations of one hash share the identical
-        data URL (sha256 identity), hence identical width/height, so which
-        partial supplies the sample/dimensions cannot change the content.
-        """
-        for population, domains in other.sites.items():
-            self.sites.setdefault(population, set()).update(domains)
-        self.script_urls |= other.script_urls
-        self.extraction_count += other.extraction_count
-        for domain, count in other.extractions_per_site.items():
-            self.extractions_per_site[domain] = (
-                self.extractions_per_site.get(domain, 0) + count
-            )
-        if not self.width:
-            self.width, self.height = other.width, other.height
-
 
 def cluster_canvases(
     outcomes: Mapping[str, DetectionOutcome],

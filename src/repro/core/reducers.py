@@ -1,17 +1,13 @@
-"""Streaming analysis engine: mergeable per-shard reducers.
+"""Streaming analysis engine: one-pass reducers.
 
 Every analysis in :mod:`repro.core` (detection, clustering, prevalence,
 reach, attribution, blocklist context, serving context, FPJS breakdown,
 render-twice, ad-blocker impact) is expressed as a :class:`Reducer` — a
-small state object with three operations:
+small state object with two operations:
 
 * ``ingest(observation)`` — fold one :class:`SiteObservation` into the
   state (detection runs once per observation and is shared by every
   member of a bundle);
-* ``merge(other)`` — combine two partial states.  Merge is associative
-  and commutative *provided each site was ingested into exactly one of
-  the partials* (the fold layer guarantees this; property tests in
-  ``tests/core/test_reducer_properties.py`` pin the algebra);
 * ``finalize()`` — produce exactly the report dataclass the old batch
   function returned.
 
@@ -22,12 +18,10 @@ The batch entry points (``detect_all``, ``cluster_canvases``,
 reducers — one code path, two drivers — so streaming output is *equal* to
 batch output by construction, not by coincidence.
 
-Because states are picklable, shard workers fold their observations as
-pages land and ship partials home over the existing worker-payload
-channel (:mod:`repro.crawler.shards` / :mod:`repro.crawler.supervisor`);
-the stage graph merges them (:class:`repro.core.stages.study.ReduceStage`)
-and the analysis CLI streams a JSONL dataset through a bundle in bounded
-memory.  See ``docs/analysis-architecture.md``.
+Two callers fold a whole crawl: the study's reduce stage
+(:class:`repro.core.stages.study.ReduceStage`) ingests the control crawl
+once, and the analysis CLI streams a JSONL dataset through a bundle in
+bounded memory.  See ``docs/analysis-architecture.md``.
 """
 
 from __future__ import annotations
@@ -67,28 +61,21 @@ __all__ = [
     "StaticReducer",
     "BundleSpec",
     "AnalysisBundle",
-    "AnalysisFold",
     "REDUCER_VERSION",
 ]
 
-#: Bump when any reducer's state layout or semantics change — feeds the
-#: block-level partial cache keys of ``ReduceStage``.
-REDUCER_VERSION = "1"
+#: Bump when any reducer's state layout or semantics change — reaches the
+#: reduce stage's cache key through :meth:`BundleSpec.fingerprint`.
+REDUCER_VERSION = "2"
 
 
 class Reducer:
-    """One streaming analysis: ``ingest`` observations, ``merge`` partials,
-    ``finalize`` into the batch report dataclass.
+    """One streaming analysis: ``ingest`` observations, then ``finalize``
+    into the batch report dataclass.
 
     ``ingest`` detects on demand (via the reducer's own detector); inside an
     :class:`AnalysisBundle` the shared outcome is passed to ``ingest_site``
     directly so detection runs once per observation, not once per member.
-
-    Merge contract: associative and commutative over partials with
-    *disjoint* ingested site sets.  Ingesting one site into two partials
-    and merging them double-counts — the fold layer
-    (:class:`AnalysisFold`) enforces disjointness and falls back to a
-    re-fold when shard partials overlap (supervised re-dispatch races).
     """
 
     def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
@@ -102,9 +89,6 @@ class Reducer:
         self, observation: SiteObservation, outcome: Optional[DetectionOutcome]
     ) -> None:
         """Fold one observation with its (possibly shared) detection outcome."""
-        raise NotImplementedError
-
-    def merge(self, other: "Reducer") -> "Reducer":
         raise NotImplementedError
 
     def finalize(self) -> Any:
@@ -121,10 +105,6 @@ class DetectionReducer(Reducer):
     def ingest_site(self, observation, outcome) -> None:
         if observation.success and outcome is not None:
             self.outcomes[observation.domain] = outcome
-
-    def merge(self, other: "DetectionReducer") -> "DetectionReducer":
-        self.outcomes.update(other.outcomes)
-        return self
 
     def finalize(self) -> Dict[str, DetectionOutcome]:
         return self.outcomes
@@ -156,11 +136,6 @@ class ExtractionStatsReducer(Reducer):
         self.kept += len(outcome.fingerprintable)
         self.total += outcome.total_extractions
 
-    def merge(self, other: "ExtractionStatsReducer") -> "ExtractionStatsReducer":
-        self.kept += other.kept
-        self.total += other.total
-        return self
-
     def finalize(self) -> ExtractionStats:
         return ExtractionStats(kept=self.kept, total=self.total)
 
@@ -189,17 +164,6 @@ class ClusterReducer(Reducer):
                 self.clusters[key] = cluster
             cluster.add(domain, population, extraction)
 
-    def merge(self, other: "ClusterReducer") -> "ClusterReducer":
-        for key, theirs in other.clusters.items():
-            mine = self.clusters.get(key)
-            if mine is None:
-                mine = CanvasCluster(
-                    canvas_hash=key, sample_data_url=theirs.sample_data_url
-                )
-                self.clusters[key] = mine
-            mine.merge_from(theirs)
-        return self
-
     def finalize(self) -> Dict[str, CanvasCluster]:
         return self.clusters
 
@@ -215,8 +179,8 @@ class _PopulationState:
         self.canvases = 0
         #: (rank, domain, fingerprintable count) per FP site.  Finalize
         #: sorts by (rank, domain) — the crawl target order within each
-        #: population — so the per-site list is independent of shard
-        #: interleaving yet identical to the batch (dataset-order) list.
+        #: population — so the per-site list is independent of ingest
+        #: order yet identical to the batch (dataset-order) list.
         self.fp_rows: List[Tuple[int, str, int]] = []
 
 
@@ -243,15 +207,6 @@ class PrevalenceReducer(Reducer):
         count = len(outcome.fingerprintable)
         state.canvases += count
         state.fp_rows.append((observation.rank, observation.domain, count))
-
-    def merge(self, other: "PrevalenceReducer") -> "PrevalenceReducer":
-        for population, theirs in other.populations.items():
-            mine = self.populations[population]
-            mine.sites_crawled += theirs.sites_crawled
-            mine.sites_successful += theirs.sites_successful
-            mine.canvases += theirs.canvases
-            mine.fp_rows.extend(theirs.fp_rows)
-        return self
 
     def finalize(self) -> PrevalenceReport:
         reports = {}
@@ -288,13 +243,6 @@ class ReachReducer(Reducer):
             )
         self.cluster.ingest_site(observation, outcome)
 
-    def merge(self, other: "ReachReducer") -> "ReachReducer":
-        self.cluster.merge(other.cluster)
-        for population, domains in other.fp_sites.items():
-            self.fp_sites.setdefault(population, set()).update(domains)
-        self.successful_top += other.successful_top
-        return self
-
     def finalize(self) -> ReachReport:
         return compute_reach(
             self.cluster.finalize(),
@@ -325,11 +273,6 @@ class AttributionReducer(Reducer):
         )
         self.populations[observation.domain] = observation.population
 
-    def merge(self, other: "AttributionReducer") -> "AttributionReducer":
-        self.attributions.update(other.attributions)
-        self.populations.update(other.populations)
-        return self
-
     def finalize(self) -> Dict[str, Any]:
         return {
             "attributions": self.attributions,
@@ -358,8 +301,7 @@ class BlocklistContextReducer(Reducer):
         self.disconnect = disconnect
         self.context = BlocklistContext()
         # Per-URL memo: crawls see the same script URLs thousands of times.
-        # Pure cache — merge keeps counts only, so memo state never affects
-        # the algebra.
+        # Pure cache: it never changes a count.
         self._memo: Dict[Optional[str], Tuple[bool, bool, bool]] = {}
 
     def ingest_site(self, observation, outcome) -> None:
@@ -390,16 +332,6 @@ class BlocklistContextReducer(Reducer):
                 context.any_list.add(population)
             if in_el and in_ep and in_dc:
                 context.all_lists.add(population)
-
-    def merge(self, other: "BlocklistContextReducer") -> "BlocklistContextReducer":
-        for name, counts in self.context.rows().items():
-            theirs = other.context.rows()[name]
-            counts.top += theirs.top
-            counts.tail += theirs.tail
-        self.context.totals.top += other.context.totals.top
-        self.context.totals.tail += other.context.totals.tail
-        self._memo.update(other._memo)
-        return self
 
     def finalize(self) -> BlocklistContext:
         return self.context
@@ -436,18 +368,6 @@ class ServingContextReducer(Reducer):
             if flag:
                 counter[population] = counter.get(population, 0) + 1
 
-    def merge(self, other: "ServingContextReducer") -> "ServingContextReducer":
-        for mine, theirs in (
-            (self.context.fp_sites, other.context.fp_sites),
-            (self.context.first_party_sites, other.context.first_party_sites),
-            (self.context.subdomain_sites, other.context.subdomain_sites),
-            (self.context.cdn_sites, other.context.cdn_sites),
-            (self.context.cname_cloaked_sites, other.context.cname_cloaked_sites),
-        ):
-            for population, count in theirs.items():
-                mine[population] = mine.get(population, 0) + count
-        return self
-
     def finalize(self) -> ServingContext:
         return self.context
 
@@ -468,15 +388,6 @@ class FpjsReducer(Reducer):
         flavor = site_fpjs_flavor(observation, outcome, self.fpjs_hashes)
         if flavor is not None:
             self.breakdown.add(flavor, observation.population)
-
-    def merge(self, other: "FpjsReducer") -> "FpjsReducer":
-        for flavor, row in other.breakdown.counts.items():
-            for population, count in row.items():
-                mine = self.breakdown.counts.setdefault(
-                    flavor, {"top": 0, "tail": 0}
-                )
-                mine[population] = mine.get(population, 0) + count
-        return self
 
     def finalize(self) -> FPJSBreakdown:
         return self.breakdown
@@ -506,11 +417,6 @@ class RenderTwiceReducer(Reducer):
         if any(count >= 2 for count in seen.values()):
             self.double_sites += 1
 
-    def merge(self, other: "RenderTwiceReducer") -> "RenderTwiceReducer":
-        self.fp_sites += other.fp_sites
-        self.double_sites += other.double_sites
-        return self
-
     def finalize(self) -> float:
         return self.double_sites / self.fp_sites if self.fp_sites else 0.0
 
@@ -529,15 +435,6 @@ class AdblockRowReducer(Reducer):
             return
         self.sites[observation.population] += 1
         self.canvases[observation.population] += len(outcome.fingerprintable)
-
-    def merge(self, other: "AdblockRowReducer") -> "AdblockRowReducer":
-        for population in other.sites:
-            self.sites[population] = self.sites.get(population, 0) + other.sites[population]
-        for population in other.canvases:
-            self.canvases[population] = (
-                self.canvases.get(population, 0) + other.canvases[population]
-            )
-        return self
 
     def finalize(self) -> AdblockImpact:
         return AdblockImpact(label=self.label, canvases=self.canvases, sites=self.sites)
@@ -606,8 +503,7 @@ class StaticReducer(Reducer):
     Runs :func:`repro.js.static.verdict_for_source` over each observation's
     recorded script sources — content-addressed, so the thousands of copies
     of one vendor script cost one analysis — and accumulates per-script and
-    per-site state whose merge is set/dict union (associative, commutative
-    over disjoint site sets like every other reducer here).
+    per-site state.
     """
 
     def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
@@ -660,20 +556,6 @@ class StaticReducer(Reducer):
         """Record one execution-free (fetch-probe) site recovery."""
         self.recovered.append((domain, reason, classification))
 
-    def merge(self, other: "StaticReducer") -> "StaticReducer":
-        for sha, theirs in other.scripts.items():
-            mine = self.scripts.get(sha)
-            if mine is None:
-                self.scripts[sha] = theirs
-            else:
-                mine["urls"] |= theirs["urls"]
-                mine["domains"] |= theirs["domains"]
-        self.site_class.update(other.site_class)
-        self.dynamic_fp.update(other.dynamic_fp)
-        self.dead.extend(other.dead)
-        self.recovered.extend(other.recovered)
-        return self
-
     def finalize(self) -> StaticReport:
         rows = []
         class_counts: Dict[str, int] = {}
@@ -718,14 +600,12 @@ class StaticReducer(Reducer):
 
 @dataclass(frozen=True)
 class BundleSpec:
-    """Picklable recipe for an :class:`AnalysisBundle`.
+    """Recipe for an :class:`AnalysisBundle`.
 
-    Shipped to shard workers (a spec is tiny; the bundle it builds is not),
-    and hashed — via :meth:`fingerprint` — into the block-partial cache keys
-    of the reduce stage.  ``include_detection=False`` drops the full
-    per-site outcome map so a bundle's memory footprint is bounded by the
-    number of *distinct canvases and FP sites*, not by dataset bulk — the
-    CLI's streaming mode.
+    Hashed — via :meth:`fingerprint` — into the reduce stage's cache key.
+    ``include_detection=False`` drops the full per-site outcome map so a
+    bundle's memory footprint is bounded by the number of *distinct
+    canvases and FP sites*, not by dataset bulk — the CLI's streaming mode.
     """
 
     min_size: int = MIN_CANVAS_SIZE
@@ -759,12 +639,7 @@ class BundleSpec:
 
 
 class AnalysisBundle:
-    """A set of reducers sharing one detection pass per observation.
-
-    Tracks the ingested site set so :class:`AnalysisFold` can verify that
-    shard partials are disjoint and cover the merged dataset exactly before
-    trusting a merge of partials over a re-fold.
-    """
+    """A set of reducers sharing one detection pass per observation."""
 
     def __init__(
         self,
@@ -775,14 +650,12 @@ class AnalysisBundle:
         self.spec = spec
         self.members = members
         self.detector = detector
-        self.seen: Set[str] = set()
         self.count = 0
 
     def ingest(self, observation: SiteObservation) -> None:
         outcome = self.detector.detect(observation) if observation.success else None
         for member in self.members.values():
             member.ingest_site(observation, outcome)
-        self.seen.add(observation.domain)
         self.count += 1
         obs_layer.inc("analysis.ingest.sites")
 
@@ -790,87 +663,9 @@ class AnalysisBundle:
         for observation in observations:
             self.ingest(observation)
 
-    def merge(self, other: "AnalysisBundle") -> "AnalysisBundle":
-        if self.seen & other.seen:
-            raise ValueError(
-                "overlapping analysis partials: "
-                f"{sorted(self.seen & other.seen)[:3]}..."
-            )
-        for name, member in self.members.items():
-            member.merge(other.members[name])
-        self.seen |= other.seen
-        self.count += other.count
-        obs_layer.inc("analysis.merge.partials")
-        return self
-
     def finalize_member(self, name: str) -> Any:
         with obs_layer.span("analysis.finalize", member=name):
-            obs_layer.inc("analysis.finalize.calls")
             return self.members[name].finalize()
 
     def finalize(self) -> Dict[str, Any]:
         return {name: self.finalize_member(name) for name in self.members}
-
-
-class AnalysisFold:
-    """Collects per-shard bundle partials and merges them against the
-    merged dataset.
-
-    The happy path merges worker-shipped partials (no re-ingestion in the
-    parent).  If the partials do not partition the merged dataset exactly —
-    a supervised re-dispatch overlapping a salvaged checkpoint, or a
-    duplicate-domain merge picking a different observation than a shard saw
-    — the fold falls back to re-ingesting the merged dataset, so the result
-    is always identical to a serial batch analysis.
-    """
-
-    def __init__(self, spec: BundleSpec) -> None:
-        self.spec = spec
-        self.partials: List[AnalysisBundle] = []
-
-    def fold_dataset(self, dataset) -> AnalysisBundle:
-        """Fold one shard dataset into a new partial (in-process path)."""
-        partial = self.spec.build()
-        with obs_layer.span(
-            "analysis.ingest", sites=len(dataset.observations), label=dataset.label
-        ):
-            partial.ingest_many(dataset.observations)
-        self.partials.append(partial)
-        return partial
-
-    def add_partial(self, partial: Optional[AnalysisBundle]) -> None:
-        """Adopt a worker-shipped partial (``None`` is ignored)."""
-        if partial is not None:
-            self.partials.append(partial)
-
-    def merge(self, merged_dataset) -> AnalysisBundle:
-        """The merged bundle for the final dataset, re-folding if needed."""
-        expected = [o.domain for o in merged_dataset.observations]
-        with obs_layer.span("analysis.merge", partials=len(self.partials)):
-            if self._partials_partition(expected):
-                bundle = self.spec.build()
-                for partial in self.partials:
-                    bundle.merge(partial)
-                return bundle
-        obs_layer.inc("analysis.fold.refolds")
-        bundle = self.spec.build()
-        with obs_layer.span("analysis.ingest", sites=len(expected), label="refold"):
-            bundle.ingest_many(merged_dataset.observations)
-        return bundle
-
-    def _partials_partition(self, expected_domains: List[str]) -> bool:
-        if not self.partials:
-            return False
-        union: Set[str] = set()
-        total_seen = 0
-        total_count = 0
-        for partial in self.partials:
-            total_seen += len(partial.seen)
-            total_count += partial.count
-            union |= partial.seen
-        return (
-            total_seen == len(union)
-            and total_count == total_seen
-            and union == set(expected_domains)
-            and len(expected_domains) == len(set(expected_domains))
-        )

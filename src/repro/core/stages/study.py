@@ -6,7 +6,7 @@ Each monolith step of the old ``run_study`` becomes one :class:`Stage`:
 stage              produces                                    paper
 =================  ==========================================  ==========
 crawl.control      control :class:`CrawlDataset`               §3.1
-reduce             merged :class:`AnalysisBundle` of partials  §3.2-§4.2
+reduce             :class:`AnalysisBundle` over the control    §3.2-§4.2
 detect             ``{domain: DetectionOutcome}``              §3.2
 cluster            ``{hash: CanvasCluster}``                   §4.2
 prevalence         :class:`PrevalenceReport`                   §4.1
@@ -26,24 +26,20 @@ so the :class:`~repro.crawler.shards.ExecutionConfig` in the
 :class:`StudyContext` parallelizes them — deliberately *outside* every
 cache key, because how a crawl executes cannot change the artifact.
 
-Since the streaming-reducer refactor the observation-heavy analyses
-(detection, clustering, prevalence, reach, render-twice) flow through one
-:class:`ReduceStage`: crawl workers fold their shard's observations into an
-:class:`~repro.core.reducers.AnalysisBundle` partial as pages land and ship
-it home with the crawl records (no cache), or — with a ``cache_dir`` — the
-reduce stage folds the dataset through *block-level* partial cache entries,
-so appending sites to a study re-ingests only the new blocks and re-merges
-(see ``docs/analysis-architecture.md``).  The downstream analysis stages
-finalize bundle members, so their cache keys chain off the reduce key and a
-warm cache re-runs nothing.  Blocklist/serving context deliberately stay
-*outside* the bundle's cache identity: changing a blocklist or the DNS zone
-re-runs only those stages, never detection or clustering.
+The observation-heavy analyses (detection, clustering, prevalence, reach,
+render-twice) flow through one :class:`ReduceStage`, which folds the merged
+control crawl once, in the parent, into an
+:class:`~repro.core.reducers.AnalysisBundle` (see
+``docs/analysis-architecture.md``).  Its only cache is the stage graph's
+whole-artifact cache.  The downstream analysis stages finalize bundle
+members, so their cache keys chain off the reduce key and a warm cache
+re-runs nothing.  Blocklist/serving context deliberately stay *outside* the
+bundle's cache identity: changing a blocklist or the DNS zone re-runs only
+those stages, never detection or clustering.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -57,7 +53,7 @@ from repro.core.attribution import VendorAttributor
 from repro.core.context import analyze_blocklist_context
 from repro.core.detection import FingerprintDetector
 from repro.core.evasion import analyze_serving_context, compare_adblock_crawls
-from repro.core.reducers import AnalysisBundle, AnalysisFold, BundleSpec
+from repro.core.reducers import AnalysisBundle, BundleSpec
 from repro.core.stages.cache import StageCache
 from repro.core.stages.fingerprint import (
     fingerprint_dns,
@@ -80,7 +76,7 @@ __all__ = ["StudyContext", "build_study_graph", "control_bundle_spec", "STAGE_DO
 #: One-line description per stage name (used by ``--stage`` help and docs).
 STAGE_DOCS = {
     "crawl.control": "control crawl of the top+tail target list (§3.1)",
-    "reduce": "merge streaming per-shard analysis partials (§3.2-§4.2)",
+    "reduce": "fold the control crawl into the analysis bundle (§3.2-§4.2)",
     "detect": "fingerprintability detection over successful pages (§3.2)",
     "cluster": "canvas-equality clustering (§4.2)",
     "prevalence": "prevalence per population (§4.1)",
@@ -130,11 +126,6 @@ class StudyContext:
     checkpoint_dir: Optional[Path] = None
 
     _network_fp: Optional[str] = field(default=None, repr=False, compare=False)
-    #: Crawl-stage name -> merged AnalysisBundle folded live during the crawl
-    #: (workers ship partials home with their records).  Purely an execution
-    #: shortcut: the reduce stage pops it instead of re-ingesting the dataset,
-    #: and the artifact is bit-identical either way.
-    _live_bundles: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     def network_fingerprint(self) -> str:
         """Content hash of the synthetic network, computed once per run."""
@@ -184,23 +175,14 @@ def control_bundle_spec(ctx: StudyContext) -> BundleSpec:
 
 
 class CrawlStage(Stage):
-    """A sharded (optionally parallel, checkpointed) crawl of the target list.
-
-    With ``fold=True`` the crawl also folds observations into streaming
-    analysis partials as shards complete — workers ship a picklable
-    :class:`AnalysisBundle` partial home alongside their records — and
-    stashes the merged bundle in ``ctx._live_bundles`` for the reduce stage.
-    Folding is an execution knob, not configuration: it never enters the
-    ``config_fingerprint``.
-    """
+    """A sharded (optionally parallel, checkpointed) crawl of the target list."""
 
     artifact = "dataset"
 
-    def __init__(self, name: str, profile_attr: str, label: str, fold: bool = False) -> None:
+    def __init__(self, name: str, profile_attr: str, label: str) -> None:
         self.name = name
         self._profile_attr = profile_attr
         self.label = label
-        self.fold = fold
 
     def _profile(self, ctx: StudyContext) -> BrowserProfile:
         return getattr(ctx, self._profile_attr)()
@@ -223,8 +205,7 @@ class CrawlStage(Stage):
             # from each other's partials.
             namespace = stable_hash(self.config_fingerprint(ctx))[:16]
             checkpoint_dir = Path(ctx.checkpoint_dir) / namespace
-        fold = AnalysisFold(control_bundle_spec(ctx)) if self.fold else None
-        dataset = run_sharded_crawl(
+        return run_sharded_crawl(
             ctx.network,
             ctx.targets,
             profile=self._profile(ctx),
@@ -232,89 +213,29 @@ class CrawlStage(Stage):
             checkpoint_dir=checkpoint_dir,
             retry_policy=ctx.retry_policy,
             page_budget=ctx.page_budget,
-            fold=fold,
             execution=ctx.execution,
         )
-        if fold is not None:
-            ctx._live_bundles[self.name] = fold.merge(dataset)
-            obs_layer.inc("analysis.fold.live")
-        return dataset
 
 
 class ReduceStage(Stage):
-    """Fold the control crawl into one merged :class:`AnalysisBundle`.
+    """Fold the control crawl into one :class:`AnalysisBundle`.
 
-    Three ways to produce the bundle, cheapest first:
-
-    1. **Live partials** — a fold-enabled :class:`CrawlStage` already merged
-       worker-shipped partials; pop them from ``ctx._live_bundles``.
-    2. **Block-cached fold** — with a stage cache, the dataset is folded in
-       fixed-size blocks, each block's partial content-addressed by its
-       observations (``reduce.block`` entries).  Appending sites to a study
-       re-ingests only the new blocks; everything else is a merge of cached
-       partials.
-    3. **Plain fold** — no cache, no live bundle: ingest the whole dataset.
-
-    All three produce the identical artifact; only the work differs.
+    One pass in the parent: every control observation is ingested exactly
+    once, whether the crawl ran in-process, under the supervisor or came
+    from the stage cache.  The stage graph's whole-artifact cache is the
+    only cache; a warm run never reaches :meth:`run`.
     """
 
     name = "reduce"
     inputs = ("crawl.control",)
-    #: Which crawl stage's live bundle this reduce consumes.
-    name_of_live_bundle = "crawl.control"
-    #: Observations per cached block partial (tests shrink this).
-    DEFAULT_BLOCK_SIZE = 256
-
-    def __init__(self, cache: Optional[StageCache] = None, block_size: Optional[int] = None) -> None:
-        self._cache = cache
-        self.block_size = block_size if block_size is not None else self.DEFAULT_BLOCK_SIZE
 
     def config_fingerprint(self, ctx: StudyContext) -> Any:
         return control_bundle_spec(ctx).fingerprint()
 
-    def _block_key(self, config_fp: Any, block: Sequence[Any]) -> str:
-        digest = hashlib.sha256(stable_hash(config_fp).encode("ascii"))
-        for observation in block:
-            digest.update(
-                json.dumps(
-                    observation.to_json(), sort_keys=True, ensure_ascii=False
-                ).encode("utf-8")
-            )
-        return digest.hexdigest()
-
     def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> AnalysisBundle:
-        control = inputs["crawl.control"]
-        live = ctx._live_bundles.pop(self.name_of_live_bundle, None)
-        if live is not None:
-            return live
-        spec = control_bundle_spec(ctx)
-        if self._cache is None:
-            fold = AnalysisFold(spec)
-            fold.fold_dataset(control)
-            return fold.merge(control)
-        config_fp = self.config_fingerprint(ctx)
-        fold = AnalysisFold(spec)
-        observations = list(control.observations)
-        for start in range(0, len(observations), self.block_size):
-            block = observations[start : start + self.block_size]
-            key = self._block_key(config_fp, block)
-            # A structural span per block: cached/uncached folds are visible
-            # in the trace timeline and the profiler attributes block-fold
-            # self-time under the reduce stage rather than a bare gap.
-            with obs_layer.span(
-                "reduce.block", index=start // self.block_size, size=len(block)
-            ) as block_span:
-                hit, partial = self._cache.get("reduce.block", key)
-                block_span.set_attr("cached", bool(hit))
-                if hit:
-                    obs_layer.inc("analysis.block.hits")
-                else:
-                    obs_layer.inc("analysis.block.misses")
-                    partial = spec.build()
-                    partial.ingest_many(block)
-                    self._cache.put("reduce.block", key, partial)
-                fold.add_partial(partial)
-        return fold.merge(control)
+        bundle = control_bundle_spec(ctx).build()
+        bundle.ingest_many(inputs["crawl.control"].observations)
+        return bundle
 
 
 class DetectStage(Stage):
@@ -583,16 +504,10 @@ def build_study_graph(
     Optional stages (blocklist context, ad-blocker recrawls, cross-machine
     validation) are included exactly when the monolithic pipeline would have
     run them, so the graph's artifact set mirrors the old control flow.
-
-    Live-folded streaming analysis (workers ship partials with their crawl
-    records) is enabled exactly when there is no stage cache: with a cache,
-    the control crawl may be a warm artifact whose run() never executes, so
-    the reduce stage folds through block-level cached partials instead.
     """
-    fold_live = cache is None
     stages = [
-        CrawlStage("crawl.control", "control_profile", "control", fold=fold_live),
-        ReduceStage(cache),
+        CrawlStage("crawl.control", "control_profile", "control"),
+        ReduceStage(),
         DetectStage(),
         ClusterStage(),
         PrevalenceStage(),

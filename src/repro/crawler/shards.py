@@ -62,7 +62,6 @@ from repro.crawler.crawl import CrawlDataset, CrawlTarget, resume_crawl, run_cra
 from repro.crawler.resilience import PageBudget, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (supervisor imports us)
-    from repro.core.reducers import AnalysisBundle, AnalysisFold, BundleSpec
     from repro.crawler.supervisor import SupervisorConfig
 
 __all__ = [
@@ -117,8 +116,6 @@ class WorkerTask:
     inner_paths: tuple
     resume: bool
     execution: ExecutionConfig
-    #: Builds the shard's streaming-analysis partial (``None``: no fold).
-    fold_spec: Optional["BundleSpec"]
     perf_config: perf.RenderCacheConfig
     obs_config: obs.ObsConfig
     #: Trace lane of the shard (``shard-0003``; bisected: ``shard-0003.a``).
@@ -140,8 +137,6 @@ class WorkerResult:
     perf_delta: Dict[str, Dict[str, float]]
     #: Spans, metrics delta and profiler samples (:func:`repro.obs.worker_payload`).
     obs_payload: Dict[str, Any]
-    #: The shard's streaming-analysis partial, when the task folds.
-    partial: Optional["AnalysisBundle"]
 
 
 def plan_shards(targets: Sequence[CrawlTarget], shards: int) -> List[List[CrawlTarget]]:
@@ -232,14 +227,13 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
     """The worker body: crawl one shard and ship its result home.
 
     Installs the parent's render-cache and observability configs, starts the
-    sampling profiler to match, crawls, folds the shard's analysis partial,
-    and returns records plus perf and obs *deltas from the task start*.  A
-    worker process may be forked after its parent took in other workers'
-    results, so cumulative snapshots would ship those again; the obs layer
-    likewise drops the trace records and profiler samples a forked child
-    inherits.  With a ``result_path`` the result is also pickled there
-    atomically, so a worker that dies mid-write never hands the parent a
-    torn payload.
+    sampling profiler to match, crawls, and returns records plus perf and
+    obs *deltas from the task start*.  A worker process may be forked after
+    its parent took in other workers' results, so cumulative snapshots
+    would ship those again; the obs layer likewise drops the trace records
+    and profiler samples a forked child inherits.  With a ``result_path``
+    the result is also pickled there atomically, so a worker that dies
+    mid-write never hands the parent a torn payload.
     """
     perf.configure(task.perf_config)
     obs.configure(task.obs_config)
@@ -250,17 +244,10 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
     # Prewarm compiles land after the baseline snapshot: they ship with
     # this task's delta.
     dataset = _crawl_shard(task)
-    # Fold before draining the obs delta, so the worker's ``analysis.*``
-    # counters ship with it.
-    partial = None
-    if task.fold_spec is not None:
-        partial = task.fold_spec.build()
-        partial.ingest_many(dataset.observations)
     result = WorkerResult(
         records=[observation.to_json() for observation in dataset.observations],
         perf_delta=perf.diff_snapshots(perf_before, perf.PERF.snapshot()),
         obs_payload=obs.worker_payload(metrics_before),
-        partial=partial,
     )
     if task.result_path is not None:
         tmp = task.result_path.with_name(task.result_path.name + ".tmp")
@@ -282,7 +269,6 @@ def run_sharded_crawl(
     inner_paths: tuple = (),
     resume: bool = True,
     progress: Optional[Callable[[int, SiteObservation], None]] = None,
-    fold: Optional["AnalysisFold"] = None,
     execution: ExecutionConfig = ExecutionConfig(),
 ) -> CrawlDataset:
     """Crawl ``targets`` in shards and merge the shard datasets.
@@ -300,12 +286,7 @@ def run_sharded_crawl(
     * with a ``checkpoint_dir``, every shard checkpoints to its own file and
       a killed run resumes from the per-shard partials, re-visiting nothing
       that was persisted.  Supervised runs always checkpoint: without a
-      ``checkpoint_dir`` the files live in a private temporary directory;
-    * with a ``fold`` (an :class:`~repro.core.reducers.AnalysisFold`), each
-      shard's observations are also folded into a streaming analysis partial
-      — in the worker, so partials ride home with the shard records and the
-      parent never re-ingests the dataset.  Call ``fold.merge(dataset)``
-      afterwards for the combined bundle.
+      ``checkpoint_dir`` the files live in a private temporary directory.
 
     The merged dataset equals a serial crawl of the same targets: identical
     observations in identical order (see ``tests/crawler/test_shards.py``).
@@ -332,7 +313,6 @@ def run_sharded_crawl(
                 inner_paths=inner_paths,
                 resume=resume,
                 execution=execution,
-                fold_spec=fold.spec if fold is not None else None,
                 perf_config=perf.current_config(),
                 obs_config=obs.config(),
                 lane=f"shard-{index:04d}",
@@ -347,14 +327,9 @@ def run_sharded_crawl(
             from repro.crawler.supervisor import SupervisorConfig, supervise
 
             shard_datasets = supervise(
-                tasks, Path(directory), execution.supervisor or SupervisorConfig(), jobs, fold
+                tasks, Path(directory), execution.supervisor or SupervisorConfig(), jobs
             )
         else:
-            shard_datasets = []
-            for task in tasks:
-                dataset = _crawl_shard(task, progress)
-                if fold is not None:
-                    fold.fold_dataset(dataset)
-                shard_datasets.append(dataset)
+            shard_datasets = [_crawl_shard(task, progress) for task in tasks]
     return merge_shard_datasets(label, targets, shard_datasets)
 

@@ -294,7 +294,7 @@ class _Supervisor:
     """State for one supervised crawl: task queue, live workers, salvage pool."""
 
     def __init__(self, label: str, config: SupervisorConfig, scratch: Path,
-                 ledger: QuarantineLedger, jobs: int, fold=None) -> None:
+                 ledger: QuarantineLedger, jobs: int) -> None:
         self.label = label
         self.config = config
         self.scratch = scratch
@@ -308,9 +308,6 @@ class _Supervisor:
         #: or exhausted) tasks, plus the quarantine failure rows.
         self.salvaged: List[SiteObservation] = []
         self.quarantined: List[QuarantineRecord] = []
-        #: Optional streaming AnalysisFold: workers fold shard partials and
-        #: ship them home; salvaged observations are folded parent-side.
-        self.fold = fold
         self.respawns = 0
 
     # -- lifecycle ------------------------------------------------------------
@@ -404,8 +401,6 @@ class _Supervisor:
             SiteObservation.from_json(record) for record in result.records
         )
         self.datasets.append(dataset)
-        if self.fold is not None:
-            self.fold.add_partial(result.partial)
 
     # -- failure handling -----------------------------------------------------
 
@@ -534,7 +529,6 @@ def supervise(
     directory: Path,
     config: SupervisorConfig,
     jobs: int,
-    fold=None,
 ) -> List[CrawlDataset]:
     """Run one crawl's shard ``tasks`` in supervised worker processes.
 
@@ -548,7 +542,7 @@ def supervise(
     """
     label = tasks[0].label if tasks else ""
     ledger = QuarantineLedger(quarantine_ledger_path(directory))
-    supervisor = _Supervisor(label, config, directory, ledger, jobs, fold=fold)
+    supervisor = _Supervisor(label, config, directory, ledger, jobs)
     with obs.span("crawl.supervised", label=label, shards=len(tasks), jobs=jobs) as span:
         supervisor.run(
             [_ShardTask(shard_id=f"{index:04d}", work=task) for index, task in enumerate(tasks)]
@@ -560,10 +554,4 @@ def supervise(
         salvage = CrawlDataset(label=label)
         salvage.observations.extend(supervisor.salvaged)
         shard_datasets.append(salvage)
-        # Salvaged rows never crossed a worker boundary, so their partial
-        # is folded here.  If a salvaged domain was also re-crawled (the
-        # partials overlap), the fold's merge-time partition check fails
-        # and the bundle is re-folded from the merged dataset instead.
-        if fold is not None:
-            fold.fold_dataset(salvage)
     return shard_datasets

@@ -101,7 +101,9 @@ def main(argv=None) -> int:
         text = run_experiment(key, result)
         print(text)
         print()
-        if artifacts_dir is not None:
+        # Infra experiments (stage wall-clock timings) differ on every run,
+        # so they are printed but never written as artifacts.
+        if artifacts_dir is not None and EXPERIMENTS[key].section != "infra":
             (artifacts_dir / f"{key}.txt").write_text(text + "\n", encoding="utf-8")
 
     from repro.analysis.report import study_comparisons

@@ -1,11 +1,11 @@
-"""Property tests for the reducer merge algebra.
+"""Property test for the one-pass fold.
 
-The streaming engine's correctness rests on one algebraic contract: over
-partials with *disjoint* site sets, ``merge`` is associative and
-commutative, the empty bundle is its identity, and any partition of a
-stream folds to the same result as a single pass.  Hypothesis searches for
-counterexamples over randomized observation streams (failures, lossy and
-tiny canvases, animation scripts, inline scripts — every exclusion path).
+The streaming engine's correctness rests on one contract: a single pass of
+an :class:`~repro.core.reducers.AnalysisBundle` over any observation
+stream equals the batch analyses over the same stream.  Hypothesis searches
+for counterexamples over randomized observation streams (failures, lossy
+and tiny canvases, animation scripts, inline scripts — every exclusion
+path).
 """
 
 import hashlib
@@ -13,14 +13,18 @@ import hashlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clustering import cluster_canvases
+from repro.core.detection import FingerprintDetector
+from repro.core.evasion import analyze_serving_context, render_twice_fraction
+from repro.core.prevalence import compute_prevalence
 from repro.core.records import CanvasApiCall, CanvasExtraction, SiteObservation
 from repro.core.reducers import BundleSpec
+from repro.crawler.crawl import CrawlDataset
 
 SPEC = BundleSpec(include_serving=True)
 
 #: A small canvas-content alphabet so distinct sites share canvases (the
-#: whole point of clustering/reach) while hashes still collide across
-#: partials in interesting ways.
+#: whole point of clustering/reach).
 DATA_URLS = [f"data:image/png;base64,CANVAS{i}" for i in range(6)]
 
 SCRIPT_URLS = [
@@ -86,69 +90,20 @@ def stream(draw, max_sites: int = 12):
     return [draw(observation(index)) for index in range(count)]
 
 
-def fold(observations):
+@settings(max_examples=40, deadline=None)
+@given(stream())
+def test_single_pass_equals_batch_analyses(observations):
     bundle = SPEC.build()
     bundle.ingest_many(observations)
-    return bundle
 
-
-def report(bundle):
-    return bundle.finalize()
-
-
-@settings(max_examples=40, deadline=None)
-@given(stream())
-def test_empty_bundle_is_merge_identity(observations):
-    baseline = report(fold(observations))
-    assert report(fold(observations).merge(SPEC.build())) == baseline
-    assert report(SPEC.build().merge(fold(observations))) == baseline
-
-
-@settings(max_examples=40, deadline=None)
-@given(stream())
-def test_merge_is_commutative(observations):
-    a, b = observations[::2], observations[1::2]
-    ab = fold(a).merge(fold(b))
-    ba = fold(b).merge(fold(a))
-    assert report(ab) == report(ba)
-    assert ab.seen == ba.seen and ab.count == ba.count
-
-
-@settings(max_examples=40, deadline=None)
-@given(stream())
-def test_merge_is_associative(observations):
-    a, b, c = observations[::3], observations[1::3], observations[2::3]
-    left = fold(a).merge(fold(b)).merge(fold(c))
-    right = fold(b).merge(fold(c))
-    right = fold(a).merge(right)
-    assert report(left) == report(right)
-
-
-@settings(max_examples=40, deadline=None)
-@given(stream(), st.data())
-def test_any_partition_folds_to_the_single_pass(observations, data):
-    single = report(fold(observations))
-    if observations:
-        cut = data.draw(st.integers(0, len(observations)))
-    else:
-        cut = 0
-    merged = fold(observations[:cut]).merge(fold(observations[cut:]))
-    assert report(merged) == single
-
-
-@settings(max_examples=40, deadline=None)
-@given(stream())
-def test_ingest_then_merge_equals_merge_then_ingest(observations):
-    """Folding a site into a partial before or after an (unrelated) merge
-    cannot change the result."""
-    if not observations:
-        return
-    head, rest = observations[0], observations[1:]
-    before = fold(rest)
-    before.ingest(head)
-
-    after = fold(rest)
-    extra = SPEC.build()
-    extra.ingest(head)
-    after.merge(extra)
-    assert report(before) == report(after)
+    dataset = CrawlDataset(label="control", observations=list(observations))
+    populations = dataset.populations()
+    outcomes = FingerprintDetector().detect_all(dataset.successful())
+    assert bundle.count == len(observations)
+    assert bundle.finalize_member("detection") == outcomes
+    assert bundle.finalize_member("cluster") == cluster_canvases(outcomes, populations)
+    assert bundle.finalize_member("prevalence") == compute_prevalence(dataset, outcomes)
+    assert bundle.finalize_member("render_twice") == render_twice_fraction(outcomes)
+    assert bundle.finalize_member("serving") == analyze_serving_context(
+        outcomes, populations, dns=None
+    )

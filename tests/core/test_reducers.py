@@ -1,10 +1,9 @@
 """Streaming reducers == batch analyses, on real crawled data.
 
-The hard invariant of the streaming engine: folding a dataset through
-sharded reducer partials and merging them must produce *exactly* the same
-report objects as the batch entry points — which are themselves thin
-drivers over a single reducer, so these tests pin both that the merge
-algebra is faithful and that the two drivers stay one code path.
+The hard invariant of the streaming engine: folding a dataset through the
+reducers in one pass must produce *exactly* the same report objects as the
+batch entry points — which are themselves thin drivers over a single
+reducer, so these tests pin that the two drivers stay one code path.
 """
 
 import pytest
@@ -20,7 +19,6 @@ from repro.core.fpjs import fpjs_breakdown
 from repro.core.prevalence import compute_prevalence
 from repro.core.reach import compute_reach
 from repro.core.reducers import (
-    AnalysisFold,
     AttributionReducer,
     BlocklistContextReducer,
     BundleSpec,
@@ -46,27 +44,19 @@ def outcomes(dataset):
     return FingerprintDetector().detect_all(dataset.successful())
 
 
-def shard_bundles(dataset, spec, shards=3):
-    """Fold the dataset's observations round-robin into disjoint partials."""
-    partials = [spec.build() for _ in range(shards)]
-    for index, observation in enumerate(dataset.observations):
-        partials[index % shards].ingest(observation)
-    return partials
-
-
-def merged_bundle(dataset, spec, shards=3):
-    merged = spec.build()
-    for partial in shard_bundles(dataset, spec, shards):
-        merged.merge(partial)
-    return merged
+def fold(reducer, dataset):
+    """Ingest every observation of the dataset into ``reducer``, in one pass."""
+    for observation in dataset.observations:
+        reducer.ingest(observation)
+    return reducer
 
 
 class TestBundleEqualsBatch:
-    """Every bundle member, folded over shards, equals its batch analysis."""
+    """Every bundle member, folded in one pass, equals its batch analysis."""
 
     @pytest.fixture(scope="class")
     def bundle(self, dataset):
-        return merged_bundle(dataset, BundleSpec(include_serving=True))
+        return fold(BundleSpec(include_serving=True).build(), dataset)
 
     def test_detection(self, bundle, outcomes):
         assert bundle.finalize_member("detection") == outcomes
@@ -110,19 +100,9 @@ class TestBundleEqualsBatch:
             outcomes.values()
         )
 
-    def test_shard_count_does_not_matter(self, dataset):
-        spec = BundleSpec()
-        one = merged_bundle(dataset, spec, shards=1).finalize()
-        five = merged_bundle(dataset, spec, shards=5).finalize()
-        assert one == five
-
 
 class TestWrapperReducers:
     """Reducers outside the study bundle (blocklist, serving, fpjs, attribution)."""
-
-    def _halves(self, dataset):
-        observations = dataset.observations
-        return observations[::2], observations[1::2]
 
     def test_blocklist_context(self, world, dataset, outcomes):
         easylist = RuleMatcher.from_text(world.easylist_text, "easylist")
@@ -130,23 +110,13 @@ class TestWrapperReducers:
         batch = analyze_blocklist_context(
             outcomes, dataset.populations(), easylist, easyprivacy, world.disconnect
         )
-        detector = FingerprintDetector()
-        merged = BlocklistContextReducer(easylist, easyprivacy, world.disconnect, detector)
-        other = BlocklistContextReducer(easylist, easyprivacy, world.disconnect, detector)
-        for half, reducer in zip(self._halves(dataset), (merged, other)):
-            for observation in half:
-                reducer.ingest(observation)
-        assert merged.merge(other).finalize() == batch
+        reducer = BlocklistContextReducer(easylist, easyprivacy, world.disconnect)
+        assert fold(reducer, dataset).finalize() == batch
 
     def test_serving_context_with_dns(self, world, dataset, outcomes):
         dns = world.network.dns
         batch = analyze_serving_context(outcomes, dataset.populations(), dns=dns)
-        merged = ServingContextReducer(dns)
-        other = ServingContextReducer(dns)
-        for half, reducer in zip(self._halves(dataset), (merged, other)):
-            for observation in half:
-                reducer.ingest(observation)
-        assert merged.merge(other).finalize() == batch
+        assert fold(ServingContextReducer(dns), dataset).finalize() == batch
 
     def test_fpjs(self, dataset, outcomes):
         hashes = set()
@@ -155,61 +125,12 @@ class TestWrapperReducers:
         batch = fpjs_breakdown(
             dataset.by_domain(), outcomes, dataset.populations(), hashes
         )
-        merged = FpjsReducer(hashes)
-        other = FpjsReducer(hashes)
-        for half, reducer in zip(self._halves(dataset), (merged, other)):
-            for observation in half:
-                reducer.ingest(observation)
-        assert merged.merge(other).finalize().counts == batch.counts
+        assert fold(FpjsReducer(hashes), dataset).finalize().counts == batch.counts
 
     def test_attribution(self, dataset, outcomes):
         signature = VendorSignature(name="probe", script_pattern="fp.min.js")
         attributor = VendorAttributor([signature])
         batch = attributor.attribute_all(dataset.by_domain(), outcomes)
-        merged = AttributionReducer(attributor)
-        other = AttributionReducer(attributor)
-        for half, reducer in zip(self._halves(dataset), (merged, other)):
-            for observation in half:
-                reducer.ingest(observation)
-        assert merged.merge(other).finalize()["attributions"] == batch
+        reducer = AttributionReducer(attributor)
+        assert fold(reducer, dataset).finalize()["attributions"] == batch
 
-
-class TestAnalysisFold:
-    def test_partition_merge_equals_refold(self, dataset):
-        spec = BundleSpec()
-        fold = AnalysisFold(spec)
-        half = len(dataset.observations) // 2
-        for observations in (dataset.observations[:half], dataset.observations[half:]):
-            partial = spec.build()
-            partial.ingest_many(observations)
-            fold.add_partial(partial)
-        merged = fold.merge(dataset)
-
-        refold = AnalysisFold(spec).merge(dataset)  # no partials -> forced refold
-        assert merged.finalize() == refold.finalize()
-        assert merged.seen == refold.seen
-
-    def test_overlapping_partials_refold_instead_of_double_count(self, dataset):
-        spec = BundleSpec()
-        fold = AnalysisFold(spec)
-        half = len(dataset.observations) // 2
-        # Second partial overlaps the first by one site (a salvaged
-        # checkpoint overlapping a supervised re-dispatch).
-        for observations in (
-            dataset.observations[: half + 1],
-            dataset.observations[half:],
-        ):
-            partial = spec.build()
-            partial.ingest_many(observations)
-            fold.add_partial(partial)
-        merged = fold.merge(dataset)
-        expected = AnalysisFold(spec).merge(dataset)
-        assert merged.finalize() == expected.finalize()
-
-    def test_direct_overlapping_merge_raises(self, dataset):
-        spec = BundleSpec()
-        a, b = spec.build(), spec.build()
-        a.ingest(dataset.observations[0])
-        b.ingest(dataset.observations[0])
-        with pytest.raises(ValueError):
-            a.merge(b)

@@ -164,7 +164,6 @@ def worker_task(world, **changes):
         inner_paths=(),
         resume=False,
         execution=ExecutionConfig(),
-        fold_spec=None,
         perf_config=perf.current_config(),
         obs_config=ObsConfig(trace=True),
         lane="shard-0000",

@@ -172,7 +172,7 @@ class TestContextTags:
         )
         assert profiler.span_context("study.run", {}) == ("study", "run")
         assert profiler.span_context("crawl.retry", {}) is None
-        assert profiler.span_context("reduce.block", {"index": 0}) is None
+        assert profiler.span_context("analysis.finalize", {"member": "cluster"}) is None
 
     def test_obs_span_tags_thread_when_profiler_active(self, untraced, monkeypatch):
         monkeypatch.setattr(profiler, "ACTIVE", True)
@@ -401,7 +401,6 @@ class TestExactlyOnceShipping:
             inner_paths=(),
             resume=False,
             execution=ExecutionConfig(),
-            fold_spec=None,
             perf_config=perf.current_config(),
             obs_config=ObsConfig(trace=True, profile=True, profile_hz=profile_hz),
             lane="shard-0000",

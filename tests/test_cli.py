@@ -197,12 +197,14 @@ class TestArtifactsFlag:
 
         out = tmp_path / "artifacts"
         rc = main(
-            ["--scale", "0.01", "--only", "prevalence", "figure1", "--no-adblock",
-             "--artifacts", str(out)]
+            ["--scale", "0.01", "--only", "prevalence", "figure1", "pipeline",
+             "--no-adblock", "--artifacts", str(out)]
         )
         assert rc == 0
         assert (out / "prevalence.txt").exists()
         assert (out / "figure1.txt").exists()
+        # Wall-clock stage timings differ on every run: printed, never written.
+        assert not (out / "pipeline.txt").exists()
         assert (out / "paper_vs_measured.txt").read_text().count("paper") > 10
         csv = (out / "figure1.csv").read_text().splitlines()
         assert csv[0] == "rank,top_sites,tail_sites"
@@ -212,3 +214,12 @@ class TestArtifactsFlag:
 
         pixels = png_decode((out / "figure1.png").read_bytes())
         assert pixels.shape[2] == 4
+
+    def test_committed_figure1_png_decodes(self):
+        from pathlib import Path
+
+        from repro.canvas.encode import png_decode
+
+        committed = Path(__file__).resolve().parents[1] / "artifacts" / "figure1.png"
+        pixels = png_decode(committed.read_bytes())
+        assert pixels.shape == (360, 640, 4)
