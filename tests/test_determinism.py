@@ -57,3 +57,26 @@ class TestDeterminism:
         a = build_world(StudyScale(fraction=0.01, seed=1))
         b = build_world(StudyScale(fraction=0.01, seed=2))
         assert set(a.plans) != set(b.plans)
+
+
+class TestGoldenDigest:
+    """The science of a reduced-scale study, pinned to one hash.
+
+    ``perfbench.gate.science_digest`` hashes every ``compare=True`` field of
+    :class:`~repro.core.pipeline.StudyResult`, so this test and the
+    benchmark's gate check the same thing.  A change that alters any
+    dataset, detection, attribution or table at this scale changes the
+    digest.
+    """
+
+    def test_scale_0_04_study_digest(self):
+        from perfbench.gate import science_digest
+
+        world = build_world(StudyScale(fraction=0.04, seed=20250504))
+        result = world.run_full_study(
+            include_adblock_crawls=True, include_cross_machine=True, jobs=1
+        )
+        assert (
+            science_digest(result)
+            == "ad439b6e0a88a2569467adcbfaad9a0d8427e09767c311b474ce7799087da019"
+        )
