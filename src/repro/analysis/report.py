@@ -349,7 +349,9 @@ def profile_table(result: StudyResult) -> str:
     lines = profile_text(rollup, top=5)
     measured = perf.layer_seconds(result.perf_counters)
     render_measured = sum(
-        seconds for layer, seconds in measured.items() if not layer.startswith("js.")
+        seconds
+        for layer, seconds in measured.items()
+        if not layer.startswith("js.") and layer != "gc"
     )
     sampled = {
         str(row.get("name")): float(row.get("seconds", 0.0))

@@ -330,7 +330,9 @@ def run_study(
     result.perf_counters = perf.diff_snapshots(perf_before, perf.PERF.snapshot())
     # Fold render-cache wins into the unified metrics, then window them:
     # StudyResult.metrics is the same delta the trace summary line carries.
+    # Collector time arrives as render_cache.gc.miss_seconds.
     obs_layer.absorb_perf(obs_layer.METRICS, result.perf_counters)
+    obs_layer.gauge("process.peak_rss_mb", perf.peak_rss_mb())
     result.metrics = obs_layer.diff_metric_snapshots(
         metrics_before, obs_layer.METRICS.snapshot()
     )

@@ -73,9 +73,14 @@ def main(argv=None) -> int:
         obs_dir=args.obs_dir,
     )
     cached = sum(1 for t in result.stage_timings if t.cached)
+    # Collector pauses of this process and every crawl worker, and the
+    # largest resident set among them: the costs that grow with the scale.
+    gc_s = result.perf_counters.get("gc", {}).get("miss_seconds", 0.0)
+    rss_mb = result.metrics["gauges"]["process.peak_rss_mb"]
     print(
         f"study finished in {time.time() - t0:.1f}s "
-        f"({cached}/{len(result.stage_timings)} stages from cache)\n",
+        f"({cached}/{len(result.stage_timings)} stages from cache; "
+        f"GC {gc_s:.1f}s, peak RSS {rss_mb:.0f} MB)\n",
         flush=True,
     )
     if result.profile.get("samples"):
