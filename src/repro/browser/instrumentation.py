@@ -9,11 +9,16 @@ and a virtual timestamp.
 
 from __future__ import annotations
 
+import re
 from typing import Any, List, Optional
 
 from repro.core.records import CanvasApiCall, CanvasExtraction, PropertyAccess
 
 __all__ = ["VirtualClock", "CanvasInstrument"]
+
+
+#: A UTF-16 surrogate pair: a high surrogate followed by a low one.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 def _pair_surrogates(text: str) -> str:
@@ -26,23 +31,18 @@ def _pair_surrogates(text: str) -> str:
     normalized here or a dataset would change when round-tripped through a
     checkpoint or cache file.  Lone surrogates are kept as-is; they survive
     JSON round-trips unchanged.
+
+    Every preview passes through here, whole ``toDataURL`` strings included,
+    so ASCII text (the common case) returns at once.
     """
-    if not any("\ud800" <= ch <= "\udbff" for ch in text):
+    if text.isascii():
         return text
-    out: List[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if "\ud800" <= ch <= "\udbff" and i + 1 < len(text):
-            low = text[i + 1]
-            if "\udc00" <= low <= "\udfff":
-                code = 0x10000 + ((ord(ch) - 0xD800) << 10) + (ord(low) - 0xDC00)
-                out.append(chr(code))
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _SURROGATE_PAIR.sub(_combine_pair, text)
+
+
+def _combine_pair(match: "re.Match[str]") -> str:
+    high, low = match.group()
+    return chr(0x10000 + ((ord(high) - 0xD800) << 10) + (ord(low) - 0xDC00))
 
 
 class VirtualClock:

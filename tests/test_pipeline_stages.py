@@ -186,3 +186,38 @@ class TestSurrogatePreviews:
             if isinstance(a, str)
         ]
         assert any("\N{SMILING FACE WITH OPEN MOUTH}" in t for t in texts)
+
+    def test_truncated_preview_counts_the_paired_text(self):
+        """The ``...<N chars>`` count is taken after pairing, even when the
+        pair sits past the 120-character cut."""
+        from repro.browser.instrumentation import CanvasInstrument
+
+        pair = "\ud83d\ude03"
+        preview = CanvasInstrument()._preview("a" * 130 + pair + "\ud83d" + "b" * 10)
+        assert preview == "a" * 120 + "...<142 chars>"
+        preview = CanvasInstrument()._preview(pair + "x" * 130)
+        assert preview == "\N{SMILING FACE WITH OPEN MOUTH}" + "x" * 119 + "...<131 chars>"
+
+    def test_pairing_matches_the_code_unit_loop(self):
+        from repro.browser.instrumentation import _pair_surrogates
+
+        def reference(text):
+            out, i = [], 0
+            while i < len(text):
+                ch = text[i]
+                if "\ud800" <= ch <= "\udbff" and i + 1 < len(text):
+                    low = text[i + 1]
+                    if "\udc00" <= low <= "\udfff":
+                        out.append(chr(0x10000 + ((ord(ch) - 0xD800) << 10) + (ord(low) - 0xDC00)))
+                        i += 2
+                        continue
+                out.append(ch)
+                i += 1
+            return "".join(out)
+
+        high, low, astral = "\ud83d", "\ude03", "\U0001F603"
+        cases = ["", "plain", "é", astral, high, low, high + low, low + high, high + high + low,
+                 high + low + low, "x" + high, "é" + high + low + "é" + low + high,
+                 astral + high + low]
+        for text in cases:
+            assert _pair_surrogates(text) == reference(text), repr(text)
