@@ -245,6 +245,18 @@ class JSCanvasElement(DOMElement):
         self.canvas_id = canvas_id
         self._js_context: Optional[JSContext2D] = None
 
+    def close(self) -> None:
+        """Drop this element's reference cycles (see :meth:`Page.close`).
+
+        The element and its 2D binding point at each other, the binding's
+        cached methods close over the binding, and the software canvas and
+        its context point at each other.
+        """
+        if self._js_context is not None:
+            self._js_context._method_cache.clear()
+            self._js_context = None
+        self.impl.close()
+
     # -- JS surface -------------------------------------------------------------------
 
     def get(self, name: str) -> Any:

@@ -81,6 +81,14 @@ class HTMLCanvasElement:
             self._context = CanvasRenderingContext2D(self, self.device)
         return self._context
 
+    def close(self) -> None:
+        """Detach the 2D context, which points back at this element.
+
+        Called once the page is done; the canvas is never drawn or read
+        after, so its surface and paths die by reference count.
+        """
+        self._context = None
+
     # -- extraction -----------------------------------------------------------------------
 
     def read_pixels(self) -> np.ndarray:

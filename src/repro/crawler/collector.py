@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Optional
 
 from repro.browser.browser import Browser, Page
@@ -56,8 +57,27 @@ class CanvasCollector:
             )
 
     def _collect(self, domain: str, rank: int, population: str) -> SiteObservation:
+        # Each page is closed as soon as the observation has copied what it
+        # needs, so its realm dies by reference count (see Page.close).
         url = URL("https", domain)
-        page = self.browser.load(url)
+        with closing(self.browser.load(url)) as page:
+            observation = self._observe(domain, rank, population, page)
+        if not observation.success:
+            return observation
+
+        for path in self.inner_paths:
+            with closing(self.browser.load(url.with_path(path))) as inner:
+                if not inner.ok:
+                    # Most sites have no such page — but keep the miss visible.
+                    observation.inner_page_failures += 1
+                    continue
+                self.autoconsent.handle(inner)
+                self.behavior.simulate(inner)
+                self._merge(observation, inner)
+        return observation
+
+    def _observe(self, domain: str, rank: int, population: str, page: Page) -> SiteObservation:
+        """The homepage's observation: failed, or consented, scrolled and assembled."""
         if not page.ok:
             return self._failed(domain, rank, population, self._failure_reason(page), page)
 
@@ -74,18 +94,7 @@ class CanvasCollector:
         if reason is not None:
             return self._failed(domain, rank, population, reason, page)
 
-        observation = self._assemble(domain, rank, population, page)
-
-        for path in self.inner_paths:
-            inner = self.browser.load(url.with_path(path))
-            if not inner.ok:
-                # Most sites have no such page — but keep the miss visible.
-                observation.inner_page_failures += 1
-                continue
-            self.autoconsent.handle(inner)
-            self.behavior.simulate(inner)
-            self._merge(observation, inner)
-        return observation
+        return self._assemble(domain, rank, population, page)
 
     @staticmethod
     def _failed(

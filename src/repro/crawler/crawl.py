@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -32,6 +33,15 @@ __all__ = [
 #: the dataset self-accounting: every planned site appears as crawled,
 #: failed, or quarantined — never silently missing.
 QUARANTINE_PREFIX = "quarantined:"
+
+#: Cyclic-collector thresholds while :func:`run_crawl` loops.  The collector
+#: closes every page it loads, so page realms die by reference count and a
+#: collection finds almost no page garbage: at the default (700, 10, 10) the
+#: crawl still paid for hundreds of young collections per second, and for a
+#: full collection, which re-walks the compiled-script cache, each time the
+#: heap grew by a quarter.  Chosen by measurement (docs/performance.md,
+#: "Page lifecycle").
+_CRAWL_GC_THRESHOLD = (50_000, 20, 100)
 
 
 @dataclass(frozen=True)
@@ -190,7 +200,10 @@ def run_crawl(
 
     The same browser instance is reused across sites, but each page load
     gets a fresh JS realm — matching how the real collector isolates page
-    contexts within one browser process.
+    contexts within one browser process.  The collector closes each page
+    once observed, and the loop runs under the cyclic collector's
+    :data:`_CRAWL_GC_THRESHOLD`, restoring the previous thresholds however
+    it ends.
 
     Resilience knobs (all optional, all off by default):
 
@@ -231,17 +244,22 @@ def run_crawl(
     # is observable and deterministic without any wall-clock sleeping.
     backoff_clock = VirtualClock()
 
-    for index, target in enumerate(targets):
-        if target.domain in done:
-            continue
-        observation = collect_with_retries(
-            collector, target, policy=retry_policy, clock=backoff_clock, label=label
-        )
-        dataset.observations.append(observation)
-        if checkpoint is not None:
-            checkpoint.write(observation)
-        if progress is not None:
-            progress(index, observation)
+    saved_threshold = gc.get_threshold()
+    gc.set_threshold(*_CRAWL_GC_THRESHOLD)
+    try:
+        for index, target in enumerate(targets):
+            if target.domain in done:
+                continue
+            observation = collect_with_retries(
+                collector, target, policy=retry_policy, clock=backoff_clock, label=label
+            )
+            dataset.observations.append(observation)
+            if checkpoint is not None:
+                checkpoint.write(observation)
+            if progress is not None:
+                progress(index, observation)
+    finally:
+        gc.set_threshold(*saved_threshold)
     return dataset
 
 

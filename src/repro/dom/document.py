@@ -66,6 +66,18 @@ class Document(JSObject):
     def record_click(self, element: DOMElement) -> None:
         self.clicks.append(element)
 
+    def close(self) -> None:
+        """Drop the tree's back-links so the page's DOM dies by reference count.
+
+        Every element points at this document and at its parent, and the
+        document points down at them; afterwards only the downward links
+        remain.  The canvas factory closes over the page, so it goes too.
+        """
+        self.canvas_factory = None
+        for element in self.document_element.iter_tree():
+            element.document = None
+            element.parent = None
+
     # -- JS property surface -------------------------------------------------------------
 
     def get(self, name: str) -> Any:

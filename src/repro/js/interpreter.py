@@ -89,6 +89,18 @@ class Interpreter:
         finally:
             perf.PERF.add_time("js.exec", time.perf_counter() - started)
 
+    def close(self) -> None:
+        """Release the realm once its page is done; nothing runs on it after.
+
+        The runtime points back at the interpreter, and builtins such as
+        ``console.log`` close over it from inside :attr:`globals`, so an open
+        realm is a reference cycle.  Emptying the globals and unlinking the
+        runtime leave every host object and function of the realm to die by
+        reference count.
+        """
+        self.globals.clear()
+        self._rt.interp = None
+
     def call_function(self, fn: Any, this: Any = None, args: Optional[List[Any]] = None) -> Any:
         """Invoke a JS or native function from host code."""
         return self._call(fn, this if this is not None else UNDEFINED, list(args or []), line=0)
