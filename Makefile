@@ -20,7 +20,7 @@ study-full:
 	python -m repro.experiments --scale 1.0
 
 # Regenerate artifacts/ byte-for-byte (CI job `artifacts` diffs a fresh
-# copy); 183 s on a shared 2-vCPU VM.
+# copy); 134 s on a shared 2-vCPU VM.
 artifacts:
 	python -m repro.experiments --scale 1.0 --jobs 2 --artifacts artifacts/
 
