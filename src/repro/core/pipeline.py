@@ -99,20 +99,27 @@ def harvest_vendor_signatures(
 
     detector = FingerprintDetector()
     collector = CanvasCollector(Browser(network, BrowserProfile(device=device)))
+    injector = getattr(network, "injector", None)
     signatures: List[VendorSignature] = []
+
+    def visit(domain: str):
+        # A fresh fault clock per visit, as the crawl loop starts one per settle.
+        if injector is not None:
+            injector.new_visit()
+        return collector.collect(domain, rank=0, population="top")
 
     for vendor in knowledge:
         hashes: Set[str] = set()
 
         if vendor.demo_url is not None:
             url = URL.parse(vendor.demo_url)
-            obs = collector.collect(url.host, rank=0, population="top")
+            obs = visit(url.host)
             outcome = detector.detect(obs)
             hashes |= {e.canvas_hash for e in outcome.fingerprintable}
 
         if not hashes and vendor.known_customers and vendor.script_pattern:
             for customer in vendor.known_customers:
-                obs = collector.collect(customer, rank=0, population="top")
+                obs = visit(customer)
                 outcome = detector.detect(obs)
                 for extraction in outcome.fingerprintable:
                     # Always confirmed with the script pattern (A.3): the

@@ -243,6 +243,7 @@ def run_crawl(
     # Crawl-level virtual clock: backoff delays advance it, so retry timing
     # is observable and deterministic without any wall-clock sleeping.
     backoff_clock = VirtualClock()
+    injector = getattr(network, "injector", None)
 
     saved_threshold = gc.get_threshold()
     gc.set_threshold(*_CRAWL_GC_THRESHOLD)
@@ -250,6 +251,9 @@ def run_crawl(
         for index, target in enumerate(targets):
             if target.domain in done:
                 continue
+            if injector is not None:
+                # Each settle starts a fresh fault clock (see FaultInjector).
+                injector.new_visit()
             observation = collect_with_retries(
                 collector, target, policy=retry_policy, clock=backoff_clock, label=label
             )

@@ -10,9 +10,11 @@ identical to a serial one.
 
 Why this is safe: every page load runs in a fresh JS realm against a
 stateless synthetic network, and fault injection
-(:class:`~repro.net.faults.FaultInjector`) is keyed by ``(seed, url)``
-rather than draw order.  Shard membership therefore cannot change what any
-site observes, only *when* it is visited.
+(:class:`~repro.net.faults.FaultInjector`) is keyed by ``(seed, url)`` and
+counted per visit: the crawl loop starts a fresh fault clock for every
+settle, so a forked worker's inherited clock and the other sites in its
+shard never reach the faults a site sees.  Shard membership therefore cannot
+change what any site observes, only *when* it is visited.
 
 * :func:`plan_shards` — deterministic round-robin split (shard ``i`` takes
   ``targets[i::n]``), so top/tail populations stay balanced across shards;

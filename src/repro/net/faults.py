@@ -9,11 +9,15 @@ targets per population despite them).
 
 :class:`FaultInjector` decides, purely as a function of ``(seed, url)``,
 whether a URL is afflicted, with which fault kind, and for how many
-consecutive fetch attempts.  Because the schedule is keyed by URL rather
-than by draw order, the same seed yields the identical fault schedule no
-matter how many retries interleave — which makes robustness *testable*:
-a crawl with retries enabled must recover the exact success set of a
-fault-free crawl.
+consecutive fetch attempts.  The attempts are counted per *visit*: a crawl
+starts a fresh fault clock (:meth:`FaultInjector.new_visit`) before it
+settles each site under each profile, retries included.  What a visit sees
+is then a function of ``(seed, url, attempt within the visit)`` alone — not
+of draw order, of which process makes the visit, or of what that process
+fetched before — so the same seed yields the identical faults in a serial
+crawl, a recrawl and a sharded one.  That makes robustness *testable*: a
+crawl with retries enabled must recover the exact success set of a
+fault-free crawl, and a faulted study must not depend on its worker count.
 
 :class:`FaultyNetwork` wraps any :class:`~repro.net.server.Network` and
 applies the schedule at ``fetch`` time; everything else (DNS, servers,
@@ -115,12 +119,13 @@ class FaultSchedule:
 
 
 class FaultInjector:
-    """Seeded, order-independent fault scheduler."""
+    """Seeded fault scheduler; its clock counts the attempts of one visit."""
 
     def __init__(self, config: FaultConfig, seed: int = 0) -> None:
         self.config = config
         self.seed = seed
-        #: url -> fetch attempts seen so far (the per-URL fault clock).
+        #: url -> fetch attempts in the current visit (the per-URL fault
+        #: clock; :meth:`new_visit` resets it).
         self._attempts: Dict[str, int] = {}
         #: kind -> number of faults actually injected.
         self.injected: Dict[str, int] = {}
@@ -138,6 +143,16 @@ class FaultInjector:
             return None
         kind = rng.choices(kinds, weights=weights, k=1)[0]
         return FaultSchedule(kind=kind, fail_attempts=rng.randint(1, self.config.max_consecutive))
+
+    def new_visit(self) -> None:
+        """Start a fresh fault clock: every URL's next fetch is its first attempt.
+
+        Called before each settle (one site under one profile, all of its
+        attempts), so a URL's faults never depend on an earlier visit to a
+        site that shares it, on an earlier crawl in the same process, or on
+        the clock a forked worker inherited.
+        """
+        self._attempts.clear()
 
     def next_fault(self, url: str, resource_type: ResourceType) -> Optional[str]:
         """Advance the URL's attempt counter; return the fault kind to apply now."""
