@@ -403,28 +403,28 @@ def validate_cross_machine(
 ) -> bool:
     """§3.1's validation, generalized to any device fleet.
 
-    Recrawl the targets on every device profile and check that the
-    canvas-equality site groupings agree across all of them — even though
+    Recrawl the targets on every device profile — one site-major crawl,
+    each site loaded on every device back to back — and check that the
+    canvas-equality site groupings agree across all of them, even though
     each device renders the canvases to different bytes.
     """
     detector = detector or FingerprintDetector()
+    if len(devices) < 2:
+        raise ValueError("cross-machine validation needs at least two devices")
+    datasets = run_sharded_crawl(
+        network,
+        targets,
+        retry_policy=retry_policy,
+        page_budget=page_budget,
+        execution=execution,
+        profiles=tuple((device.name, BrowserProfile(device=device)) for device in devices),
+    )
 
-    def grouping(device: DeviceProfile) -> Tuple[Tuple[str, ...], ...]:
-        dataset = run_sharded_crawl(
-            network,
-            targets,
-            BrowserProfile(device=device),
-            label=device.name,
-            retry_policy=retry_policy,
-            page_budget=page_budget,
-            execution=execution,
-        )
+    def grouping(dataset: CrawlDataset) -> Tuple[Tuple[str, ...], ...]:
         outcomes = detector.detect_all(dataset.successful())
         clusters = cluster_canvases(outcomes, dataset.populations())
         groups = [tuple(sorted(c.all_sites())) for c in clusters.values() if c.all_sites()]
         return tuple(sorted(groups))
 
-    if len(devices) < 2:
-        raise ValueError("cross-machine validation needs at least two devices")
-    reference = grouping(devices[0])
-    return all(grouping(device) == reference for device in devices[1:])
+    reference = grouping(datasets[devices[0].name])
+    return all(grouping(datasets[device.name]) == reference for device in devices[1:])

@@ -1,17 +1,22 @@
 """Topological stage-graph runner with content-addressed skipping.
 
-:class:`StageGraph` validates a set of stages (unique names, declared
-inputs resolvable, no cycles), derives a deterministic topological order,
-and executes stages in that order.  For every stage it:
+:class:`StageGraph` validates a set of stages (unique stage and artifact
+names, declared inputs resolvable, no cycles), derives a deterministic
+topological order, and executes stages in that order.  For every stage it:
 
-1. computes the content-addressed cache key (config + chained input keys);
-2. if a :class:`~repro.core.stages.cache.StageCache` is attached and the
-   key resolves, loads the artifact and *skips the stage entirely*;
-3. otherwise runs the stage, persists the artifact under its key, and
-   records wall-clock timing either way.
+1. computes the content-addressed cache key of each output the run needs
+   (config + chained input keys);
+2. if a :class:`~repro.core.stages.cache.StageCache` is attached, loads
+   every output whose key resolves; a stage whose outputs all resolve is
+   *skipped entirely*;
+3. otherwise runs the stage for the outputs that missed (a multi-output
+   stage produces only those), persists each under its key, and records
+   wall-clock timing either way.
 
-``execute(only=...)`` restricts the run to the requested stages plus their
-transitive dependencies — the substrate for ``--stage`` CLI flags.
+``execute(only=...)`` restricts the run to the requested artifacts (or
+stages) plus their transitive dependencies — the substrate for ``--stage``
+CLI flags.  Selection works per artifact: asking for one output of a
+multi-output stage runs that stage for that output alone.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro import obs, perf
 from repro.core.stages.cache import StageCache
+from repro.core.stages.fingerprint import stable_hash
 from repro.core.stages.stage import Stage, StageTiming
 
 __all__ = ["StageGraph", "StageGraphError", "GraphRun"]
@@ -36,6 +42,7 @@ class GraphRun:
     """Everything one graph execution produced."""
 
     artifacts: Dict[str, Any] = field(default_factory=dict)
+    #: Cache key per artifact.
     keys: Dict[str, str] = field(default_factory=dict)
     timings: List[StageTiming] = field(default_factory=list)
 
@@ -54,13 +61,19 @@ class StageGraph:
     def __init__(self, stages: Sequence[Stage], cache: Optional[StageCache] = None) -> None:
         self.cache = cache
         self.stages: Dict[str, Stage] = {}
+        #: artifact name -> the stage producing it.
+        self.producers: Dict[str, Stage] = {}
         for stage in stages:
             if stage.name in self.stages:
                 raise StageGraphError(f"duplicate stage name {stage.name!r}")
             self.stages[stage.name] = stage
+            for output in stage.produces:
+                if output in self.producers:
+                    raise StageGraphError(f"duplicate artifact name {output!r}")
+                self.producers[output] = stage
         for stage in stages:
             for dep in stage.inputs:
-                if dep not in self.stages:
+                if dep not in self.producers:
                     raise StageGraphError(
                         f"stage {stage.name!r} consumes unknown artifact {dep!r}"
                     )
@@ -68,7 +81,10 @@ class StageGraph:
 
     def _topological_order(self) -> List[Stage]:
         """Kahn's algorithm, deterministic: ready stages run in insertion order."""
-        pending = {name: set(stage.inputs) for name, stage in self.stages.items()}
+        pending = {
+            name: {self.producers[dep].name for dep in stage.inputs}
+            for name, stage in self.stages.items()
+        }
         order: List[Stage] = []
         while pending:
             ready = [name for name, deps in pending.items() if not deps]
@@ -83,44 +99,67 @@ class StageGraph:
         return order
 
     def required(self, wanted: Sequence[str]) -> Set[str]:
-        """``wanted`` stages plus every transitive dependency."""
+        """The artifacts of ``wanted`` (artifact or stage names) plus every
+        transitive dependency."""
         needed: Set[str] = set()
-        frontier = list(wanted)
+        frontier: List[str] = []
+        for name in wanted:
+            if name in self.producers:
+                frontier.append(name)
+            elif name in self.stages:
+                frontier.extend(self.stages[name].produces)
+            else:
+                raise StageGraphError(
+                    f"unknown stage {name!r}; known: {sorted(self.producers)}"
+                )
         while frontier:
             name = frontier.pop()
             if name in needed:
                 continue
-            if name not in self.stages:
-                raise StageGraphError(
-                    f"unknown stage {name!r}; known: {sorted(self.stages)}"
-                )
             needed.add(name)
-            frontier.extend(self.stages[name].inputs)
+            frontier.extend(self.producers[name].inputs)
         return needed
+
+    def keys(self, ctx: Any) -> Dict[str, str]:
+        """The cache key of every artifact, without running anything."""
+        keys: Dict[str, str] = {}
+        for stage in self.order:
+            for output in stage.produces:
+                keys[output] = stage.cache_key(ctx, keys, output)
+        return keys
 
     def execute(self, ctx: Any, only: Optional[Sequence[str]] = None) -> GraphRun:
         """Run the graph (or the closure of ``only``) over a context."""
-        selected = self.required(only) if only is not None else set(self.stages)
+        selected = self.required(only) if only is not None else set(self.producers)
         run = GraphRun()
         for stage in self.order:
-            if stage.name not in selected:
+            wanted = [output for output in stage.produces if output in selected]
+            if not wanted:
                 continue
             started = time.perf_counter()
             perf_before = perf.PERF.snapshot()
-            key = stage.cache_key(ctx, run.keys)
-            run.keys[stage.name] = key
-            cached = False
-            value: Any = None
+            keys = {output: stage.cache_key(ctx, run.keys, output) for output in wanted}
+            run.keys.update(keys)
+            key = keys[stage.name] if stage.produces == (stage.name,) else stable_hash(keys)
+            values: Dict[str, Any] = {}
             with obs.span(f"stage.{stage.name}", key=key) as stage_span:
                 if self.cache is not None:
-                    cached, value = self.cache.get(stage.name, key, stage.artifact)
-                if not cached:
+                    for output, output_key in keys.items():
+                        hit, value = self.cache.get(output, output_key, stage.artifact)
+                        if hit:
+                            values[output] = value
+                missing = {output: k for output, k in keys.items() if output not in values}
+                if missing:
                     inputs = {name: run.artifacts[name] for name in stage.inputs}
-                    value = stage.run(ctx, inputs)
-                    if self.cache is not None:
-                        self.cache.put(stage.name, key, value, stage.artifact)
+                    produced = stage.run_outputs(ctx, inputs, missing)
+                    for output, output_key in missing.items():
+                        values[output] = produced[output]
+                        if self.cache is not None:
+                            self.cache.put(output, output_key, produced[output], stage.artifact)
+                cached = not missing
                 stage_span.set_attr("cached", cached)
-            run.artifacts[stage.name] = value
+            for output in wanted:
+                run.artifacts[output] = values[output]
             seconds = time.perf_counter() - started
             # The gauge carries the same float as StageTiming.seconds, so
             # `repro.obs summary` and StudyResult agree exactly per stage.
@@ -134,13 +173,16 @@ class StageGraph:
             # crawls merge worker snapshots before this point, so parallel
             # stages are covered too).
             perf_delta = perf.diff_snapshots(perf_before, perf.PERF.snapshot())
+            details: Dict[str, Any] = {"perf": perf_delta} if perf_delta else {}
+            if stage.outputs:
+                details["ran"] = sorted(missing)
             run.timings.append(
                 StageTiming(
                     name=stage.name,
                     seconds=seconds,
                     cached=cached,
                     key=key,
-                    details={"perf": perf_delta} if perf_delta else {},
+                    details=details,
                 )
             )
         return run

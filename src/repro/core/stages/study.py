@@ -1,11 +1,12 @@
 """The paper's methodology decomposed into typed, cacheable stages.
 
-Each monolith step of the old ``run_study`` becomes one :class:`Stage`:
+Each monolith step of the old ``run_study`` becomes one :class:`Stage`;
+the crawl is one stage with one output per browser profile:
 
 =================  ==========================================  ==========
-stage              produces                                    paper
+artifact           produces                                    paper
 =================  ==========================================  ==========
-crawl.control      control :class:`CrawlDataset`               §3.1
+crawl.control      control :class:`CrawlDataset` (``crawl``)   §3.1
 reduce             :class:`AnalysisBundle` over the control    §3.2-§4.2
 detect             ``{domain: DetectionOutcome}``              §3.2
 cluster            ``{hash: CanvasCluster}``                   §4.2
@@ -15,16 +16,18 @@ signatures         vendor :class:`VendorSignature` list        A.3
 attribution        attributions + vendor count tables          §4.3
 blocklist_context  :class:`BlocklistContext` (conditional)     §5.1
 serving_context    :class:`ServingContext`                     §5.2
-crawl.abp          Adblock Plus :class:`CrawlDataset`          Table 2
-crawl.ubo          uBlock Origin :class:`CrawlDataset`         Table 2
+crawl.abp          Adblock Plus dataset (``crawl``)            Table 2
+crawl.ubo          uBlock Origin dataset (``crawl``)           Table 2
 adblock_rows       ``(AdblockImpact, ...)``                    Table 2
 cross_machine      bool consistency verdict (conditional)      §3.1
 =================  ==========================================  ==========
 
-Crawl stages run through :func:`~repro.crawler.shards.run_sharded_crawl`,
-so the :class:`~repro.crawler.shards.ExecutionConfig` in the
-:class:`StudyContext` parallelizes them — deliberately *outside* every
-cache key, because how a crawl executes cannot change the artifact.
+The ``crawl`` stage runs through
+:func:`~repro.crawler.shards.run_sharded_crawl`, site-major over the
+profiles whose outputs missed the cache, so the
+:class:`~repro.crawler.shards.ExecutionConfig` in the :class:`StudyContext`
+parallelizes it — deliberately *outside* every cache key, because how a
+crawl executes cannot change the artifact.
 
 The observation-heavy analyses (detection, clustering, prevalence, reach,
 render-twice) flow through one :class:`ReduceStage`, which folds the merged
@@ -175,46 +178,63 @@ def control_bundle_spec(ctx: StudyContext) -> BundleSpec:
 
 
 class CrawlStage(Stage):
-    """A sharded (optionally parallel, checkpointed) crawl of the target list."""
+    """One site-major crawl of the target list under the study's profiles.
 
+    Each output is one profile's :class:`CrawlDataset` — ``crawl.control``,
+    then ``crawl.abp`` and ``crawl.ubo`` when the study recrawls under the
+    ad blockers — cached under its own key, the same key the output's
+    separate crawl stage had.  The stage crawls only the outputs the cache
+    missed, loading each site under each of their profiles back to back
+    (control first), so the recrawls find the site's scripts compiled and
+    its canvases rendered at any scale and any worker count.  The crawl is
+    sharded, optionally parallel and checkpointed.
+    """
+
+    name = "crawl"
     artifact = "dataset"
 
-    def __init__(self, name: str, profile_attr: str, label: str) -> None:
-        self.name = name
-        self._profile_attr = profile_attr
-        self.label = label
+    def __init__(self, outputs: Sequence[str]) -> None:
+        self.outputs = tuple(outputs)
 
-    def _profile(self, ctx: StudyContext) -> BrowserProfile:
-        return getattr(ctx, self._profile_attr)()
+    @staticmethod
+    def _label(output: str) -> str:
+        return output.split(".", 1)[1]
 
-    def config_fingerprint(self, ctx: StudyContext) -> Any:
+    def _profile(self, ctx: StudyContext, output: str) -> BrowserProfile:
+        return getattr(ctx, f"{self._label(output)}_profile")()
+
+    def output_fingerprint(self, ctx: StudyContext, output: str) -> Any:
         return {
             "network": ctx.network_fingerprint(),
             "targets": fingerprint_targets(ctx.targets),
-            "profile": fingerprint_profile(self._profile(ctx)),
-            "label": self.label,
+            "profile": fingerprint_profile(self._profile(ctx, output)),
+            "label": self._label(output),
             "retry": fingerprint_policy(ctx.retry_policy),
             "budget": fingerprint_policy(ctx.page_budget),
         }
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run_outputs(
+        self, ctx: StudyContext, inputs: Dict[str, Any], keys: Dict[str, str]
+    ) -> Dict[str, Any]:
         checkpoint_dir = None
         if ctx.checkpoint_dir is not None:
-            # Namespace shard checkpoints by config so two crawls that share
-            # a label but differ in targets/profile/network never resume
-            # from each other's partials.
-            namespace = stable_hash(self.config_fingerprint(ctx))[:16]
-            checkpoint_dir = Path(ctx.checkpoint_dir) / namespace
-        return run_sharded_crawl(
+            # Namespace shard checkpoints by the keys being crawled, so two
+            # crawls that share a label but differ in targets, profiles,
+            # network or profile set never resume from each other's partials.
+            checkpoint_dir = Path(ctx.checkpoint_dir) / stable_hash(keys)[:16]
+        outputs = [output for output in self.outputs if output in keys]
+        datasets = run_sharded_crawl(
             ctx.network,
             ctx.targets,
-            profile=self._profile(ctx),
-            label=self.label,
             checkpoint_dir=checkpoint_dir,
             retry_policy=ctx.retry_policy,
             page_budget=ctx.page_budget,
             execution=ctx.execution,
+            profiles=tuple(
+                (self._label(output), self._profile(ctx, output)) for output in outputs
+            ),
         )
+        return {output: datasets[self._label(output)] for output in outputs}
 
 
 class ReduceStage(Stage):
@@ -505,8 +525,11 @@ def build_study_graph(
     validation) are included exactly when the monolithic pipeline would have
     run them, so the graph's artifact set mirrors the old control flow.
     """
+    crawls = ["crawl.control"]
+    if ctx.wants_adblock_crawls:
+        crawls += ["crawl.abp", "crawl.ubo"]
     stages = [
-        CrawlStage("crawl.control", "control_profile", "control"),
+        CrawlStage(crawls),
         ReduceStage(),
         DetectStage(),
         ClusterStage(),
@@ -520,8 +543,6 @@ def build_study_graph(
     if ctx.wants_blocklist_context:
         stages.append(BlocklistContextStage())
     if ctx.wants_adblock_crawls:
-        stages.append(CrawlStage("crawl.abp", "abp_profile", "abp"))
-        stages.append(CrawlStage("crawl.ubo", "ubo_profile", "ubo"))
         stages.append(AdblockCompareStage())
     if ctx.include_cross_machine:
         stages.append(CrossMachineStage())

@@ -1,10 +1,11 @@
-"""Crawl orchestration over site lists: retries, checkpointing, resume."""
+"""Crawl orchestration over site lists: profile sets, retries, checkpointing, resume."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.browser.browser import Browser
 from repro.browser.instrumentation import VirtualClock
@@ -21,10 +22,13 @@ from repro.net.server import Network
 
 __all__ = [
     "QUARANTINE_PREFIX",
+    "ProfileSet",
     "CrawlTarget",
     "CrawlDataset",
     "CrawlHealth",
+    "crawl_profiles",
     "run_crawl",
+    "resume_crawls",
     "resume_crawl",
 ]
 
@@ -42,6 +46,11 @@ QUARANTINE_PREFIX = "quarantined:"
 #: heap grew by a quarter.  Chosen by measurement (docs/performance.md,
 #: "Page lifecycle").
 _CRAWL_GC_THRESHOLD = (50_000, 20, 100)
+
+#: An ordered profile set: ``(label, profile)`` pairs, control first.  A
+#: site-major crawl loads each site under every profile, in this order,
+#: before it moves on to the next site.
+ProfileSet = Tuple[Tuple[str, Optional[BrowserProfile]], ...]
 
 
 @dataclass(frozen=True)
@@ -183,6 +192,109 @@ class CrawlDataset:
         )
 
 
+def crawl_profiles(
+    network: Network,
+    targets: Iterable[CrawlTarget],
+    profiles: ProfileSet,
+    progress: Optional[Callable[[int, SiteObservation], None]] = None,
+    inner_paths: tuple = (),
+    retry_policy: Optional[RetryPolicy] = None,
+    page_budget: Optional[PageBudget] = None,
+    checkpoints: Optional[Mapping[str, Any]] = None,
+    resume_from: Optional[Mapping[str, CrawlDataset]] = None,
+    static_triage: Optional[bool] = None,
+) -> Dict[str, CrawlDataset]:
+    """Visit every target under every profile of ``profiles``, site-major.
+
+    The crawl loop: each site is loaded under every profile back to back,
+    in profile order, before the next site, so the later profiles find the
+    site's scripts compiled and its canvases rendered.  Every (site,
+    profile) visit settles through :func:`collect_with_retries` under its
+    own label with a fresh fault clock, so each label's dataset equals a
+    separate crawl under that profile alone.  Returns one dataset per label.
+
+    Each profile gets its own browser, reused across sites; every page load
+    gets a fresh JS realm — matching how the real collector isolates page
+    contexts within one browser process.  The collector closes each page
+    once observed, and the loop runs under the cyclic collector's
+    :data:`_CRAWL_GC_THRESHOLD`, restoring the previous thresholds however
+    it ends.
+
+    Resilience knobs (all optional, all off by default):
+
+    * ``retry_policy`` — retry transient failures with deterministic backoff;
+    * ``page_budget`` — per-page watchdog (virtual-time + JS step ceiling);
+    * ``checkpoints`` — per label, any object with ``write(observation)``;
+      called as each observation lands, so a killed crawl leaves a loadable
+      partial file (see :class:`repro.crawler.storage.CheckpointWriter`);
+    * ``resume_from`` — per label, a previously persisted (partial) dataset
+      whose domains are carried over verbatim and not re-visited under that
+      label.
+
+    When retries or fault injection are in play and no ``page_budget`` is
+    given, a default :class:`PageBudget` is installed: a slow-response fault
+    is pure virtual latency until a budget converts it into a ``timeout``,
+    so a robustness run without a watchdog would silently skip that whole
+    fault class.
+    """
+    labels = [label for label, _profile in profiles]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"profile labels must be unique, got {labels}")
+    if page_budget is None and (
+        retry_policy is not None or getattr(network, "injector", None) is not None
+    ):
+        page_budget = PageBudget()
+    collectors = {
+        label: CanvasCollector(
+            Browser(
+                network,
+                profile,
+                js_step_budget=page_budget.max_js_steps if page_budget else None,
+                static_triage=static_triage,
+            ),
+            inner_paths=inner_paths,
+            budget=page_budget,
+        )
+        for label, profile in profiles
+    }
+    datasets = {label: CrawlDataset(label=label) for label in labels}
+    done: Dict[str, set] = {label: set() for label in labels}
+    for label, prior in (resume_from or {}).items():
+        datasets[label].observations.extend(prior.observations)
+        done[label].update(observation.domain for observation in prior.observations)
+
+    # Per-label virtual clocks: backoff delays advance them, so retry timing
+    # is observable and deterministic without any wall-clock sleeping.
+    backoff_clocks = {label: VirtualClock() for label in labels}
+    injector = getattr(network, "injector", None)
+
+    saved_threshold = gc.get_threshold()
+    gc.set_threshold(*_CRAWL_GC_THRESHOLD)
+    try:
+        for index, target in enumerate(targets):
+            for label in labels:
+                if target.domain in done[label]:
+                    continue
+                if injector is not None:
+                    # Each settle starts a fresh fault clock (see FaultInjector).
+                    injector.new_visit()
+                observation = collect_with_retries(
+                    collectors[label],
+                    target,
+                    policy=retry_policy,
+                    clock=backoff_clocks[label],
+                    label=label,
+                )
+                datasets[label].observations.append(observation)
+                if checkpoints is not None:
+                    checkpoints[label].write(observation)
+                if progress is not None:
+                    progress(index, observation)
+    finally:
+        gc.set_threshold(*saved_threshold)
+    return datasets
+
+
 def run_crawl(
     network: Network,
     targets: Iterable[CrawlTarget],
@@ -198,73 +310,74 @@ def run_crawl(
 ) -> CrawlDataset:
     """Visit every target with one browser configuration.
 
-    The same browser instance is reused across sites, but each page load
-    gets a fresh JS realm — matching how the real collector isolates page
-    contexts within one browser process.  The collector closes each page
-    once observed, and the loop runs under the cyclic collector's
-    :data:`_CRAWL_GC_THRESHOLD`, restoring the previous thresholds however
-    it ends.
-
-    Resilience knobs (all optional, all off by default):
-
-    * ``retry_policy`` — retry transient failures with deterministic backoff;
-    * ``page_budget`` — per-page watchdog (virtual-time + JS step ceiling);
-    * ``checkpoint`` — any object with ``write(observation)``; called as each
-      observation lands, so a killed crawl leaves a loadable partial file
-      (see :class:`repro.crawler.storage.CheckpointWriter`);
-    * ``resume_from`` — a previously persisted (partial) dataset whose
-      domains are carried over verbatim and not re-visited.
-
-    When retries or fault injection are in play and no ``page_budget`` is
-    given, a default :class:`PageBudget` is installed: a slow-response fault
-    is pure virtual latency until a budget converts it into a ``timeout``,
-    so a robustness run without a watchdog would silently skip that whole
-    fault class.
+    The one-profile case of :func:`crawl_profiles`, whose knobs it takes
+    for the single ``label``.
     """
-    if page_budget is None and (
-        retry_policy is not None or getattr(network, "injector", None) is not None
-    ):
-        page_budget = PageBudget()
-    browser = Browser(
+    return crawl_profiles(
         network,
-        profile,
-        js_step_budget=page_budget.max_js_steps if page_budget else None,
+        targets,
+        ((label, profile),),
+        progress=progress,
+        inner_paths=inner_paths,
+        retry_policy=retry_policy,
+        page_budget=page_budget,
+        checkpoints=None if checkpoint is None else {label: checkpoint},
+        resume_from=None if resume_from is None else {label: resume_from},
         static_triage=static_triage,
-    )
-    collector = CanvasCollector(browser, inner_paths=inner_paths, budget=page_budget)
-    dataset = CrawlDataset(label=label)
+    )[label]
 
-    done = set()
-    if resume_from is not None:
-        for observation in resume_from.observations:
-            dataset.observations.append(observation)
-            done.add(observation.domain)
 
-    # Crawl-level virtual clock: backoff delays advance it, so retry timing
-    # is observable and deterministic without any wall-clock sleeping.
-    backoff_clock = VirtualClock()
-    injector = getattr(network, "injector", None)
+def resume_crawls(
+    network: Network,
+    targets: Iterable[CrawlTarget],
+    profiles: ProfileSet,
+    out_paths: Mapping[str, Any],
+    progress: Optional[Callable[[int, SiteObservation], None]] = None,
+    inner_paths: tuple = (),
+    retry_policy: Optional[RetryPolicy] = None,
+    page_budget: Optional[PageBudget] = None,
+    resume: bool = True,
+    static_triage: Optional[bool] = None,
+) -> Dict[str, CrawlDataset]:
+    """Run (or continue) a site-major crawl checkpointed to one file per label.
 
-    saved_threshold = gc.get_threshold()
-    gc.set_threshold(*_CRAWL_GC_THRESHOLD)
-    try:
-        for index, target in enumerate(targets):
-            if target.domain in done:
-                continue
-            if injector is not None:
-                # Each settle starts a fresh fault clock (see FaultInjector).
-                injector.new_visit()
-            observation = collect_with_retries(
-                collector, target, policy=retry_policy, clock=backoff_clock, label=label
+    Every observation is appended to ``<out_paths[label]>.partial`` as it
+    lands; on completion each partial is atomically promoted to its path.
+    With ``resume=True`` each label's existing partial (or finished) file is
+    loaded first and its domains are not visited again under that label, so
+    a crawl killed between two profiles of a site loads only the missing
+    (site, profile) pairs and completes into the datasets of an
+    uninterrupted run.  A failed crawl closes every file without promoting
+    it, keeping the partials for a later resume.
+    """
+    # Local import: storage depends on this module for CrawlDataset.
+    from repro.crawler import storage
+
+    priors = {}
+    if resume:
+        for label, _profile in profiles:
+            prior = storage.load_checkpoint(out_paths[label])
+            if prior is not None:
+                priors[label] = prior
+    with contextlib.ExitStack() as files:
+        writers = {
+            label: files.enter_context(
+                storage.CheckpointWriter(out_paths[label], label=label, resume=resume)
             )
-            dataset.observations.append(observation)
-            if checkpoint is not None:
-                checkpoint.write(observation)
-            if progress is not None:
-                progress(index, observation)
-    finally:
-        gc.set_threshold(*saved_threshold)
-    return dataset
+            for label, _profile in profiles
+        }
+        return crawl_profiles(
+            network,
+            targets,
+            profiles,
+            progress=progress,
+            inner_paths=inner_paths,
+            retry_policy=retry_policy,
+            page_budget=page_budget,
+            checkpoints=writers,
+            resume_from=priors,
+            static_triage=static_triage,
+        )
 
 
 def resume_crawl(
@@ -282,36 +395,23 @@ def resume_crawl(
 ) -> CrawlDataset:
     """Run (or continue) a checkpointed crawl persisted at ``out_path``.
 
-    Every observation is appended to ``<out_path>.partial`` as it lands; on
-    completion the partial is atomically promoted to ``out_path``.  With
-    ``resume=True`` an existing partial (or finished) file is loaded first
-    and its domains are skipped, so a crawl killed mid-run completes into a
-    dataset identical to an uninterrupted one.
+    The one-profile case of :func:`resume_crawls`: with ``resume=True`` a
+    crawl killed mid-run completes into a dataset identical to an
+    uninterrupted one, under the label its file was started with.
     """
-    # Local import: storage depends on this module for CrawlDataset.
     from repro.crawler import storage
 
-    prior = storage.load_checkpoint(out_path) if resume else None
-    if prior is not None:
-        label = prior.label
-    writer = storage.CheckpointWriter(out_path, label=label, resume=resume)
-    try:
-        dataset = run_crawl(
-            network,
-            targets,
-            profile=profile,
-            label=label,
-            progress=progress,
-            inner_paths=inner_paths,
-            retry_policy=retry_policy,
-            page_budget=page_budget,
-            checkpoint=writer,
-            resume_from=prior,
-            static_triage=static_triage,
-        )
-    except BaseException:
-        # Keep the partial file for a later --resume; never half-finalize.
-        writer.close()
-        raise
-    writer.finalize()
-    return dataset
+    if resume:
+        label = storage.checkpoint_label(out_path) or label
+    return resume_crawls(
+        network,
+        targets,
+        ((label, profile),),
+        {label: out_path},
+        progress=progress,
+        inner_paths=inner_paths,
+        retry_policy=retry_policy,
+        page_budget=page_budget,
+        resume=resume,
+        static_triage=static_triage,
+    )[label]

@@ -2,11 +2,12 @@
 
 The paper's crawl covers 40k homepages; a strictly serial visit loop leaves
 every core but one idle.  This module splits a target list into N
-deterministic shards, crawls each with its own checkpoint file (reusing the
-resume machinery of :mod:`repro.crawler.crawl` / :mod:`repro.crawler.storage`),
-then merges the shard datasets back into one :class:`CrawlDataset` in the
-original target order — so a parallel crawl is observation-for-observation
-identical to a serial one.
+deterministic shards, crawls each under the whole profile set (site-major,
+one checkpoint file per label, reusing the resume machinery of
+:mod:`repro.crawler.crawl` / :mod:`repro.crawler.storage`), then merges each
+label's shard datasets back into one :class:`CrawlDataset` in the original
+target order — so a parallel crawl is observation-for-observation identical
+to a serial one.
 
 Why this is safe: every page load runs in a fresh JS realm against a
 stateless synthetic network, and fault injection
@@ -27,13 +28,13 @@ change what any site observes, only *when* it is visited.
   poison-site quarantine, degraded-mode completion);
 * :func:`shard_worker` — the one worker body: a :class:`WorkerTask` in, a
   :class:`WorkerResult` out;
-* :func:`merge_shard_datasets` — reassemble one dataset in target order;
-  merged :class:`~repro.crawler.crawl.CrawlHealth` comes from the merged
-  dataset's own ``health()``.
+* :func:`merge_shard_datasets` — reassemble one label's dataset in target
+  order; merged :class:`~repro.crawler.crawl.CrawlHealth` comes from the
+  merged dataset's own ``health()``.
 
-A killed crawl leaves per-shard ``.partial`` checkpoints behind, and
-re-running with the same ``checkpoint_dir`` resumes every shard without
-re-visiting persisted domains.
+A killed crawl leaves per-shard, per-label ``.partial`` checkpoints behind,
+and re-running with the same ``checkpoint_dir`` resumes every shard without
+re-visiting a persisted (site, label) pair.
 """
 
 from __future__ import annotations
@@ -60,7 +61,13 @@ from repro import obs, perf
 from repro.browser.profile import BrowserProfile
 from repro.js import compiler
 from repro.core.records import SiteObservation
-from repro.crawler.crawl import CrawlDataset, CrawlTarget, resume_crawl, run_crawl
+from repro.crawler.crawl import (
+    CrawlDataset,
+    CrawlTarget,
+    ProfileSet,
+    crawl_profiles,
+    resume_crawls,
+)
 from repro.crawler.resilience import PageBudget, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (supervisor imports us)
@@ -111,8 +118,8 @@ class WorkerTask:
 
     network: Any
     targets: Tuple[CrawlTarget, ...]
-    profile: Optional[BrowserProfile]
-    label: str
+    #: The profile set the shard is crawled under, site-major.
+    profiles: ProfileSet
     retry_policy: Optional[RetryPolicy]
     page_budget: Optional[PageBudget]
     inner_paths: tuple
@@ -122,19 +129,23 @@ class WorkerTask:
     obs_config: obs.ObsConfig
     #: Trace lane of the shard (``shard-0003``; bisected: ``shard-0003.a``).
     lane: str
-    #: The shard's checkpoint file (``None``: crawl without one).
-    checkpoint: Optional[Path] = None
+    #: The shard's checkpoint file per label (``None``: crawl without them).
+    checkpoints: Optional[Dict[str, Path]] = None
     #: Where a worker process atomically pickles its :class:`WorkerResult`.
     result_path: Optional[Path] = None
+
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        return tuple(label for label, _profile in self.profiles)
 
 
 @dataclass(frozen=True)
 class WorkerResult:
     """What one worker task ships home, each part exactly once."""
 
-    #: Observations as JSON records — the checkpoint schema, so the parent
-    #: never depends on pickling in-flight collector objects.
-    records: List[Dict[str, Any]]
+    #: Observations as JSON records per label — the checkpoint schema, so
+    #: the parent never depends on pickling in-flight collector objects.
+    records: Dict[str, List[Dict[str, Any]]]
     #: Render/JS cache counters, as a delta from the task start.
     perf_delta: Dict[str, Dict[str, float]]
     #: Spans, metrics delta and profiler samples (:func:`repro.obs.worker_payload`).
@@ -199,7 +210,7 @@ def merge_shard_datasets(
 
 def _crawl_shard(
     task: WorkerTask, progress: Optional[Callable[[int, SiteObservation], None]] = None
-) -> CrawlDataset:
+) -> Dict[str, CrawlDataset]:
     """Crawl one shard in this process: prewarm, then a (checkpointed) crawl.
 
     Re-running the prewarm for a later shard finds the cache warm and
@@ -208,25 +219,30 @@ def _crawl_shard(
     execution = task.execution
     if execution.js_prewarm:
         compiler.prewarm(execution.js_prewarm)
-    with obs.span("crawl.shard", shard=task.lane, label=task.label, size=len(task.targets)):
+    with obs.span(
+        "crawl.shard", shard=task.lane, label=",".join(task.labels), size=len(task.targets)
+    ):
         kwargs = dict(
-            profile=task.profile,
-            label=task.label,
             progress=progress,
             inner_paths=task.inner_paths,
             retry_policy=task.retry_policy,
             page_budget=task.page_budget,
             static_triage=execution.static_triage,
         )
-        if task.checkpoint is not None:
-            return resume_crawl(
-                task.network, task.targets, task.checkpoint, resume=task.resume, **kwargs
+        if task.checkpoints is not None:
+            return resume_crawls(
+                task.network,
+                task.targets,
+                task.profiles,
+                task.checkpoints,
+                resume=task.resume,
+                **kwargs,
             )
-        return run_crawl(task.network, task.targets, **kwargs)
+        return crawl_profiles(task.network, task.targets, task.profiles, **kwargs)
 
 
 def shard_worker(task: WorkerTask) -> WorkerResult:
-    """The worker body: crawl one shard and ship its result home.
+    """The worker body: crawl one shard under its profile set, ship the result home.
 
     Installs the parent's render-cache and observability configs, starts the
     sampling profiler to match, crawls, and returns records plus perf and
@@ -245,9 +261,12 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
     metrics_before = obs.METRICS.snapshot()
     # Prewarm compiles land after the baseline snapshot: they ship with
     # this task's delta.
-    dataset = _crawl_shard(task)
+    datasets = _crawl_shard(task)
     result = WorkerResult(
-        records=[observation.to_json() for observation in dataset.observations],
+        records={
+            label: [observation.to_json() for observation in dataset.observations]
+            for label, dataset in datasets.items()
+        },
         perf_delta=perf.diff_snapshots(perf_before, perf.PERF.snapshot()),
         obs_payload=obs.worker_payload(metrics_before),
     )
@@ -272,9 +291,15 @@ def run_sharded_crawl(
     resume: bool = True,
     progress: Optional[Callable[[int, SiteObservation], None]] = None,
     execution: ExecutionConfig = ExecutionConfig(),
-) -> CrawlDataset:
+    profiles: Optional[ProfileSet] = None,
+) -> Union[CrawlDataset, Dict[str, CrawlDataset]]:
     """Crawl ``targets`` in shards and merge the shard datasets.
 
+    * ``profiles`` — an ordered ``(label, profile)`` set, control first:
+      every shard loads each of its sites under every profile back to back
+      (:func:`~repro.crawler.crawl.crawl_profiles`), and the call returns
+      ``{label: dataset}``.  Without it the crawl is the one-profile set
+      ``((label, profile),)`` and returns that label's dataset;
     * ``shards`` defaults to ``execution.jobs`` (more shards than jobs is
       allowed: workers drain the shard queue);
     * with ``execution.jobs == 1`` and no ``execution.supervisor`` the
@@ -282,17 +307,23 @@ def run_sharded_crawl(
       that calls ``progress``;
     * otherwise every shard runs in a supervised worker process
       (:mod:`repro.crawler.supervisor`): a worker that dies or falls silent
-      for ``liveness_deadline_s`` is re-dispatched from its checkpoint, and a
-      site that keeps killing workers is quarantined.  ``jobs > 1`` with no
-      supervisor config uses the default :class:`SupervisorConfig`;
-    * with a ``checkpoint_dir``, every shard checkpoints to its own file and
-      a killed run resumes from the per-shard partials, re-visiting nothing
-      that was persisted.  Supervised runs always checkpoint: without a
-      ``checkpoint_dir`` the files live in a private temporary directory.
+      for ``liveness_deadline_s`` is re-dispatched from its checkpoints, and
+      a site that keeps killing workers is quarantined.  ``jobs > 1`` with
+      no supervisor config uses the default :class:`SupervisorConfig`;
+    * with a ``checkpoint_dir``, every shard checkpoints to one file per
+      label and a killed run resumes from the per-shard partials,
+      re-visiting no (site, label) pair that was persisted.  Supervised runs
+      always checkpoint: without a ``checkpoint_dir`` the files live in a
+      private temporary directory.
 
-    The merged dataset equals a serial crawl of the same targets: identical
-    observations in identical order (see ``tests/crawler/test_shards.py``).
+    Each merged dataset equals a serial crawl of the same targets under its
+    profile alone: identical observations in identical order (see
+    ``tests/crawler/test_shards.py``).
     """
+    one_profile = profiles is None
+    if one_profile:
+        profiles = ((label, profile),)
+    labels = [name for name, _profile in profiles]
     jobs = max(1, execution.jobs)
     planned = plan_shards(targets, max(1, shards if shards is not None else jobs))
     supervised = jobs > 1 or execution.supervisor is not None
@@ -308,8 +339,7 @@ def run_sharded_crawl(
             WorkerTask(
                 network=network,
                 targets=tuple(shard),
-                profile=profile,
-                label=label,
+                profiles=profiles,
                 retry_policy=retry_policy,
                 page_budget=page_budget,
                 inner_paths=inner_paths,
@@ -318,7 +348,10 @@ def run_sharded_crawl(
                 perf_config=perf.current_config(),
                 obs_config=obs.config(),
                 lane=f"shard-{index:04d}",
-                checkpoint=shard_checkpoint_path(directory, label, index, len(planned))
+                checkpoints={
+                    name: shard_checkpoint_path(directory, name, index, len(planned))
+                    for name in labels
+                }
                 if directory is not None
                 else None,
             )
@@ -332,6 +365,11 @@ def run_sharded_crawl(
                 tasks, Path(directory), execution.supervisor or SupervisorConfig(), jobs
             )
         else:
-            shard_datasets = [_crawl_shard(task, progress) for task in tasks]
-    return merge_shard_datasets(label, targets, shard_datasets)
-
+            shard_datasets = {name: [] for name in labels}
+            for task in tasks:
+                for name, dataset in _crawl_shard(task, progress).items():
+                    shard_datasets[name].append(dataset)
+    merged = {
+        name: merge_shard_datasets(name, targets, shard_datasets[name]) for name in labels
+    }
+    return merged[label] if one_profile else merged

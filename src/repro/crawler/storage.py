@@ -45,6 +45,7 @@ __all__ = [
     "iter_observations",
     "CheckpointWriter",
     "checkpoint_path",
+    "checkpoint_label",
     "load_checkpoint",
     "fsync_directory",
     "save_artifact",
@@ -358,6 +359,16 @@ def load_checkpoint(path: Union[str, Path]) -> Optional[CrawlDataset]:
     if source == partial:
         return _load_tolerant(partial)
     return load_dataset(final)
+
+
+def checkpoint_label(path: Union[str, Path]) -> Optional[str]:
+    """The label of the file a resume at ``path`` would continue (None: no file).
+
+    Reads only the header line of the file :func:`load_checkpoint` would
+    load.
+    """
+    source = _resume_source(Path(path), checkpoint_path(path))
+    return None if source is None else dataset_label(source)
 
 
 # -- stage artifacts ---------------------------------------------------------------

@@ -8,8 +8,9 @@ an explicit :class:`SupervisorConfig`) therefore runs its shards in
 **supervised worker processes**:
 
 * liveness comes from checkpoint progress: a worker flushes one checkpoint
-  line per page, so the newest mtime of the shard's checkpoint (the
-  ``.partial`` file, then the promoted file) is its last sign of life;
+  line per page, so the newest mtime over the shard's checkpoints (one per
+  label: the ``.partial`` file, then the promoted file) is its last sign of
+  life;
 * the supervisor waits on the live workers' process sentinels (a finished
   worker is collected at once) and classifies each worker through a small
   state machine::
@@ -20,19 +21,25 @@ an explicit :class:`SupervisorConfig`) therefore runs its shards in
       healthy/suspect ──(no progress for deadline)──kill──>│ dead
       healthy/suspect ──(shard wall budget spent)─kill────>│
                                                            ▼
-                                        respawn (remainder, same checkpoint)
+                                        respawn (remainder, same checkpoints)
                                         or — after ``max_shard_crashes`` —
                                         bisect / quarantine
 
-* a dead worker's shard is **re-dispatched**: the remainder is computed from
-  the shard's checkpoint (everything flushed before the crash survives), so
-  each site is crawled exactly once across any number of respawns;
+* a site is **done** once it is persisted under every label of the shard's
+  profile set; the remainder, salvage and bisection all follow from that
+  rule;
+* a dead worker's shard is **re-dispatched**: the remainder is every site
+  not done (everything flushed before the crash survives, and the resume
+  skips each persisted (site, label) pair), so each pair is crawled exactly
+  once across any number of respawns;
 * a shard that kills its worker ``max_shard_crashes`` times is **bisected**:
-  its unfinished remainder is split in two sub-shards, recursively, until
-  the poison *site* is isolated in a single-site shard — which is then
-  **quarantined**: recorded in ``quarantine.jsonl`` (reason, crash count,
-  last signal) and represented in the merged dataset as a failed
-  observation with reason ``quarantined:<signal>``;
+  its done sites are salvaged and its remainder is split in two sub-shards,
+  recursively, each seeded with the pairs already persisted for its sites,
+  until the poison *site* is isolated in a single-site shard — which is then
+  **quarantined** under every label it has no observation for: recorded in
+  ``quarantine.jsonl`` (reason, crash count, last signal) and represented
+  in each label's merged dataset as a failed observation with reason
+  ``quarantined:<signal>``;
 * the study then completes in **degraded mode**: every planned site is
   accounted for as crawled, failed, or quarantined — prevalence and reach
   are computed over an explicitly-accounted site set, never a silently
@@ -54,13 +61,13 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs, perf
 from repro.core.records import SiteObservation
 from repro.crawler.crawl import QUARANTINE_PREFIX, CrawlDataset, CrawlTarget
 from repro.crawler.shards import WorkerTask, shard_worker
-from repro.crawler.storage import checkpoint_path, load_checkpoint
+from repro.crawler.storage import CheckpointWriter, checkpoint_path, load_checkpoint
 
 __all__ = [
     "SupervisorConfig",
@@ -218,11 +225,11 @@ class _ShardTask:
     shard_id: str
     work: WorkerTask
     crashes: int = 0
-    #: Domains whose page metrics the supervisor already credited
-    #: parent-side after a worker death (see ``_credit_orphan_metrics``) —
-    #: a task's checkpoint survives respawns, so a second death must not
-    #: re-count the rows credited at the first.
-    credited: Set[str] = field(default_factory=set)
+    #: (label, domain) pairs whose page metrics the supervisor already
+    #: credited parent-side after a worker death (see
+    #: ``_credit_orphan_metrics``) — a task's checkpoints survive respawns,
+    #: so a second death must not re-count the rows credited at the first.
+    credited: Set[Tuple[str, str]] = field(default_factory=set)
 
 
 class _WorkerHandle:
@@ -240,14 +247,15 @@ class _WorkerHandle:
         self.state = "healthy"  # healthy | suspect
 
     def last_sign_of_life(self) -> float:
-        """The newest checkpoint mtime (one line lands per page), or spawn time."""
-        checkpoint = self.task.work.checkpoint
-        for path in (checkpoint_path(checkpoint), checkpoint):
-            try:
-                self.last_seen = max(self.last_seen, os.stat(path).st_mtime)
-                break
-            except OSError:
-                continue
+        """The newest mtime over the shard's checkpoints (one line lands per
+        page), or spawn time."""
+        for checkpoint in self.task.work.checkpoints.values():
+            for path in (checkpoint_path(checkpoint), checkpoint):
+                try:
+                    self.last_seen = max(self.last_seen, os.stat(path).st_mtime)
+                    break
+                except OSError:
+                    continue
         return self.last_seen
 
 
@@ -293,9 +301,9 @@ def _credit_observation_metrics(observation: SiteObservation, label: str) -> Non
 class _Supervisor:
     """State for one supervised crawl: task queue, live workers, salvage pool."""
 
-    def __init__(self, label: str, config: SupervisorConfig, scratch: Path,
+    def __init__(self, labels: Sequence[str], config: SupervisorConfig, scratch: Path,
                  ledger: QuarantineLedger, jobs: int) -> None:
-        self.label = label
+        self.labels = tuple(labels)
         self.config = config
         self.scratch = scratch
         self.ledger = ledger
@@ -303,10 +311,12 @@ class _Supervisor:
         self.mp = _mp_context()
         self.pending: deque = deque()
         self.active: Dict[str, _WorkerHandle] = {}
-        self.datasets: List[CrawlDataset] = []
-        #: Observations salvaged from the checkpoints of abandoned (bisected
-        #: or exhausted) tasks, plus the quarantine failure rows.
-        self.salvaged: List[SiteObservation] = []
+        self.datasets: Dict[str, List[CrawlDataset]] = {label: [] for label in self.labels}
+        #: Per label, observations salvaged from the checkpoints of abandoned
+        #: (bisected or exhausted) tasks, plus the quarantine failure rows.
+        self.salvaged: Dict[str, List[SiteObservation]] = {
+            label: [] for label in self.labels
+        }
         self.quarantined: List[QuarantineRecord] = []
         self.respawns = 0
 
@@ -396,11 +406,10 @@ class _Supervisor:
         handle.result_path.unlink(missing_ok=True)
         perf.PERF.merge(result.perf_delta)
         obs.ingest_worker(result.obs_payload)
-        dataset = CrawlDataset(label=self.label)
-        dataset.observations.extend(
-            SiteObservation.from_json(record) for record in result.records
-        )
-        self.datasets.append(dataset)
+        for label, records in result.records.items():
+            dataset = CrawlDataset(label=label)
+            dataset.observations.extend(SiteObservation.from_json(record) for record in records)
+            self.datasets[label].append(dataset)
 
     # -- failure handling -----------------------------------------------------
 
@@ -424,32 +433,53 @@ class _Supervisor:
             crashes=task.crashes,
             remaining=len(task.work.targets),
         )
-        persisted = load_checkpoint(task.work.checkpoint)
+        persisted = {}
+        for label, path in task.work.checkpoints.items():
+            dataset = load_checkpoint(path)
+            persisted[label] = dataset.observations if dataset is not None else []
         self._credit_orphan_metrics(task, persisted)
-        done = {o.domain for o in persisted.observations} if persisted else set()
+        done = set.intersection(
+            *({observation.domain for observation in rows} for rows in persisted.values())
+        )
         remainder = [t for t in task.work.targets if t.domain not in done]
         if not remainder:
             # Died after the last page but before the result was promoted:
-            # the checkpoint has every observation — salvage it directly.
-            self.salvaged.extend(persisted.observations)
+            # the checkpoints have every observation — salvage them directly.
+            self._salvage(persisted)
             return
         if task.crashes < self.config.max_shard_crashes:
-            # Plain respawn: same checkpoint, same target list — the resume
-            # machinery skips persisted domains, so the remainder is crawled
-            # exactly once and the completed dataset carries everything.
+            # Plain respawn: same checkpoints, same target list — the resume
+            # machinery skips persisted (site, label) pairs, so the remainder
+            # is crawled exactly once and the completed datasets carry
+            # everything.
             self.pending.append(task)
             return
-        # Poisonous shard: salvage what it persisted, then bisect or
-        # quarantine the remainder.
-        if persisted is not None:
-            self.salvaged.extend(persisted.observations)
+        # Poisonous shard: salvage its done sites, then quarantine or bisect
+        # the remainder.
         if len(remainder) == 1:
-            self._quarantine(task, remainder[0], signal)
+            self._salvage(persisted)
+            self._quarantine(task, remainder[0], signal, persisted)
             return
+        self._salvage(persisted, done)
         obs.inc("supervisor.splits")
         mid = (len(remainder) + 1) // 2
         for suffix, part in (("a", remainder[:mid]), ("b", remainder[mid:])):
             sub_id = f"{task.shard_id}.{suffix}"
+            checkpoints = {
+                label: self.scratch / f"{label}.shard-{sub_id}.jsonl" for label in self.labels
+            }
+            # Seed each sub-shard with the pairs already persisted for its
+            # sites, so its resume visits only the missing ones.
+            domains = {target.domain for target in part}
+            seeded = set()
+            for label, path in checkpoints.items():
+                rows = [o for o in persisted[label] if o.domain in domains]
+                if rows:
+                    writer = CheckpointWriter(path, label=label)
+                    for observation in rows:
+                        writer.write(observation)
+                    writer.close()
+                    seeded.update((label, observation.domain) for observation in rows)
             self.pending.append(
                 _ShardTask(
                     shard_id=sub_id,
@@ -457,71 +487,94 @@ class _Supervisor:
                         task.work,
                         targets=tuple(part),
                         lane=f"shard-{sub_id}",
-                        checkpoint=self.scratch / f"{self.label}.shard-{sub_id}.jsonl",
+                        checkpoints=checkpoints,
                     ),
                     # Sub-shards are already suspects: one more death splits
                     # (or quarantines) them, keeping isolation logarithmic.
                     crashes=self.config.max_shard_crashes - 1,
+                    # Seeded rows were credited at this death.
+                    credited=seeded,
                 )
             )
 
-    def _credit_orphan_metrics(self, task: _ShardTask, persisted) -> None:
+    def _salvage(
+        self, persisted: Dict[str, List[SiteObservation]], domains: Optional[Set[str]] = None
+    ) -> None:
+        """Keep an abandoned task's persisted rows (only ``domains``' if given)."""
+        for label, rows in persisted.items():
+            self.salvaged[label].extend(
+                o for o in rows if domains is None or o.domain in domains
+            )
+
+    def _credit_orphan_metrics(
+        self, task: _ShardTask, persisted: Dict[str, List[SiteObservation]]
+    ) -> None:
         """Count checkpoint rows whose worker died before shipping metrics.
 
         A dead worker's perf/metrics payload dies with it, but the
-        observations it persisted survive (they are salvaged, or skipped by
-        the respawn's resume) — so without this, ``repro.obs summary``
-        would under-count exactly the pages that survived a crash.  The
-        per-task ``credited`` set keeps the crediting exactly-once across
-        repeat deaths of the same task, mirroring the delta semantics of
-        the worker payload channel.
+        observations it persisted survive (they are salvaged, seeded into a
+        sub-shard, or skipped by the respawn's resume) — so without this,
+        ``repro.obs summary`` would under-count exactly the pages that
+        survived a crash.  The per-task ``credited`` set keeps the crediting
+        exactly-once across repeat deaths of the same task, mirroring the
+        delta semantics of the worker payload channel.
         """
-        if persisted is None:
-            return
-        for observation in persisted.observations:
-            if observation.domain in task.credited:
-                continue
-            task.credited.add(observation.domain)
-            _credit_observation_metrics(observation, self.label)
+        for label, rows in persisted.items():
+            for observation in rows:
+                if (label, observation.domain) in task.credited:
+                    continue
+                task.credited.add((label, observation.domain))
+                _credit_observation_metrics(observation, label)
 
-    def _quarantine(self, task: _ShardTask, site: CrawlTarget, signal: str) -> None:
-        record = QuarantineRecord(
-            domain=site.domain,
-            rank=site.rank,
-            population=site.population,
-            label=self.label,
-            reason="worker-killed",
-            attempts=task.crashes,
-            last_signal=signal,
-            shard=task.shard_id,
-            ts=time.time(),
-        )
-        self.ledger.append(record)
-        self.quarantined.append(record)
-        obs.inc("supervisor.quarantined")
-        obs.event(
-            "crawl.quarantine",
-            sample_key=site.domain,
-            domain=site.domain,
-            shard=task.shard_id,
-            signal=signal,
-            attempts=task.crashes,
-        )
-        observation = SiteObservation(
-            domain=site.domain,
-            rank=site.rank,
-            population=site.population,
-            success=False,
-            failure_reason=record.failure_reason,
-            attempts=task.crashes,
-        )
-        self.salvaged.append(observation)
-        # Account the synthesized observation in the crawler metrics too:
-        # quarantined sites never pass through ``collect_with_retries`` (the
-        # killed workers' deltas died with them), so without this the run
-        # log's failure rows would omit exactly the sites the supervisor
-        # gave up on.
-        _credit_observation_metrics(observation, self.label)
+    def _quarantine(
+        self,
+        task: _ShardTask,
+        site: CrawlTarget,
+        signal: str,
+        persisted: Dict[str, List[SiteObservation]],
+    ) -> None:
+        """Quarantine ``site`` under every label it has no persisted row for."""
+        for label in self.labels:
+            if any(o.domain == site.domain for o in persisted[label]):
+                continue
+            record = QuarantineRecord(
+                domain=site.domain,
+                rank=site.rank,
+                population=site.population,
+                label=label,
+                reason="worker-killed",
+                attempts=task.crashes,
+                last_signal=signal,
+                shard=task.shard_id,
+                ts=time.time(),
+            )
+            self.ledger.append(record)
+            self.quarantined.append(record)
+            obs.inc("supervisor.quarantined")
+            obs.event(
+                "crawl.quarantine",
+                sample_key=site.domain,
+                domain=site.domain,
+                label=label,
+                shard=task.shard_id,
+                signal=signal,
+                attempts=task.crashes,
+            )
+            observation = SiteObservation(
+                domain=site.domain,
+                rank=site.rank,
+                population=site.population,
+                success=False,
+                failure_reason=record.failure_reason,
+                attempts=task.crashes,
+            )
+            self.salvaged[label].append(observation)
+            # Account the synthesized observation in the crawler metrics
+            # too: quarantined sites never pass through
+            # ``collect_with_retries`` (the killed workers' deltas died with
+            # them), so without this the run log's failure rows would omit
+            # exactly the sites the supervisor gave up on.
+            _credit_observation_metrics(observation, label)
 
 
 def supervise(
@@ -529,29 +582,33 @@ def supervise(
     directory: Path,
     config: SupervisorConfig,
     jobs: int,
-) -> List[CrawlDataset]:
+) -> Dict[str, List[CrawlDataset]]:
     """Run one crawl's shard ``tasks`` in supervised worker processes.
 
     Called by :func:`~repro.crawler.shards.run_sharded_crawl`, which plans
-    the shards and merges the returned datasets.  Every task must carry a
-    checkpoint under ``directory`` (re-dispatch resumes from it); bisected
-    sub-shards, worker result files and the ``quarantine.jsonl`` ledger land
-    there too.  A run whose workers died completes anyway: each isolated
-    poison site comes back as a failed observation with reason
-    ``quarantined:<signal>``, among the salvaged rows of the last dataset.
+    the shards and merges the returned datasets, label by label.  Every
+    task must carry its checkpoints under ``directory`` (re-dispatch resumes
+    from them); bisected sub-shards, worker result files and the
+    ``quarantine.jsonl`` ledger land there too.  A run whose workers died
+    completes anyway: each isolated poison site comes back as a failed
+    observation with reason ``quarantined:<signal>`` under every label,
+    among the salvaged rows of the last dataset.
     """
-    label = tasks[0].label if tasks else ""
+    labels = tasks[0].labels if tasks else ()
     ledger = QuarantineLedger(quarantine_ledger_path(directory))
-    supervisor = _Supervisor(label, config, directory, ledger, jobs)
-    with obs.span("crawl.supervised", label=label, shards=len(tasks), jobs=jobs) as span:
+    supervisor = _Supervisor(labels, config, directory, ledger, jobs)
+    with obs.span(
+        "crawl.supervised", label=",".join(labels), shards=len(tasks), jobs=jobs
+    ) as span:
         supervisor.run(
             [_ShardTask(shard_id=f"{index:04d}", work=task) for index, task in enumerate(tasks)]
         )
         span.set_attr("respawns", supervisor.respawns)
         span.set_attr("quarantined", len(supervisor.quarantined))
-    shard_datasets = list(supervisor.datasets)
-    if supervisor.salvaged:
-        salvage = CrawlDataset(label=label)
-        salvage.observations.extend(supervisor.salvaged)
-        shard_datasets.append(salvage)
+    shard_datasets = {label: list(supervisor.datasets[label]) for label in labels}
+    for label, rows in supervisor.salvaged.items():
+        if rows:
+            salvage = CrawlDataset(label=label)
+            salvage.observations.extend(rows)
+            shard_datasets[label].append(salvage)
     return shard_datasets

@@ -116,7 +116,7 @@ class TestFigures:
         assert result.perf_counters["render_cache"]["hits"] > 0
 
     def test_stage_timings_carry_perf_details(self, result):
-        crawl_stages = [t for t in result.stage_timings if t.name.startswith("crawl.")]
+        crawl_stages = [t for t in result.stage_timings if t.name == "crawl"]
         assert crawl_stages
         assert any("perf" in t.details for t in crawl_stages)
 

@@ -44,6 +44,31 @@ class Sum(Stage):
         return inputs["source"] + inputs["double"]
 
 
+class Pair(Stage):
+    """A multi-output stage: one artifact per side."""
+
+    name = "pair"
+    outputs = ("pair.left", "pair.right")
+
+    def __init__(self):
+        self.ran = []
+
+    def output_fingerprint(self, ctx, output):
+        return {"side": output}
+
+    def run_outputs(self, ctx, inputs, keys):
+        self.ran.append(sorted(keys))
+        return {output: output.upper() for output in keys}
+
+
+class Left(Stage):
+    name = "left"
+    inputs = ("pair.left",)
+
+    def run(self, ctx, inputs):
+        return inputs["pair.left"] + "!"
+
+
 class TestStableHash:
     def test_deterministic_across_orderings(self):
         assert stable_hash({"a": 1, "b": [2, 3]}) == stable_hash({"b": [2, 3], "a": 1})
@@ -185,3 +210,48 @@ class TestStageCache:
         second = StageGraph([CrawlLike()], cache=cache).execute(ctx=None)
         assert second.cache_hits == 1
         assert second.artifacts["crawl"].observations == first.artifacts["crawl"].observations
+
+
+class TestMultiOutputStage:
+    def test_each_output_has_its_own_key(self):
+        keys = StageGraph([Pair(), Left()]).keys(ctx=None)
+        assert set(keys) == {"pair.left", "pair.right", "left"}
+        assert keys["pair.left"] != keys["pair.right"]
+        assert keys["pair.left"] == Pair().cache_key(None, {}, "pair.left")
+
+    def test_runs_once_for_every_output(self):
+        pair = Pair()
+        run = StageGraph([pair, Left()]).execute(ctx=None)
+        assert pair.ran == [["pair.left", "pair.right"]]
+        assert run.artifacts == {"pair.left": "PAIR.LEFT", "pair.right": "PAIR.RIGHT", "left": "PAIR.LEFT!"}
+        assert [t.name for t in run.timings] == ["pair", "left"]
+
+    def test_only_one_output_runs_that_output(self):
+        pair = Pair()
+        run = StageGraph([pair, Left()]).execute(ctx=None, only=["left"])
+        assert pair.ran == [["pair.left"]]
+        assert set(run.artifacts) == {"pair.left", "left"}
+
+    def test_stage_name_selects_every_output(self):
+        pair = Pair()
+        StageGraph([pair, Left()]).execute(ctx=None, only=["pair"])
+        assert pair.ran == [["pair.left", "pair.right"]]
+
+    def test_partial_cache_runs_only_the_missing_output(self, tmp_path):
+        cache = StageCache(tmp_path)
+        first = StageGraph([Pair(), Left()], cache=cache).execute(ctx=None)
+        cache.path_for("pair.right", first.keys["pair.right"]).unlink()
+        pair = Pair()
+        second = StageGraph([pair, Left()], cache=cache).execute(ctx=None)
+        assert pair.ran == [["pair.right"]]
+        assert second.artifacts == first.artifacts
+        timing = second.timings[0]
+        assert not timing.cached and timing.details["ran"] == ["pair.right"]
+        assert second.timings[1].cached
+
+    def test_duplicate_artifact_rejected(self):
+        class Clash(Stage):
+            name = "pair.left"
+
+        with pytest.raises(StageGraphError, match="duplicate artifact"):
+            StageGraph([Pair(), Clash()])

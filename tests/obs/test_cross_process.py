@@ -157,8 +157,7 @@ def worker_task(world, **changes):
     fields = dict(
         network=faulty(world),
         targets=tuple(t for t in world.all_targets if t.domain in fp_sites)[:4],
-        profile=None,
-        label="control",
+        profiles=(("control", None),),
         retry_policy=RETRIES,
         page_budget=None,
         inner_paths=(),
@@ -198,7 +197,7 @@ class TestPooledWorkerDeltas:
 
         assert lookups(first) > 0
         assert lookups(second) == lookups(first), "second task re-shipped perf counters"
-        assert len(first.records) == len(second.records) == len(shard)
+        assert len(first.records["control"]) == len(second.records["control"]) == len(shard)
 
     def test_ingest_worker_is_exactly_once_per_payload(self, untraced):
         obs.configure(ObsConfig(trace=True))

@@ -394,8 +394,7 @@ class TestExactlyOnceShipping:
         return WorkerTask(
             network=world.network,
             targets=tuple(world.all_targets[:4]),
-            profile=None,
-            label="control",
+            profiles=(("control", None),),
             retry_policy=RetryPolicy(max_attempts=3),
             page_budget=None,
             inner_paths=(),

@@ -45,7 +45,7 @@ def test_parallel_study_reports_worker_collections():
         result = world.run_full_study(include_adblock_crawls=False, jobs=2)
     finally:
         gc.callbacks.remove(parent_pauses)
-    crawl = next(t for t in result.stage_timings if t.name == "crawl.control")
+    crawl = next(t for t in result.stage_timings if t.name == "crawl")
     assert _gc_seconds(crawl.details["perf"]) > 0
     assert _gc_seconds(result.perf_counters) > sum(own) + 0.001
     assert result.metrics["gauges"]["process.peak_rss_mb"] > 0

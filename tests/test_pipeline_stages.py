@@ -41,7 +41,7 @@ class TestSerialParallelCachedEquivalence:
         timings = serial_result.stage_timings
         assert timings, "a graph run must record per-stage timings"
         names = [t.name for t in timings]
-        for expected in ("crawl.control", "detect", "cluster", "prevalence",
+        for expected in ("crawl", "detect", "cluster", "prevalence",
                          "reach", "signatures", "attribution", "serving_context"):
             assert expected in names
         assert all(t.seconds >= 0 for t in timings)
@@ -49,7 +49,9 @@ class TestSerialParallelCachedEquivalence:
     def test_optional_stages_follow_monolith_conditionals(self):
         result = fresh_world().run_full_study(include_adblock_crawls=False)
         names = {t.name for t in result.stage_timings}
-        assert "crawl.abp" not in names and "adblock_rows" not in names
+        assert "adblock_rows" not in names
+        crawl = next(t for t in result.stage_timings if t.name == "crawl")
+        assert crawl.details["ran"] == ["crawl.control"]
         assert result.adblock_rows == ()
         assert result.blocklist_context is not None  # world ships all lists
 
@@ -58,7 +60,7 @@ class TestStageSelection:
     def test_stage_subset_runs_only_dependency_closure(self):
         result = fresh_world().run_full_study(stages=["prevalence"])
         names = {t.name for t in result.stage_timings}
-        assert names == {"crawl.control", "reduce", "prevalence"}
+        assert names == {"crawl", "reduce", "prevalence"}
         assert result.prevalence is not None
         assert result.reach is None
         assert result.signatures == []
@@ -67,7 +69,9 @@ class TestStageSelection:
 class TestExecutionReachesEveryCrawl:
     def test_every_study_crawl_receives_the_study_execution(self, monkeypatch):
         """Control, both ad-blocker crawls and both cross-machine devices get
-        the study's one ExecutionConfig — triage and prewarm included."""
+        the study's one ExecutionConfig — triage and prewarm included.  They
+        arrive as two site-major crawls: the study's three profiles, then
+        the two devices."""
         import repro.core.pipeline as pipeline
         import repro.core.stages.study as study
         from repro.canvas.device import APPLE_M1, INTEL_UBUNTU
@@ -76,7 +80,7 @@ class TestExecutionReachesEveryCrawl:
         seen = []
 
         def spy(*args, **kwargs):
-            seen.append((kwargs["label"], kwargs.get("execution")))
+            seen.append(([label for label, _ in kwargs["profiles"]], kwargs.get("execution")))
             return run_sharded_crawl(*args, **kwargs)
 
         monkeypatch.setattr(study, "run_sharded_crawl", spy)
@@ -94,10 +98,38 @@ class TestExecutionReachesEveryCrawl:
             execution=execution,
             stages=["crawl.control", "crawl.abp", "crawl.ubo", "cross_machine"],
         )
-        assert sorted(label for label, _ in seen) == sorted(
-            ["control", "abp", "ubo", INTEL_UBUNTU.name, APPLE_M1.name]
+        assert sorted(labels for labels, _ in seen) == sorted(
+            [["control", "abp", "ubo"], [INTEL_UBUNTU.name, APPLE_M1.name]]
         )
         assert all(received == execution for _, received in seen)
+
+
+class TestPartialCrawlCache:
+    """The crawl stage crawls only the profiles whose outputs are missing."""
+
+    def test_cache_without_abp_crawls_only_abp(self, serial_result, tmp_path):
+        cache_dir = tmp_path / "cache"
+        fresh_world().run_full_study(cache_dir=cache_dir)
+        for path in cache_dir.glob("crawl.abp.*"):
+            path.unlink()
+        world = fresh_world()
+        result = world.run_full_study(cache_dir=cache_dir)
+        pages = result.metrics["counters"]
+        assert pages["crawler.pages[abp]"] == len(world.all_targets)
+        assert "crawler.pages[control]" not in pages
+        assert "crawler.pages[ubo]" not in pages
+        crawl = next(t for t in result.stage_timings if t.name == "crawl")
+        assert not crawl.cached and crawl.details["ran"] == ["crawl.abp"]
+        assert all(t.cached for t in result.stage_timings if t.name != "crawl")
+        assert result == serial_result
+
+    def test_stage_selection_crawls_only_the_named_profile(self):
+        world = fresh_world()
+        result = world.run_full_study(stages=["crawl.ubo"])
+        pages = result.metrics["counters"]
+        assert pages["crawler.pages[ubo]"] == len(world.all_targets)
+        assert "crawler.pages[control]" not in pages
+        assert [t.name for t in result.stage_timings] == ["crawl"]
 
 
 class TestCacheInvalidation:
@@ -116,11 +148,7 @@ class TestCacheInvalidation:
         return StudyContext(**kwargs)
 
     def _keys(self, ctx):
-        graph = build_study_graph(ctx)
-        keys = {}
-        for stage in graph.order:
-            keys[stage.name] = stage.cache_key(ctx, keys)
-        return keys
+        return build_study_graph(ctx).keys(ctx)
 
     def test_jobs_do_not_change_any_cache_key(self):
         world = build_world(SCALE)
