@@ -5,11 +5,18 @@ Usage::
 
     python benchmarks/check_regression.py CURRENT.json BASELINE.json [--max-regression 0.25]
 
-Only machine-independent metrics are compared — cache ``speedup`` ratios and
-per-layer ``hit_rate`` fractions — never raw wall seconds, which depend on
-the runner.  A metric regresses when::
+Only machine-independent metrics are compared — cache ``speedup`` ratios,
+per-layer ``hit_rate`` fractions and ``*_ref_s`` durations in reference
+seconds — never raw wall seconds, which depend on the runner.  Reference
+seconds are wall seconds scaled by the machine's speed while they ran
+(``perfbench.speed.SpeedMeter``), so they carry over between machines.
+Ratios and fractions are better higher, and regress when::
 
     current < baseline * (1 - max_regression)
+
+reference seconds are better lower, and regress when::
+
+    current > baseline * (1 + max_regression)
 
 Improvements and new benchmarks never fail; a benchmark present in the
 baseline but missing from the current run does (it means the suite silently
@@ -29,11 +36,18 @@ from pathlib import Path
 from typing import Iterator, Tuple
 
 
+#: Suffix of the metrics that are durations in reference seconds (lower is better).
+REF_SECONDS = "_ref_s"
+
+
 def comparable_metrics(payload: dict) -> Iterator[Tuple[str, float]]:
     """Yield ("bench.metric", value) for every machine-independent metric."""
     for bench, metrics in sorted(payload.get("results", {}).items()):
         if "speedup" in metrics:
             yield f"{bench}.speedup", float(metrics["speedup"])
+        for key, value in sorted(metrics.items()):
+            if key.endswith(REF_SECONDS):
+                yield f"{bench}.{key}", float(value)
         for layer, row in sorted(metrics.get("hit_rates", {}).items()):
             yield f"{bench}.hit_rate.{layer}", float(row.get("hit_rate", 0.0))
 
@@ -49,9 +63,15 @@ def check(current: dict, baseline: dict, max_regression: float) -> int:
             print(f"{name:48s} {base_value:10.3f} {'-':>10s}  MISSING")
             failures += 1
             continue
-        floor = base_value * (1.0 - max_regression)
-        status = "ok" if value >= floor else f"REGRESSED (floor {floor:.3f})"
-        failures += value < floor
+        if name.endswith(REF_SECONDS):
+            ceiling = base_value * (1.0 + max_regression)
+            regressed = value > ceiling
+            status = f"REGRESSED (ceiling {ceiling:.3f})" if regressed else "ok"
+        else:
+            floor = base_value * (1.0 - max_regression)
+            regressed = value < floor
+            status = f"REGRESSED (floor {floor:.3f})" if regressed else "ok"
+        failures += regressed
         print(f"{name:48s} {base_value:10.3f} {value:10.3f}  {status}")
     return failures
 

@@ -140,7 +140,7 @@ class StageGraph:
             perf_before = perf.PERF.snapshot()
             keys = {output: stage.cache_key(ctx, run.keys, output) for output in wanted}
             run.keys.update(keys)
-            key = keys[stage.name] if stage.produces == (stage.name,) else stable_hash(keys)
+            key = stable_hash(keys) if stage.outputs else keys[stage.name]
             values: Dict[str, Any] = {}
             with obs.span(f"stage.{stage.name}", key=key) as stage_span:
                 if self.cache is not None:

@@ -455,6 +455,10 @@ class StaticStage(Stage):
         from repro.net.http import Request, ResourceType
         from repro.net.url import URL
 
+        injector = getattr(ctx.network, "injector", None)
+        if injector is not None:
+            # A probe is a visit: it starts a fresh fault clock, as a settle does.
+            injector.new_visit()
         try:
             url = URL("https", domain)
             response = ctx.network.fetch(

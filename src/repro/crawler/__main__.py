@@ -23,8 +23,9 @@ for ``--liveness-deadline`` seconds, and quarantines a site that keeps
 killing workers: such a crawl completes in degraded mode, with the skipped
 sites recorded in ``<out>.shards/quarantine.jsonl`` and counted in the crawl
 health output.  ``--supervised`` only matters at ``--jobs 1``, where it
-isolates the crawl in one supervised worker.  ``--stage`` runs one of the
-study pipeline's crawl stages through the stage graph instead; with
+isolates the crawl in one supervised worker.  ``--stage`` produces one of
+the study pipeline's crawl outputs through the stage graph instead (the
+``crawl`` stage, for that output's profile alone); with
 ``--cache-dir``, an unchanged re-run loads the dataset from the
 content-addressed cache without a single page load.
 """
@@ -53,7 +54,7 @@ from repro.obs.recorder import RunRecorder, resolve_run_dir
 from repro.webgen import build_world
 from repro.webgen.vendors import prewarm_sources
 
-#: Crawl stages the ``--stage`` flag can run through the stage graph.
+#: Outputs of the study's ``crawl`` stage the ``--stage`` flag can produce.
 CRAWL_STAGES = ("crawl.control", "crawl.abp", "crawl.ubo")
 
 
@@ -140,8 +141,8 @@ def main(argv=None) -> int:
         "--stage",
         choices=CRAWL_STAGES,
         default=None,
-        help="run this study crawl stage via the stage graph "
-        "(uses the stage's canonical profile; --device/--adblock are ignored)",
+        help="produce this study crawl output via the stage graph "
+        "(uses the output's canonical profile; --device/--adblock are ignored)",
     )
     parser.add_argument(
         "--obs-dir",
@@ -216,8 +217,8 @@ def main(argv=None) -> int:
         ).start()
 
     if args.stage is not None or args.cache_dir is not None:
-        # Stage-graph path: the crawl is one cached stage of the study
-        # pipeline, using the stage's canonical profile.
+        # Stage-graph path: the crawl is one cached output of the study
+        # pipeline's crawl stage, using the output's canonical profile.
         from repro.core.stages import StageCache, StudyContext, build_study_graph
 
         stage = args.stage or {

@@ -240,9 +240,8 @@ def crawl_profiles(
     labels = [label for label, _profile in profiles]
     if len(set(labels)) != len(labels):
         raise ValueError(f"profile labels must be unique, got {labels}")
-    if page_budget is None and (
-        retry_policy is not None or getattr(network, "injector", None) is not None
-    ):
+    injector = getattr(network, "injector", None)
+    if page_budget is None and (retry_policy is not None or injector is not None):
         page_budget = PageBudget()
     collectors = {
         label: CanvasCollector(
@@ -263,10 +262,9 @@ def crawl_profiles(
         datasets[label].observations.extend(prior.observations)
         done[label].update(observation.domain for observation in prior.observations)
 
-    # Per-label virtual clocks: backoff delays advance them, so retry timing
+    # Crawl-level virtual clock: backoff delays advance it, so retry timing
     # is observable and deterministic without any wall-clock sleeping.
-    backoff_clocks = {label: VirtualClock() for label in labels}
-    injector = getattr(network, "injector", None)
+    backoff_clock = VirtualClock()
 
     saved_threshold = gc.get_threshold()
     gc.set_threshold(*_CRAWL_GC_THRESHOLD)
@@ -282,7 +280,7 @@ def crawl_profiles(
                     collectors[label],
                     target,
                     policy=retry_policy,
-                    clock=backoff_clocks[label],
+                    clock=backoff_clock,
                     label=label,
                 )
                 datasets[label].observations.append(observation)
@@ -304,8 +302,6 @@ def run_crawl(
     inner_paths: tuple = (),
     retry_policy: Optional[RetryPolicy] = None,
     page_budget: Optional[PageBudget] = None,
-    checkpoint=None,
-    resume_from: Optional[CrawlDataset] = None,
     static_triage: Optional[bool] = None,
 ) -> CrawlDataset:
     """Visit every target with one browser configuration.
@@ -321,8 +317,6 @@ def run_crawl(
         inner_paths=inner_paths,
         retry_policy=retry_policy,
         page_budget=page_budget,
-        checkpoints=None if checkpoint is None else {label: checkpoint},
-        resume_from=None if resume_from is None else {label: resume_from},
         static_triage=static_triage,
     )[label]
 

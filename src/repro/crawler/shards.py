@@ -370,6 +370,7 @@ def run_sharded_crawl(
                 for name, dataset in _crawl_shard(task, progress).items():
                     shard_datasets[name].append(dataset)
     merged = {
-        name: merge_shard_datasets(name, targets, shard_datasets[name]) for name in labels
+        name: merge_shard_datasets(name, targets, shard_datasets.get(name, ()))
+        for name in labels
     }
     return merged[label] if one_profile else merged

@@ -451,7 +451,9 @@ class _Supervisor:
             # Plain respawn: same checkpoints, same target list — the resume
             # machinery skips persisted (site, label) pairs, so the remainder
             # is crawled exactly once and the completed datasets carry
-            # everything.
+            # everything.  A respawn always resumes, even in a crawl started
+            # without ``resume``.
+            task.work = replace(task.work, resume=True)
             self.pending.append(task)
             return
         # Poisonous shard: salvage its done sites, then quarantine or bisect
@@ -488,6 +490,7 @@ class _Supervisor:
                         targets=tuple(part),
                         lane=f"shard-{sub_id}",
                         checkpoints=checkpoints,
+                        resume=True,
                     ),
                     # Sub-shards are already suspects: one more death splits
                     # (or quarantines) them, keeping isolation logarithmic.

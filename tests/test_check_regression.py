@@ -94,3 +94,14 @@ class TestComparisons:
             payload(b={"hit_rates": {"js.cache": {"hit_rate": 0.9}}}),
         )
         assert check_regression.main([str(current), str(baseline)]) == 1
+
+    def test_reference_seconds_are_better_lower(self, check_regression, tmp_path, capsys):
+        baseline = write(tmp_path / "base.json", payload(b={"warm_ref_s": 1.0}))
+        faster = write(tmp_path / "faster.json", payload(b={"warm_ref_s": 0.5}))
+        within = write(tmp_path / "within.json", payload(b={"warm_ref_s": 1.2}))
+        slower = write(tmp_path / "slower.json", payload(b={"warm_ref_s": 1.3}))
+        assert check_regression.main([str(faster), str(baseline)]) == 0
+        assert check_regression.main([str(within), str(baseline)]) == 0
+        assert check_regression.main([str(slower), str(baseline)]) == 1
+        assert "REGRESSED (ceiling 1.250)" in capsys.readouterr().out
+
