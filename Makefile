@@ -20,7 +20,7 @@ study-full:
 	python -m repro.experiments --scale 1.0
 
 # Regenerate artifacts/ byte-for-byte (CI job `artifacts` diffs a fresh
-# copy); 134 s on a shared 2-vCPU VM.
+# copy); 99 s on a shared 2-vCPU VM (25.5 s GC, 942 MB peak RSS).
 artifacts:
 	python -m repro.experiments --scale 1.0 --jobs 2 --artifacts artifacts/
 

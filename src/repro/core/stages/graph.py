@@ -120,14 +120,6 @@ class StageGraph:
             frontier.extend(self.producers[name].inputs)
         return needed
 
-    def keys(self, ctx: Any) -> Dict[str, str]:
-        """The cache key of every artifact, without running anything."""
-        keys: Dict[str, str] = {}
-        for stage in self.order:
-            for output in stage.produces:
-                keys[output] = stage.cache_key(ctx, keys, output)
-        return keys
-
     def execute(self, ctx: Any, only: Optional[Sequence[str]] = None) -> GraphRun:
         """Run the graph (or the closure of ``only``) over a context."""
         selected = self.required(only) if only is not None else set(self.producers)

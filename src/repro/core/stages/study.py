@@ -182,12 +182,13 @@ class CrawlStage(Stage):
 
     Each output is one profile's :class:`CrawlDataset` — ``crawl.control``,
     then ``crawl.abp`` and ``crawl.ubo`` when the study recrawls under the
-    ad blockers — cached under its own key, the same key the output's
-    separate crawl stage had.  The stage crawls only the outputs the cache
-    missed, loading each site under each of their profiles back to back
-    (control first), so the recrawls find the site's scripts compiled and
-    its canvases rendered at any scale and any worker count.  The crawl is
-    sharded, optionally parallel and checkpointed.
+    ad blockers — cached under its own key, which names the output and
+    fingerprints that profile alone, so one profile's entry serves any
+    later run whatever set of profiles it crawls.  The stage crawls only
+    the outputs the cache missed, loading each site under each of their
+    profiles back to back (control first), so the recrawls find the site's
+    scripts compiled and its canvases rendered at any scale and any worker
+    count.  The crawl is sharded, optionally parallel and checkpointed.
     """
 
     name = "crawl"

@@ -214,7 +214,7 @@ class TestStageCache:
 
 class TestMultiOutputStage:
     def test_each_output_has_its_own_key(self):
-        keys = StageGraph([Pair(), Left()]).keys(ctx=None)
+        keys = StageGraph([Pair(), Left()]).execute(ctx=None).keys
         assert set(keys) == {"pair.left", "pair.right", "left"}
         assert keys["pair.left"] != keys["pair.right"]
         assert keys["pair.left"] == Pair().cache_key(None, {}, "pair.left")
