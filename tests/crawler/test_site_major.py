@@ -72,6 +72,21 @@ def reference(world, targets, profiles):
     }
 
 
+class CrashOnce:
+    """A network whose first document fetch of ``domain`` kills the process."""
+
+    def __init__(self, inner, domain, marker):
+        self.inner = inner
+        self.domain = domain
+        self.marker = marker
+
+    def fetch(self, request):
+        if request.url.host == self.domain and not self.marker.exists():
+            self.marker.touch()
+            os._exit(137)
+        return self.inner.fetch(request)
+
+
 def supervised():
     return ExecutionConfig(
         jobs=JOBS, supervisor=SupervisorConfig(liveness_deadline_s=30.0, poll_interval_s=0.01)
@@ -134,6 +149,10 @@ class TestProfileSetEqualsSeparateCrawls:
             )
         assert ledger_by_label(tmp_path / "major") == separate_ledgers
         assert sorted(separate_ledgers) == ["abp", "control", "ubo"]
+
+    def test_duplicate_labels_are_rejected(self, world, targets, profiles):
+        with pytest.raises(ValueError, match="unique"):
+            run_sharded_crawl(world.network, targets[:2], profiles=(profiles[0], profiles[0]))
 
 
 class TestResumeBetweenProfiles:
@@ -203,3 +222,19 @@ class TestResumeBetweenProfiles:
             assert dataset_bytes(site_major[label], tmp_path, f"major-{label}") == dataset_bytes(
                 separate[label], tmp_path, f"separate-{label}"
             )
+
+    def test_redispatch_resumes_in_a_crawl_started_without_resume(
+        self, world, targets, profiles, tmp_path
+    ):
+        """``resume=False`` ignores an earlier run's files, never this run's:
+        a respawned worker still skips the pairs its shard persisted."""
+        network = CrashOnce(world.network, targets[6].domain, tmp_path / "crashed")
+        labels = [label for label, _ in profiles]
+        before = page_counts(labels)
+        run_sharded_crawl(
+            network, targets, shards=2, checkpoint_dir=tmp_path, resume=False,
+            execution=supervised(), profiles=profiles,
+        )
+        after = page_counts(labels)
+        assert all(after[label] - before[label] == len(targets) for label in labels)
+
