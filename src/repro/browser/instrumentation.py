@@ -9,8 +9,9 @@ and a virtual timestamp.
 
 from __future__ import annotations
 
+import contextlib
 import re
-from typing import Any, List, Optional
+from typing import Any, Iterator, List, Optional
 
 from repro.core.records import CanvasApiCall, CanvasExtraction, PropertyAccess
 
@@ -58,6 +59,16 @@ class VirtualClock:
     def advance(self, ms: Optional[float] = None) -> float:
         self._now += self.tick_ms if ms is None else ms
         return self.now_ms()
+
+    @contextlib.contextmanager
+    def frozen_at(self, ms: float) -> Iterator[None]:
+        """Read ``ms`` inside the block (nothing in it may advance the
+        clock), then resume where the clock stood."""
+        saved, self._now = self._now, ms
+        try:
+            yield
+        finally:
+            self._now = saved
 
 
 class CanvasInstrument:
