@@ -197,9 +197,18 @@ class FaultyNetwork:
         self.injector = FaultInjector(config, seed=seed)
 
     def fetch(self, request: Request) -> Response:
-        config = self.injector.config
         if request.resource_type == ResourceType.DOCUMENT:
             self._apply_process_fault(request)
+        return self.probe_fetch(request)
+
+    def probe_fetch(self, request: Request) -> Response:
+        """Fetch as :meth:`fetch` does, less the process faults.
+
+        A process fault models a page whose scripts kill or wedge the
+        browser's process.  An execution-free probe runs no script, so only
+        the wire's transient faults reach it.
+        """
+        config = self.injector.config
         kind = self.injector.next_fault(str(request.url), request.resource_type)
         if kind is None:
             return self.inner.fetch(request)
