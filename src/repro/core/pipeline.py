@@ -256,14 +256,11 @@ def run_study(
     * ``js_prewarm`` is a list of script sources each worker compiles into
       its warm JS cache before the first page load (typically
       :func:`repro.webgen.vendors.prewarm_sources`, passed as plain strings
-      so this layer never imports ``webgen``);
-    * ``static_triage`` defers scripts the static analyzer proves
-      canvas-inert and effect-free toward the rest of the page (``None``
-      honours ``REPRO_JS_STATIC_TRIAGE``).
+      so this layer never imports ``webgen``).
 
-    All four are pure execution knobs: a no-fault run returns a
+    All three are pure execution knobs: a no-fault run returns a
     :class:`StudyResult` equal to a serial one, and only latency and the
-    ``js.cache``/``js.static.triage`` counters move.
+    ``js.cache`` counters move.
 
     ``cache_dir`` enables the content-addressed stage cache (warm re-runs
     load every artifact and perform zero page loads) and, like

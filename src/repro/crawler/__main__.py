@@ -126,13 +126,6 @@ def main(argv=None) -> int:
         "progress before a worker is presumed hung and killed",
     )
     parser.add_argument(
-        "--static-triage",
-        action="store_true",
-        help="skip executing scripts the static analyzer proves canvas-inert "
-        "and effect-free toward the rest of the page (same as "
-        "REPRO_JS_STATIC_TRIAGE=1; datasets are byte-identical either way)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="stage cache directory (implies running via the stage graph)",
@@ -191,8 +184,6 @@ def main(argv=None) -> int:
         if supervised
         else None,
         js_prewarm=prewarm_sources(),
-        # None = honour REPRO_JS_STATIC_TRIAGE; the flag forces it on.
-        static_triage=True if args.static_triage else None,
     )
 
     started = time.time()
@@ -274,7 +265,6 @@ def main(argv=None) -> int:
             retry_policy=retry_policy,
             page_budget=page_budget,
             resume=args.resume,
-            static_triage=execution.static_triage,
         )
     health = dataset.health()
     if recorder is not None:

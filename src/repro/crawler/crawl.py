@@ -202,7 +202,6 @@ def crawl_profiles(
     page_budget: Optional[PageBudget] = None,
     checkpoints: Optional[Mapping[str, Any]] = None,
     resume_from: Optional[Mapping[str, CrawlDataset]] = None,
-    static_triage: Optional[bool] = None,
 ) -> Dict[str, CrawlDataset]:
     """Visit every target under every profile of ``profiles``, site-major.
 
@@ -249,7 +248,6 @@ def crawl_profiles(
                 network,
                 profile,
                 js_step_budget=page_budget.max_js_steps if page_budget else None,
-                static_triage=static_triage,
             ),
             inner_paths=inner_paths,
             budget=page_budget,
@@ -302,7 +300,6 @@ def run_crawl(
     inner_paths: tuple = (),
     retry_policy: Optional[RetryPolicy] = None,
     page_budget: Optional[PageBudget] = None,
-    static_triage: Optional[bool] = None,
 ) -> CrawlDataset:
     """Visit every target with one browser configuration.
 
@@ -317,7 +314,6 @@ def run_crawl(
         inner_paths=inner_paths,
         retry_policy=retry_policy,
         page_budget=page_budget,
-        static_triage=static_triage,
     )[label]
 
 
@@ -331,7 +327,6 @@ def resume_crawls(
     retry_policy: Optional[RetryPolicy] = None,
     page_budget: Optional[PageBudget] = None,
     resume: bool = True,
-    static_triage: Optional[bool] = None,
 ) -> Dict[str, CrawlDataset]:
     """Run (or continue) a site-major crawl checkpointed to one file per label.
 
@@ -370,7 +365,6 @@ def resume_crawls(
             page_budget=page_budget,
             checkpoints=writers,
             resume_from=priors,
-            static_triage=static_triage,
         )
 
 
@@ -385,7 +379,6 @@ def resume_crawl(
     retry_policy: Optional[RetryPolicy] = None,
     page_budget: Optional[PageBudget] = None,
     resume: bool = True,
-    static_triage: Optional[bool] = None,
 ) -> CrawlDataset:
     """Run (or continue) a checkpointed crawl persisted at ``out_path``.
 
@@ -407,5 +400,4 @@ def resume_crawl(
         retry_policy=retry_policy,
         page_budget=page_budget,
         resume=resume,
-        static_triage=static_triage,
     )[label]

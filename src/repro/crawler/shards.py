@@ -20,14 +20,16 @@ change what any site observes, only *when* it is visited.
 * :func:`plan_shards` — deterministic round-robin split (shard ``i`` takes
   ``targets[i::n]``), so top/tail populations stay balanced across shards;
 * :class:`ExecutionConfig` — how a crawl executes (worker count, supervisor
-  knobs, JS prewarm, static triage), carried as one value from
-  ``run_study`` and the CLIs down to the worker;
+  knobs, JS prewarm), carried as one value from ``run_study`` and the CLIs
+  down to the worker;
 * :func:`run_sharded_crawl` — the executor: in-process when ``jobs == 1``
   and no supervisor config is given, otherwise supervised worker processes
   (:mod:`repro.crawler.supervisor`: liveness deadline, crash re-dispatch,
   poison-site quarantine, degraded-mode completion);
 * :func:`shard_worker` — the one worker body: a :class:`WorkerTask` in, a
-  :class:`WorkerResult` out;
+  :class:`WorkerResult` out, carrying the shard's records, its counter
+  deltas and the static verdicts its page loads computed (so the parent's
+  ``static`` stage analyses no script a worker already analysed);
 * :func:`merge_shard_datasets` — reassemble one label's dataset in target
   order; merged :class:`~repro.crawler.crawl.CrawlHealth` comes from the
   merged dataset's own ``health()``.
@@ -60,6 +62,7 @@ from typing import (
 from repro import obs, perf
 from repro.browser.profile import BrowserProfile
 from repro.js import compiler
+from repro.js.static import verdict as static_verdict
 from repro.core.records import SiteObservation
 from repro.crawler.crawl import (
     CrawlDataset,
@@ -104,9 +107,6 @@ class ExecutionConfig:
     #: first page load (typically :func:`repro.webgen.vendors.prewarm_sources`,
     #: passed as plain strings so the crawler never imports ``webgen``).
     js_prewarm: Tuple[str, ...] = ()
-    #: Skip executing scripts the static analyzer proves canvas-inert and
-    #: effect-free.  ``None`` honours ``REPRO_JS_STATIC_TRIAGE``.
-    static_triage: Optional[bool] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "js_prewarm", tuple(self.js_prewarm or ()))
@@ -150,6 +150,9 @@ class WorkerResult:
     perf_delta: Dict[str, Dict[str, float]]
     #: Spans, metrics delta and profiler samples (:func:`repro.obs.worker_payload`).
     obs_payload: Dict[str, Any]
+    #: Static verdicts computed during the task (new since it started), for
+    #: :func:`repro.js.static.verdict.adopt_verdicts` in the parent.
+    verdicts: Dict[Any, Any]
 
 
 def plan_shards(targets: Sequence[CrawlTarget], shards: int) -> List[List[CrawlTarget]]:
@@ -227,7 +230,6 @@ def _crawl_shard(
             inner_paths=task.inner_paths,
             retry_policy=task.retry_policy,
             page_budget=task.page_budget,
-            static_triage=execution.static_triage,
         )
         if task.checkpoints is not None:
             return resume_crawls(
@@ -246,7 +248,8 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
 
     Installs the parent's render-cache and observability configs, starts the
     sampling profiler to match, crawls, and returns records plus perf and
-    obs *deltas from the task start*.  A worker process may be forked after
+    obs *deltas from the task start*, and the static verdicts the task
+    computed.  A worker process may be forked after
     its parent took in other workers' results, so cumulative snapshots
     would ship those again; the obs layer likewise drops the trace records
     and profiler samples a forked child inherits.  With a ``result_path``
@@ -259,6 +262,7 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
     obs.profiler.maybe_start(task.obs_config)
     perf_before = perf.PERF.snapshot()
     metrics_before = obs.METRICS.snapshot()
+    verdicts_before = static_verdict.verdict_mark()
     # Prewarm compiles land after the baseline snapshot: they ship with
     # this task's delta.
     datasets = _crawl_shard(task)
@@ -269,6 +273,7 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
         },
         perf_delta=perf.diff_snapshots(perf_before, perf.PERF.snapshot()),
         obs_payload=obs.worker_payload(metrics_before),
+        verdicts=static_verdict.verdicts_since(verdicts_before),
     )
     if task.result_path is not None:
         tmp = task.result_path.with_name(task.result_path.name + ".tmp")

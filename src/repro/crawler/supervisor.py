@@ -68,6 +68,7 @@ from repro.core.records import SiteObservation
 from repro.crawler.crawl import QUARANTINE_PREFIX, CrawlDataset, CrawlTarget
 from repro.crawler.shards import WorkerTask, shard_worker
 from repro.crawler.storage import CheckpointWriter, checkpoint_path, load_checkpoint
+from repro.js.static import verdict as static_verdict
 
 __all__ = [
     "SupervisorConfig",
@@ -405,6 +406,7 @@ class _Supervisor:
             result = pickle.load(fh)
         handle.result_path.unlink(missing_ok=True)
         perf.PERF.merge(result.perf_delta)
+        static_verdict.adopt_verdicts(result.verdicts)
         obs.ingest_worker(result.obs_payload)
         for label, records in result.records.items():
             dataset = CrawlDataset(label=label)

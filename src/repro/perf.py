@@ -82,8 +82,9 @@ class RenderCacheConfig:
     #: not switch off.
     js_cache_bytes: int = 64 * _MB
     #: Static-analysis verdicts keyed by source digest + analyzer version
-    #: (:mod:`repro.js.static`).  Triage itself is gated by
-    #: ``REPRO_JS_STATIC_TRIAGE``, not by ``enabled``.
+    #: (:mod:`repro.js.static`), computed by every page load's triage and
+    #: read again by the ``static`` stage.  Triage runs whatever this budget
+    #: and ``enabled``; an evicted verdict is computed again.
     static_cache_bytes: int = 16 * _MB
 
     @classmethod
@@ -331,6 +332,24 @@ class ByteBudgetLRU:
         self._entries.clear()
         self._bytes = 0
         self._counters.set_residency(self.layer, 0, 0)
+
+    def items(self) -> List[tuple]:
+        """Every ``(key, value)`` held, recording nothing."""
+        return [(key, entry[0]) for key, entry in self._entries.items()]
+
+    def adopt(self, key: Hashable, value: Any, nbytes: int) -> None:
+        """Insert a value another process computed, recording no hit or miss.
+
+        The process that computed it counted its miss.  A key already held
+        is left as it is.
+        """
+        nbytes = int(nbytes)
+        if key in self._entries or nbytes > self._max_bytes:
+            return
+        self._entries[key] = (value, nbytes)
+        self._bytes += nbytes
+        self._evict_to_budget()
+        self._counters.set_residency(self.layer, len(self._entries), self._bytes)
 
     def contains(self, key: Hashable) -> bool:
         """Membership check that records nothing and leaves LRU order alone.

@@ -86,7 +86,7 @@ class TestExecutionReachesEveryCrawl:
         monkeypatch.setattr(study, "run_sharded_crawl", spy)
         monkeypatch.setattr(pipeline, "run_sharded_crawl", spy)
         world = fresh_world()
-        execution = ExecutionConfig(static_triage=True, js_prewarm=("var warm = 1;",))
+        execution = ExecutionConfig(js_prewarm=("var warm = 1;",))
         pipeline.run_study(
             world.network,
             world.all_targets[:24],
