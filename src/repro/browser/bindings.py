@@ -9,6 +9,7 @@ tagged with the *currently executing script's URL* — into the page's
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Callable, Dict, Optional
 
@@ -65,6 +66,10 @@ _CTX_METHODS: Dict[str, str] = {
     "drawImage": "Cnn??",
     "isPointInPath": "nn$",
 }
+
+#: Methods whose numeric arguments are WebIDL ``long``: converted (NaN and
+#: ±Infinity to 0) instead of making the call a no-op.
+_LONG_ARG_METHODS = frozenset({"getImageData", "createImageData"})
 
 #: Context properties scripts may read/write.
 _CTX_PROPERTIES = (
@@ -273,7 +278,7 @@ class JSCanvasElement(DOMElement):
     def set(self, name: str, value: Any) -> None:
         if name in ("width", "height"):
             number = js_to_number(value)
-            size = int(number) if number == number else -1  # NaN -> invalid
+            size = int(number) if math.isfinite(number) else -1  # NaN, ±Infinity -> invalid
             setattr(self.impl, name, size)
             self.instrument.record_property(
                 _CANVAS_IFACE, name, size, self.interp.current_script, self.canvas_id
@@ -399,9 +404,20 @@ class JSContext2D(JSObject):
 
         def call(interp, this, args):
             py_args = _convert_args(signature, args)
+            if name in _LONG_ARG_METHODS:
+                impl_args = [_to_long(arg) for arg in py_args]
+            elif all(math.isfinite(arg) for arg in py_args if type(arg) is float):
+                impl_args = py_args
+            else:
+                # "Any method call with a numeric argument whose value is
+                # infinite or a NaN value must be ignored" (HTML canvas spec).
+                impl_args = None
             started = time.perf_counter()
             try:
-                result = getattr(self.impl, name)(*py_args)
+                if impl_args is None:
+                    result = False if name == "isPointInPath" else None
+                else:
+                    result = getattr(self.impl, name)(*impl_args)
             except ValueError as exc:
                 self.instrument.record_call(
                     _CTX_IFACE, name, tuple(py_args), f"throw:{exc}", interp.current_script,
@@ -474,6 +490,15 @@ def _convert_args(signature: str, args: list) -> list:
         else:  # pragma: no cover - defensive
             py_args.append(value)
     return py_args
+
+
+def _to_long(value: float) -> int:
+    """WebIDL ``long``: NaN and ±Infinity become 0, other values truncate
+    toward zero and wrap to 32 bits."""
+    if not math.isfinite(value):
+        return 0
+    wrapped = int(value) % 2**32
+    return wrapped - 2**32 if wrapped >= 2**31 else wrapped
 
 
 def _arg_preview(value: Any) -> Any:

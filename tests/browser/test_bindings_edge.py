@@ -1,5 +1,8 @@
 """Edge-case tests for the JS canvas bindings."""
 
+import pytest
+
+from repro import perf
 from repro.browser import Browser
 from repro.net import Network
 
@@ -125,3 +128,79 @@ class TestBindingEdges:
             "console.log(g.getImageData(8, 8, 1, 1).data[3]);"
         )
         assert page.console == ["255"]
+
+
+#: A canvas call or write with a NaN or infinite argument, in a script that
+#: draws on a 20x20 canvas and reads it out; a sibling script then extracts
+#: its own canvas.
+NON_FINITE = {
+    "nan-fill-rect": "g.fillRect(0, 0, 0/0, 10);",
+    "infinite-width": "c.width = 1/0;",
+    "infinite-fill-rect": "g.fillRect(0, 0, 1/0, 10);",
+    "infinite-arc-radius": "g.beginPath(); g.arc(5, 5, 1/0, 0, 1); g.fill();",
+    "infinite-translate": "g.translate(1/0, 0); g.fillRect(0, 0, 5, 5);",
+    "infinite-get-image-data": "g.getImageData(0, 0, 1/0, 1);",
+    "infinite-create-image-data": "g.createImageData(1/0, 1);",
+    "infinite-draw-image": "g.drawImage(c, 1/0, 0);",
+}
+
+
+def load_with_sibling(body, enabled):
+    """Load the two-script page with the render caches on or off."""
+    saved = perf.current_config()
+    perf.configure(perf.RenderCacheConfig(enabled=enabled))
+    try:
+        net = Network()
+        site = net.server_for("edge.example")
+        site.add_script(
+            "/a.js",
+            "var c = document.createElement('canvas'); c.width = 20; c.height = 20;"
+            "var g = c.getContext('2d'); g.fillStyle = '#f60'; g.fillRect(1, 1, 8, 8);"
+            + body
+            + "c.toDataURL();",
+        )
+        site.add_script(
+            "/b.js",
+            "var d = document.createElement('canvas'); var h = d.getContext('2d');"
+            "h.fillStyle = '#069'; h.fillText('Cwm', 2, 15); d.toDataURL();",
+        )
+        site.add_resource("/", "<script src='/a.js'></script><script src='/b.js'></script>")
+        return Browser(net).load("https://edge.example/")
+    finally:
+        perf.configure(saved)
+
+
+def observed(page):
+    """What the instrument and the page recorded (repr: NaN equals itself)."""
+    instrument = page.instrument
+    return repr(
+        (instrument.calls, instrument.property_accesses, instrument.extractions, page.script_errors)
+    )
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("body", NON_FINITE.values(), ids=list(NON_FINITE))
+    def test_same_page_with_caches_on_and_off(self, body):
+        on = load_with_sibling(body, enabled=True)
+        off = load_with_sibling(body, enabled=False)
+        assert observed(on) == observed(off)
+        assert "https://edge.example/b.js" in [e.script_url for e in on.instrument.extractions]
+
+    def test_ignored_call_leaves_the_canvas_alone(self):
+        page = load(
+            "var g = document.createElement('canvas').getContext('2d');"
+            "g.fillRect(0, 0, 1/0, 10); g.translate(0/0, 0); g.fillRect(0, 0, 2, 2);"
+            "console.log(g.getImageData(0, 0, 1, 1).data[3], g.getImageData(5, 5, 1, 1).data[3],"
+            " g.isPointInPath(1/0, 0));"
+        )
+        assert page.console == ["255 0 false"]
+
+    def test_sizes_convert_to_long_before_the_index_check(self):
+        page = load(
+            "var g = document.createElement('canvas').getContext('2d');"
+            "var r = [];"
+            "try { g.getImageData(0, 0, 0/0, 1); } catch (e) { r.push('threw'); }"
+            "r.push(g.getImageData(1/0, 0, 2.9, 1).width);"
+            "console.log(r.join(' '));"
+        )
+        assert page.console == ["threw 2"]
