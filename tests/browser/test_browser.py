@@ -3,8 +3,10 @@
 import pytest
 
 from repro.browser import AdBlockerExtension, Browser, BrowserProfile, CanvasRandomization
+from repro.browser import browser as browser_module
 from repro.blocklists.matcher import RuleMatcher
 from repro.canvas.device import APPLE_M1
+from repro.js.interpreter import Interpreter
 from repro.net.server import Network
 
 FP_SCRIPT = """
@@ -262,3 +264,62 @@ class TestImageDataBinding:
         )
         page = Browser(network).load("https://pixels.example/")
         assert page.console == ["10,20,30,255 16"]
+
+
+class TestLazyRealm:
+    """A page builds its JS realm only when one of its scripts runs."""
+
+    #: Inert and effect-free: triage defers it.
+    INERT = "var __total = 0; for (var i = 0; i < 40; i++) { __total += i; }"
+    #: Reads the inert script's global, so the deferred script runs first.
+    READER = "console.log(__total);"
+
+    @pytest.fixture
+    def realms(self, monkeypatch):
+        """Every interpreter built through the name the browser looks up."""
+        built = []
+
+        class CountingInterpreter(Interpreter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(browser_module, "Interpreter", CountingInterpreter)
+        return built
+
+    def load(self, network, html):
+        network.server_for("lazy.example").add_resource("/", html)
+        return Browser(network).load("https://lazy.example/")
+
+    def test_deferred_page_builds_no_realm(self, network, realms):
+        page = self.load(network, f"<script>{self.INERT}</script><script>{self.INERT}</script>")
+        assert len(page.skipped_scripts) == 2
+        assert realms == []
+        assert page.console == []
+        page.close()
+        page.close()
+        assert page.console == [] and page.executed_scripts
+
+    def test_flush_builds_one_realm(self, network, realms):
+        page = self.load(network, f"<script>{self.INERT}</script><script>{self.READER}</script>")
+        assert page.skipped_scripts == []
+        assert len(realms) == 1
+        assert page.console == ["780"]
+        page.close()
+        assert page.console == ["780"]
+
+    @pytest.mark.parametrize("group", ["consent", "scroll"])
+    def test_triggered_group_builds_one_realm(self, network, realms, group):
+        attr = "data-consent='required'" if group == "consent" else "data-trigger='scroll'"
+        page = self.load(
+            network,
+            f"<script>{self.INERT}</script>"
+            f"<script {attr}>console.log('{group}');</script>"
+            f"<script {attr}>console.log('again');</script>",
+        )
+        assert realms == [] and page.console == []
+        assert page.trigger(group) == 2
+        assert len(realms) == 1
+        assert page.console == [group, "again"]
+        page.close()
+        assert page.console == [group, "again"]

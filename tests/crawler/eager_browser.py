@@ -21,7 +21,7 @@ from repro.crawler import crawl as crawl_module
 class EagerBrowser(Browser):
     """A browser that runs every script it meets, in document order."""
 
-    def _triage(self, page, interp, effective_url, source) -> bool:
+    def _triage(self, page, effective_url, source) -> bool:
         return False
 
 

@@ -47,9 +47,10 @@ class StepRecorder(EagerBrowser):
 
     steps = {}
 
-    def _run_script(self, page, interp, effective_url, source):
-        super()._run_script(page, interp, effective_url, source)
-        StepRecorder.steps[source] = max(StepRecorder.steps.get(source, 0), interp.steps_executed)
+    def _run_script(self, page, effective_url, source):
+        super()._run_script(page, effective_url, source)
+        steps = page._interp.steps_executed
+        StepRecorder.steps[source] = max(StepRecorder.steps.get(source, 0), steps)
 
 
 def page_steps(sources):
