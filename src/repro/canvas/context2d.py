@@ -77,12 +77,12 @@ class _DrawState:
     clip_digest: Optional[bytes] = None
 
 
-#: Layer 1 of the render-acceleration subsystem: whole-canvas pixel
-#: snapshots keyed by (device, size, baseline, canonical draw-op log).
-#: Fingerprinting vendors serve the *same* script to thousands of sites, so
-#: the op log — and therefore the rendered pixels — repeat endlessly within
-#: one crawl process; the first canvas pays for rasterization, the rest
-#: restore the snapshot (see docs/performance.md).
+#: Layer 1 of the render-acceleration subsystem: whole-canvas rasters keyed
+#: by (device, size, baseline, canonical draw-op log).  Fingerprinting
+#: vendors serve the *same* script to thousands of sites, so the op log —
+#: and therefore the rendered pixels — repeat endlessly within one crawl
+#: process; the first canvas pays for rasterization, the rest share its
+#: raster copy-on-write (see docs/performance.md).
 _RENDER_CACHE = perf.ByteBudgetLRU("render_cache", budget_attr="render_cache_bytes")
 
 
@@ -94,7 +94,7 @@ class CanvasRenderingContext2D:
     is only materialized when pixels are read back (``toDataURL`` /
     ``getImageData`` / being drawn onto another canvas).  At that point the
     whole op log is looked up in the process-wide render cache — a hit
-    restores the cached pixel snapshot and skips rasterization entirely.
+    shares the cached raster and skips rasterization entirely.
     State mutations (styles, transforms, path building, clipping) stay
     eager: they are cheap and must be visible to reads like ``measureText``
     and ``isPointInPath``.
@@ -112,6 +112,8 @@ class CanvasRenderingContext2D:
         self._pending: List[Tuple[Tuple, Callable[[], None]]] = []
         #: Token describing the surface content beneath the pending ops:
         #: "blank" for a fresh canvas, else the previous flush's key digest.
+        #: Unless tainted, it names the surface content exactly
+        #: (:meth:`content_identity`).
         self._baseline: object = "blank"
         #: True once a paint bypassed the op log (caching disabled at the
         #: time): the surface content can no longer be trusted to match any
@@ -150,10 +152,11 @@ class CanvasRenderingContext2D:
         """Materialize pending paint ops into the surface.
 
         Hit: the identical (device, size, baseline, op-log) sequence was
-        rendered before — restore its pixel snapshot.  Miss: replay the
-        closures in order and store the result.  Either way the op log is
-        consumed and the baseline advances to this flush's key, so chained
-        draw/read/draw sequences keep hitting.
+        rendered before — share its raster, copy-on-write.  Miss: replay the
+        closures in order and hand the result to the cache, which the
+        surface then shares too.  Either way the op log is consumed and the
+        baseline advances to this flush's key, so chained draw/read/draw
+        sequences keep hitting.
         """
         if not self._pending:
             return
@@ -172,15 +175,13 @@ class CanvasRenderingContext2D:
         )
         cached = _RENDER_CACHE.get(key)
         if cached is not None:
-            self._surface.set_pixels(cached)
+            self._surface.restore(cached)
         else:
             started = time.perf_counter()
             for _, apply_fn in pending:
                 apply_fn()
-            snapshot = self._surface.snapshot()
-            _RENDER_CACHE.put(
-                key, snapshot, snapshot.nbytes, seconds=time.perf_counter() - started
-            )
+            pixels = self._surface.share()
+            _RENDER_CACHE.put(key, pixels, pixels.nbytes, seconds=time.perf_counter() - started)
         if obs.TRACE.enabled:
             # Guarded: flush runs per drawn canvas, so even building the
             # attrs dict is too costly for the tracing-off hot path.
@@ -188,6 +189,16 @@ class CanvasRenderingContext2D:
         # Chain the baseline as a digest: keys stay flat however many
         # flushes a canvas goes through.
         self._baseline = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).digest()
+
+    def content_identity(self) -> object:
+        """Flush, then name the surface content as the render cache does.
+
+        The baseline: ``"blank"`` before any flush, else the digest of the
+        last flush's render key.  None once the context is tainted, since
+        then no key names the content.
+        """
+        self.flush()
+        return None if self._tainted else self._baseline
 
     def _capture_state(self) -> Tuple[_DrawState, Tuple]:
         """Snapshot the draw state for a deferred op, plus its key part."""

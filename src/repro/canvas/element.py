@@ -4,7 +4,9 @@
 where a generated canvas becomes an exfiltratable string.  The element also
 hosts the ``extraction_filter`` hook browsers use to implement canvas
 randomization defenses (§5.3): the filter sees the pixels on every read-out
-and may add noise.
+and may add noise.  Without a filter, a canvas whose content is a render
+the render cache can name reads out under that name, and its pixels are
+rounded only if the encode memo misses.
 """
 
 from __future__ import annotations
@@ -13,9 +15,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro import perf
 from repro.canvas.context2d import CanvasRenderingContext2D
 from repro.canvas.device import DeviceProfile, INTEL_UBUNTU
-from repro.canvas.encode import data_url, jpeg_like_encode, png_encode, webp_like_encode
+from repro.canvas.encode import (
+    RenderedPixels,
+    data_url,
+    jpeg_like_encode,
+    png_encode,
+    webp_like_encode,
+)
 from repro.canvas.surface import Surface
 
 __all__ = ["HTMLCanvasElement"]
@@ -105,12 +114,29 @@ class HTMLCanvasElement:
             pixels = self.extraction_filter(pixels)
         return pixels
 
+    def _content_identity(self) -> object:
+        """The render cache's name for this canvas's content, or None.
+
+        None when the readout must see the pixels: an extraction filter may
+        change them on every readout, and with the caches disabled nothing
+        is named.  A canvas with no context is blank.
+        """
+        if self.extraction_filter is not None or not perf.config().enabled:
+            return None
+        if self._context is None:
+            return "blank"
+        return self._context.content_identity()
+
     def toDataURL(self, mime_type: str = "image/png", quality: Optional[float] = None) -> str:
         """Serialize the canvas to a data URL.
 
         Unknown MIME types fall back to PNG, matching browser behavior.
         """
-        pixels = self.read_pixels()
+        identity = self._content_identity()
+        if identity is None:
+            pixels = self.read_pixels()
+        else:
+            pixels = RenderedPixels(identity, self.surface)
         mime = (mime_type or "image/png").lower()
         if mime == "image/jpeg":
             return data_url(mime, jpeg_like_encode(pixels, 0.92 if quality is None else quality))

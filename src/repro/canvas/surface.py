@@ -5,11 +5,16 @@ compositing precision and exposes ``uint8`` snapshots.  Paint sources are
 applied through coverage masks (anti-aliased shapes produce fractional
 coverage), supporting the subset of ``globalCompositeOperation`` values that
 real fingerprinting scripts use.
+
+Pixels are allocated on the first write, and a surface restored from the
+render cache reads the cached array in place until it is written
+(copy-on-write): most canvases are resized before they are drawn, and most
+draws repeat a render the cache already holds.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,37 +35,60 @@ COMPOSITE_OPERATIONS = (
 
 
 class Surface:
-    """A ``height x width`` RGBA raster."""
+    """A ``height x width`` RGBA raster.
+
+    It holds one of three things: nothing (blank, every pixel transparent),
+    a private array, or a read-only array it shares with the render cache.
+    Every write goes through :meth:`_writable`, which makes the array
+    private first; a write that bypassed it would raise on a shared array
+    instead of corrupting the cache.
+    """
 
     def __init__(self, width: int, height: int) -> None:
         if width <= 0 or height <= 0:
             raise ValueError(f"surface dimensions must be positive, got {width}x{height}")
         self.width = int(width)
         self.height = int(height)
-        # Non-premultiplied float RGBA, channels in 0..255 (alpha too).
-        self._px = np.zeros((self.height, self.width, 4), dtype=np.float64)
+        # Non-premultiplied float RGBA, channels in 0..255 (alpha too);
+        # None while blank.
+        self._px: Optional[np.ndarray] = None
+
+    def _writable(self) -> np.ndarray:
+        """The pixels, made private (allocated or copied) for a write."""
+        px = self._px
+        if px is None:
+            px = self._px = np.zeros((self.height, self.width, 4), dtype=np.float64)
+        elif not px.flags.writeable:
+            px = self._px = px.copy()
+        return px
 
     # -- snapshots ----------------------------------------------------------------
 
     def to_uint8(self) -> np.ndarray:
         """Return an independent ``uint8`` copy of the pixels."""
+        if self._px is None:
+            return np.zeros((self.height, self.width, 4), dtype=np.uint8)
         return np.clip(np.rint(self._px), 0, 255).astype(np.uint8)
 
-    def snapshot(self) -> np.ndarray:
-        """Full-precision copy of the raster (render-cache values).
+    def share(self) -> np.ndarray:
+        """Hand the full-precision raster to the render cache.
 
-        ``float64`` rather than ``uint8``: a restored canvas must continue
-        compositing bit-identically to one that was rasterized in place.
+        The array is marked read-only and kept: this surface reads it in
+        place, and its next write copies it.  ``float64`` rather than
+        ``uint8``: a restored canvas must continue compositing
+        bit-identically to one that was rasterized in place.
         """
-        return self._px.copy()
+        px = self._writable()
+        px.setflags(write=False)
+        return px
 
-    def set_pixels(self, pixels: np.ndarray) -> None:
-        """Restore a :meth:`snapshot` (copies — the source stays pristine)."""
-        if pixels.shape != self._px.shape:
+    def restore(self, pixels: np.ndarray) -> None:
+        """Take a raster from :meth:`share` as this surface's content, copy-on-write."""
+        if pixels.shape != (self.height, self.width, 4):
             raise ValueError(
-                f"snapshot shape {pixels.shape} does not match surface {self._px.shape}"
+                f"cached shape {pixels.shape} does not match surface {self.width}x{self.height}"
             )
-        self._px[...] = pixels
+        self._px = pixels
 
     def put_uint8(self, pixels: np.ndarray, x: int = 0, y: int = 0) -> None:
         """Overwrite a region with raw RGBA pixels (putImageData semantics)."""
@@ -70,16 +98,13 @@ class Surface:
         if x1 <= x0 or y1 <= y0:
             return
         src = pixels[y0 - y : y1 - y, x0 - x : x1 - x].astype(np.float64)
-        self._px[y0:y1, x0:x1] = src
-
-    def clear(self) -> None:
-        self._px[:] = 0.0
+        self._writable()[y0:y1, x0:x1] = src
 
     def clear_rect(self, x0: int, y0: int, x1: int, y1: int) -> None:
         x0, y0 = max(0, x0), max(0, y0)
         x1, y1 = min(self.width, x1), min(self.height, y1)
-        if x1 > x0 and y1 > y0:
-            self._px[y0:y1, x0:x1] = 0.0
+        if x1 > x0 and y1 > y0 and self._px is not None:
+            self._writable()[y0:y1, x0:x1] = 0.0
 
     # -- painting -----------------------------------------------------------------
 
@@ -109,8 +134,8 @@ class Surface:
         else:
             src = color[y0 - oy : y1 - oy, x0 - ox : x1 - ox].astype(np.float64)
 
-        dst = self._px[y0:y1, x0:x1]
-        self._px[y0:y1, x0:x1] = _composite(dst, src, cov, op)
+        px = self._writable()
+        px[y0:y1, x0:x1] = _composite(px[y0:y1, x0:x1], src, cov, op)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Surface({self.width}x{self.height})"

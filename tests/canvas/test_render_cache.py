@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.canvas import HTMLCanvasElement, INTEL_UBUNTU
+from repro.browser.privacy import CanvasRandomization, RandomizationState, make_extraction_filter
+from repro.canvas import HTMLCanvasElement, INTEL_UBUNTU, context2d
 
 
 @pytest.fixture(autouse=True)
@@ -47,9 +48,20 @@ def draw_fingerprint(ctx):
 
 
 def render_outputs(draw, mimes=(("image/png", None), ("image/jpeg", 0.6), ("image/webp", 0.6))):
+    """Read out the canvas ``draw`` returns, else the one it drew on."""
     c, ctx = make_canvas()
-    draw(ctx)
-    return tuple(c.toDataURL(mime, q) for mime, q in mimes)
+    target = draw(ctx) or c
+    return tuple(target.toDataURL(mime, q) for mime, q in mimes)
+
+
+def restored_fingerprint():
+    """A fingerprint canvas read out twice over; with the caches on, the
+    second canvas's raster is the render cache's, shared copy-on-write."""
+    for _ in range(2):
+        c, ctx = make_canvas()
+        draw_fingerprint(ctx)
+        c.toDataURL()
+    return c, ctx
 
 
 def transparent(draw):
@@ -124,6 +136,82 @@ class TestTransparency:
             ctx.drawImage(src, 40, 20, 60, 40)
 
         transparent(draw)
+
+
+    def test_draw_after_reading_out_a_cache_hit(self):
+        def draw(ctx):
+            original = restored_fingerprint()[0].read_pixels()
+            c, g = restored_fingerprint()
+            g.fillStyle = "#123"
+            g.fillRect(0, 0, 30, 30)
+            c.toDataURL()
+            third, _ = restored_fingerprint()
+            assert np.array_equal(third.read_pixels(), original)
+            return c
+
+        transparent(draw)
+
+    def test_resize_after_reading_out_a_cache_hit(self):
+        def draw(ctx):
+            c, _ = restored_fingerprint()
+            c.width = 60
+            g = c.getContext("2d")
+            g.fillStyle = "#0a0"
+            g.fillRect(5, 5, 20, 20)
+            return c
+
+        transparent(draw)
+
+    def test_context_with_no_ops(self):
+        transparent(lambda ctx: None)
+
+    def test_canvas_with_no_context(self):
+        transparent(lambda ctx: HTMLCanvasElement(40, 30, device=INTEL_UBUNTU))
+
+    def test_image_data_and_draw_image_with_restored_canvases(self):
+        def draw(ctx):
+            original = restored_fingerprint()[0].read_pixels()
+            src, sctx = restored_fingerprint()
+            ctx.putImageData(sctx.getImageData(10, 10, 40, 30), 5, 5)
+            ctx.drawImage(src, 50, 20)
+            dst, dctx = restored_fingerprint()
+            dctx.putImageData(ctx.getImageData(0, 0, 30, 30), 60, 40)
+            dctx.drawImage(ctx.canvas, 0, 0, 40, 30)
+            dctx.getImageData(0, 0, 120, 80)
+            assert np.array_equal(restored_fingerprint()[0].read_pixels(), original)
+            return dst
+
+        transparent(draw)
+
+
+class TestCopyOnWrite:
+    def test_cached_raster_is_read_only(self):
+        c, _ = restored_fingerprint()
+        ((_key, raster),) = context2d._RENDER_CACHE.items()
+        assert c.surface._px is raster
+        with pytest.raises(ValueError):
+            raster[0, 0, 0] = 1.0
+
+    def test_per_render_noise_on_a_restored_canvas(self):
+        """A randomizing filter sees fresh pixels on every readout, cache hit or not."""
+
+        def readouts(enabled):
+            perf.configure(perf.RenderCacheConfig(enabled=enabled))
+            perf.reset_all()
+            state = RandomizationState(7)
+            urls = []
+            for _ in range(2):
+                c, ctx = make_canvas()
+                c.extraction_filter = make_extraction_filter(CanvasRandomization.PER_RENDER, state)
+                draw_fingerprint(ctx)
+                urls.append((c.toDataURL(), c.toDataURL()))
+            return urls, perf.PERF.snapshot().get("render_cache", {}).get("hits", 0)
+
+        (on, hits), (off, _) = readouts(True), readouts(False)
+        assert hits == 1
+        assert on == off
+        first, second = on[1]
+        assert first != second
 
 
 class TestContentKeying:
