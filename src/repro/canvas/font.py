@@ -87,11 +87,6 @@ def parse_font(font: str) -> FontSpec:
 #: Byte-budgeted LRU, instrumented through :mod:`repro.perf`.
 _GLYPH_ATLAS = perf.ByteBudgetLRU("glyph_atlas", budget_attr="glyph_cache_bytes")
 
-#: Shaped text-run cache: whole (text, font, device) coverage masks, one
-#: level above the glyph atlas — ``fillText`` is the hottest op in
-#: fingerprinting canvases and most runs repeat verbatim across sites.
-_RUN_CACHE = perf.ByteBudgetLRU("text_run", budget_attr="glyph_cache_bytes")
-
 
 class TextRasterizer:
     """Renders text runs to coverage masks for one device profile."""
@@ -137,14 +132,6 @@ class TextRasterizer:
         their own colors), and ``baseline_offset`` is the distance from the
         mask's top row to the alphabetic baseline.
         """
-        caching = perf.config().enabled
-        run_key = (self.device, text, spec.key)
-        if caching:
-            cached_run = _RUN_CACHE.get(run_key)
-            if cached_run is not None:
-                return cached_run
-        started = time.perf_counter()
-
         scale = spec.size_px / GLYPH_HEIGHT
         fam = self.family_scale(spec.family)
         cell_h = max(2, int(round(GLYPH_HEIGHT * scale)))
@@ -182,11 +169,7 @@ class TextRasterizer:
             pen += advances[idx]
 
         self._perturb(coverage, text, spec)
-        result = (coverage, colors, cell_h * _BASELINE_RATIO)
-        if caching:
-            nbytes = coverage.nbytes + (colors.nbytes if colors is not None else 0)
-            _RUN_CACHE.put(run_key, result, nbytes, seconds=time.perf_counter() - started)
-        return result
+        return coverage, colors, cell_h * _BASELINE_RATIO
 
     def baseline_shift(self, baseline: str, spec: FontSpec) -> float:
         """Offset from the user-supplied y to the alphabetic baseline."""
