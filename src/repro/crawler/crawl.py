@@ -213,8 +213,8 @@ def crawl_profiles(
     separate crawl under that profile alone.  Returns one dataset per label.
 
     Each profile gets its own browser, reused across sites; every page load
-    gets a fresh JS realm — matching how the real collector isolates page
-    contexts within one browser process.  The collector closes each page
+    runs its scripts in a fresh JS realm of its own — matching how the real
+    collector isolates page contexts within one browser process.  The collector closes each page
     once observed, and the loop runs under the cyclic collector's
     :data:`_CRAWL_GC_THRESHOLD`, restoring the previous thresholds however
     it ends.

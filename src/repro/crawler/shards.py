@@ -9,8 +9,8 @@ label's shard datasets back into one :class:`CrawlDataset` in the original
 target order — so a parallel crawl is observation-for-observation identical
 to a serial one.
 
-Why this is safe: every page load runs in a fresh JS realm against a
-stateless synthetic network, and fault injection
+Why this is safe: every page load runs its scripts in a fresh JS realm of
+its own against a stateless synthetic network, and fault injection
 (:class:`~repro.net.faults.FaultInjector`) is keyed by ``(seed, url)`` and
 counted per visit: the crawl loop starts a fresh fault clock for every
 settle, so a forked worker's inherited clock and the other sites in its
