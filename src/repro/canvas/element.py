@@ -25,7 +25,7 @@ from repro.canvas.encode import (
     png_encode,
     webp_like_encode,
 )
-from repro.canvas.surface import Surface
+from repro.canvas.surface import MAX_DIMENSION, Surface
 
 __all__ = ["HTMLCanvasElement"]
 
@@ -156,4 +156,4 @@ def _coerce_dimension(value, default: int) -> int:
         return default
     if ivalue <= 0:
         return default
-    return min(ivalue, 4096)  # cap, like browsers' max canvas size
+    return min(ivalue, MAX_DIMENSION)  # cap, like browsers' max canvas size

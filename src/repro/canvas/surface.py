@@ -18,7 +18,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Surface", "COMPOSITE_OPERATIONS"]
+__all__ = ["Surface", "COMPOSITE_OPERATIONS", "MAX_DIMENSION", "MAX_PIXELS"]
+
+#: The largest canvas side (browsers cap canvas dimensions), and the pixel
+#: count of the largest canvas: the bound on any region a script sizes.
+MAX_DIMENSION = 4096
+MAX_PIXELS = MAX_DIMENSION * MAX_DIMENSION
 
 COMPOSITE_OPERATIONS = (
     "source-over",
