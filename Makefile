@@ -20,7 +20,7 @@ study-full:
 	python -m repro.experiments --scale 1.0
 
 # Regenerate artifacts/ byte-for-byte (CI job `artifacts` diffs a fresh
-# copy); 72 s on a shared 2-vCPU VM (14.1 s GC, 935 MB peak RSS).
+# copy); 55 s on a shared 2-vCPU VM (12 s GC, 935 MB peak RSS).
 artifacts:
 	python -m repro.experiments --scale 1.0 --jobs 2 --artifacts artifacts/
 
