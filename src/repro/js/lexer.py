@@ -17,6 +17,7 @@ Malformed literals (``0x``, ``'\\xZZ'``, ``²``) raise
 
 from __future__ import annotations
 
+import math
 import re
 from typing import List
 
@@ -84,6 +85,14 @@ _MASTER = re.compile(
 )
 
 _IDENT_REST = re.compile(r"[\w$]*")
+
+
+def _hex_value(text: str) -> float:
+    """The double nearest a hex literal's value; Infinity past the largest double."""
+    try:
+        return float(int(text, 16))
+    except OverflowError:
+        return math.inf
 
 
 def _digits_end(source: str, i: int) -> int:
@@ -312,7 +321,7 @@ def tokenize(source: str, script: str = "<anonymous>") -> List[Token]:
             col = pos - len(text) - line_start + 1
             if len(text) == 2:
                 raise JSSyntaxError(f"malformed number {text!r}", line, script, col=col)
-            append(Token(_NUMBER, float(int(text, 16)), line, col))
+            append(Token(_NUMBER, _hex_value(text), line, col))
         elif kind == "escaped":
             start = pos - 1
             col = start - line_start + 1

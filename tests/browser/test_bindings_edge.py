@@ -270,6 +270,27 @@ class TestOverflowingGeometry:
         assert page.console == ["false false 0", "0"]
 
 
+#: Number literals past the largest double: JavaScript reads the first as
+#: Infinity and the second as the key "Infinity".
+HUGE_LITERALS = {
+    "hex": "var n = 0x" + "F" * 300 + "; console.log(n === 1/0);",
+    "key": "var o = {1e999: 'inf'}; console.log(o[1/0] === 'inf');",
+}
+
+
+class TestHugeNumberLiterals:
+    @pytest.mark.parametrize("body", HUGE_LITERALS.values(), ids=list(HUGE_LITERALS))
+    def test_the_page_loads_and_keeps_the_sibling_extraction(self, body):
+        # Both literals raised OverflowError out of the page load, and the
+        # collector turned the whole page into a failure row.
+        page = load_with_sibling(body, enabled=True)
+        assert page.script_errors == []
+        assert page.console == ["true"]
+        assert [e.script_url for e in page.instrument.extractions] == [
+            "https://edge.example/a.js", "https://edge.example/b.js"
+        ]
+
+
 def load_limited(script):
     """Load a one-script page in a child process limited to 1 GiB of address space.
 

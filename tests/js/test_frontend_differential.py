@@ -6,13 +6,17 @@ agree exactly: the same tokens (type, value, line, column), the same AST
 (dataclass ``==``, positions included) and, on failure, the same
 ``JSSyntaxError`` message, line and column.  Where the reference raised a
 bare ``ValueError`` (malformed ``0x``, ``'\\xZZ'``, ``²``), the front end
-raises ``JSSyntaxError`` instead.
+raises ``JSSyntaxError`` instead.  Where it raised ``OverflowError`` (a hex
+literal or a number key past the largest double), the front end reads the
+literal as JavaScript does; those inputs are listed as known divergences.
 
 Inputs: the vendor and benign corpora, every script of two small study
 worlds, the compiler-equivalence snippets, explicit arrow-function cases,
 and two Hypothesis strategies (a token soup for the lexer and error paths,
 generated programs for the parser).
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +153,27 @@ def test_operator_precedence(source):
 )
 def test_literal_edge_cases(source):
     assert_same(source)
+
+
+#: Known divergences: the reference raises ``OverflowError`` on these, and the
+#: front end reads a hex literal past the largest double as ``Infinity`` and
+#: a number key that overflows as the key ``"Infinity"``.
+OVERFLOWING_LITERALS = {
+    "var n = 0x" + "F" * 300 + ";": ("n", math.inf),
+    "var o = {1e999: 1};": ("o", "Infinity"),
+}
+
+
+@pytest.mark.parametrize("source", OVERFLOWING_LITERALS, ids=["hex", "key"])
+def test_overflowing_literals_are_known_divergences(source):
+    with pytest.raises(OverflowError):
+        ref.Parser(ref.tokenize(source, "t.js"), "t.js").parse_program()
+    [declaration] = Parser(tokenize(source, "t.js"), "t.js").parse_program().body
+    [declarator] = declaration.declarations
+    name, value = OVERFLOWING_LITERALS[source]
+    init = declarator.init
+    assert declarator.name == name
+    assert (init.value if name == "n" else init.properties[0][0]) == value
 
 
 # -- Hypothesis: token soup (lexer, error paths) --------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the JS tokenizer."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,6 +92,16 @@ class TestErrors:
         with pytest.raises(JSSyntaxError) as info:
             tokenize("\n" + source)
         assert (info.value.line, info.value.col) == (2, 9)
+
+
+    def test_numbers_past_the_largest_double_are_infinity(self):
+        # float(int(...)) of a hex literal raised OverflowError out of tokenize.
+        huge_hex = "0x" + "F" * 300
+        assert kinds(f"{huge_hex} 1e999 {'9' * 400}") == [(TokenType.NUMBER, math.inf)] * 3
+        # 2**1020 - 1 rounds to a double; 2**1024 - 1 rounds past the largest.
+        assert kinds("0x" + "F" * 255 + " 0x" + "F" * 256) == [
+            (TokenType.NUMBER, 2.0**1020), (TokenType.NUMBER, math.inf)
+        ]
 
 
 @given(st.floats(min_value=0, max_value=1e9, allow_nan=False).map(lambda x: round(x, 4)))

@@ -101,6 +101,11 @@ class TestStatements:
         keys = [k for k, _ in e.value.properties]
         assert keys == ["plain", "quoted key", "42", "for"]
 
+    def test_an_infinite_number_key_is_the_key_infinity(self):
+        # _number_key took int() of the value, which overflows on infinity.
+        e = expr_of("x = {1e999: 1, 0x" + "F" * 300 + ": 2};")
+        assert [k for k, _ in e.value.properties] == ["Infinity", "Infinity"]
+
     def test_empty_statement(self):
         assert isinstance(first_stmt(";"), N.EmptyStatement)
 
