@@ -115,6 +115,7 @@ class TestLoops:
         "var s = 0; function reset() { i = 0; } for (var i = 0; i < 10; i++) { reset(); }",
         "var s = 0; for (var i = 0; i < 10; i++) { [1, 2].forEach(function () { s++; }); }",
         "var f = function () { return 1; }; f = 3; f();",
+        "for (var i = 1e999; i < 0; i++) {}",  # the span is -Infinity
     ])
     def test_unboundable_shapes_are_refused(self, source):
         assert verdict_for_source(source).step_bound is None
