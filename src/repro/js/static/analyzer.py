@@ -246,6 +246,11 @@ class Analysis:
     geometry_draws: bool = False
     animated: bool = False
     canvas_mention: bool = False
+    #: Whether the pass read a number literal's value (folding, a string
+    #: concatenation, a canvas size, a loop bound).  When it did not, every
+    #: script that differs from this one only in number literals has this
+    #: analysis too.
+    reads_numbers: bool = False
 
     def may_throw(self) -> bool:
         return bool(self.throw_reasons)
@@ -541,12 +546,14 @@ class _Analyzer:
             out = AV("bool", safe=True)
         elif node.op == "+" and (left.kind == "str" or right.kind == "str"):
             if left.literal is not None and right.literal is not None:
+                self.result.reads_numbers = True
                 out = AV("str", literal=f"{left.literal}{right.literal}", safe=True)
             else:
                 out = AV("str", safe=True)
         else:
             out = AV("num", safe=True)
             if left.literal is not None and right.literal is not None and node.op in ("+", "-", "*"):
+                self.result.reads_numbers = True
                 try:
                     value = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
                              "*": lambda a, b: a * b}[node.op](left.literal, right.literal)
@@ -871,6 +878,7 @@ class _Analyzer:
             prop = target.prop
             if base.kind == "canvas" and prop in ("width", "height") and base.alloc is not None:
                 if value.kind == "num" and value.literal is not None:
+                    self.result.reads_numbers = True
                     setattr(base.alloc, prop, float(value.literal))
                 else:
                     setattr(base.alloc, prop, None)
@@ -946,7 +954,8 @@ def _flat(args: List[AV]) -> bool:
 def analyze_program(program: N.Program) -> Analysis:
     """Analyze one parsed script; see the module docstring for the contract."""
     result = _Analyzer(program).run()
-    result.step_bound, reason = step_bound(program)
+    result.step_bound, reason, reads_numbers = step_bound(program)
+    result.reads_numbers |= reads_numbers
     if result.step_bound is None:
         result.nonterm_reasons.append(reason)
     return result

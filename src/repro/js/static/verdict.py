@@ -7,6 +7,17 @@ byte-budget LRU keyed by ``(sha256(source), ANALYZER_VERSION)`` beside the
 compiled-program cache, and two scripts served at different URLs with the
 same body share one entry.
 
+The same LRU also holds verdicts by script *shape*: the source's tokens
+with number values left out.  The parser reads a number's value only to
+build a number literal or a name (an object key, a property after ``.``),
+and the shape keeps the value of every number that becomes a name, so two
+sources of one shape parse to the same tree up to number literals.  A
+verdict whose analysis read no number literal's value
+(``Analysis.reads_numbers``) is stored under its shape too, and a later
+source of that shape gets it with its own ``sha`` and ``signature``, the
+only fields taken from the text, without being parsed or analysed.  Parse
+errors never serve a shape: their columns move with the numbers.
+
 The fingerprinting-likelihood class mirrors the dynamic detector's §3.2
 heuristics statically: a readout in a lossy encoding, from a canvas whose
 literal dimensions fall below ``MIN_CANVAS_SIZE``, or from an animated
@@ -17,17 +28,22 @@ script ``fingerprinting-likely``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import marshal
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
 from repro import perf
-from repro.js import nodes as N
+from repro.js.compiler import _source_digest
 from repro.js.errors import JSError, JSThrow
+from repro.js.lexer import tokenize
 from repro.js.parser import parse
 from repro.js.static.analyzer import IMPURE_MATH_CALLS, Analysis, analyze_program
+from repro.js.tokens import Token, TokenType
 
 __all__ = [
     "ANALYZER_VERSION",
@@ -184,19 +200,18 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {text}"[:200]
 
 
-def _build_verdict(source: str, sha: str) -> StaticVerdict:
-    try:
-        program = parse(source)
-        analysis = analyze_program(program)
-    except (JSError, JSThrow, RecursionError) as exc:
-        return StaticVerdict(
-            sha=sha,
-            classification=CLASS_PARSE_ERROR,
-            signature=_signature(source),
-            skip_blockers=("parse error",),
-            reads_top=True,
-            parse_error=_describe(exc),
-        )
+def _error_verdict(source: str, sha: str, exc: BaseException) -> StaticVerdict:
+    return StaticVerdict(
+        sha=sha,
+        classification=CLASS_PARSE_ERROR,
+        signature=_signature(source),
+        skip_blockers=("parse error",),
+        reads_top=True,
+        parse_error=_describe(exc),
+    )
+
+
+def _verdict(source: str, sha: str, analysis: Analysis) -> StaticVerdict:
     classification, excluded = classify(analysis)
     blockers = _skip_blockers(analysis)
     return StaticVerdict(
@@ -218,6 +233,34 @@ def _build_verdict(source: str, sha: str) -> StaticVerdict:
     )
 
 
+_TYPE = attrgetter("type")
+_VALUE = attrgetter("value")
+_LINE = attrgetter("line")
+_TYPE_CODES = {kind: code for code, kind in enumerate(TokenType)}
+_NUMBER_CODE = _TYPE_CODES[TokenType.NUMBER]
+
+
+def _shape_key(tokens: List[Token]) -> bytes:
+    """The digest of a token list's types, values and lines, with number
+    values left out except where the parser makes a number a name: followed
+    by ``:`` (an object key) or after ``.`` (the property of ``new a. 1``).
+
+    Columns are left out too: nothing the analysis keeps reads one.  The
+    lists are serialized by ``marshal`` version 2, which writes no
+    back-references, so equal lists give equal bytes.  The digest is
+    ``bytes`` and never equals a source's hex digest.
+    """
+    codes = bytes(map(_TYPE_CODES.__getitem__, map(_TYPE, tokens)))
+    values = list(map(_VALUE, tokens))
+    index = codes.find(_NUMBER_CODE)
+    while index >= 0:  # the last token is EOF, so ``index + 1`` is a token
+        if tokens[index + 1].key != ":" and tokens[index - 1].key != ".":
+            values[index] = None
+        index = codes.find(_NUMBER_CODE, index + 1)
+    lines = list(map(_LINE, tokens))
+    return hashlib.sha256(marshal.dumps((codes, values, lines), 2)).digest()
+
+
 #: Content-addressed verdict cache, beside the compiled-program cache.
 _VERDICT_CACHE = perf.ByteBudgetLRU("js.static", "static_cache_bytes")
 
@@ -237,23 +280,42 @@ def verdict_for_source(source: str, script_url: str = "<anonymous>") -> StaticVe
 
     A verdict depends on the source bytes alone, never on ``script_url``:
     the cache is keyed by digest, so the same body served at two URLs (or
-    analysed first by either of two crawl workers) has one verdict.
+    analysed first by either of two crawl workers) has one verdict.  On a
+    digest miss the source is lexed once and its shape looked up (see the
+    module docstring); a shape hit is this call's one recorded hit, and a
+    full analysis its one recorded miss.
     """
-    sha = hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
+    sha = _source_digest(source)
     key = (sha, ANALYZER_VERSION)
     cached = _VERDICT_CACHE.get(key)
     if cached is not None:
         return cached
     started = time.perf_counter()
-    verdict = _build_verdict(source, sha)
-    _VERDICT_CACHE.put(
-        key, verdict, _verdict_nbytes(verdict), time.perf_counter() - started
-    )
+    try:
+        tokens = tokenize(source)
+        shape = (_shape_key(tokens), ANALYZER_VERSION)
+        template = _VERDICT_CACHE.get(shape)
+        if template is not None:
+            verdict = dataclasses.replace(template, sha=sha, signature=_signature(source))
+            _VERDICT_CACHE.adopt(key, verdict, _verdict_nbytes(verdict))
+            return verdict
+        analysis = analyze_program(parse(source, tokens=tokens))
+    except (JSError, JSThrow, RecursionError) as exc:
+        verdict, shape = _error_verdict(source, sha, exc), None
+    else:
+        verdict = _verdict(source, sha, analysis)
+        if analysis.reads_numbers:
+            shape = None
+    nbytes = _verdict_nbytes(verdict)
+    _VERDICT_CACHE.put(key, verdict, nbytes, time.perf_counter() - started)
+    if shape is not None:
+        _VERDICT_CACHE.adopt(shape, verdict, nbytes)
     return verdict
 
 
 def verdict_mark() -> FrozenSet[Hashable]:
-    """The keys of every verdict this process holds, for :func:`verdicts_since`."""
+    """The keys of every verdict this process holds (shape templates
+    included), for :func:`verdicts_since`."""
     return frozenset(key for key, _verdict in _VERDICT_CACHE.items())
 
 
@@ -262,17 +324,18 @@ def verdicts_since(mark: FrozenSet[Hashable]) -> Dict[Hashable, StaticVerdict]:
 
     A crawl worker ships these home, so the parent's ``static`` stage finds
     every script its workers analysed (a verdict the worker's cache evicted
-    is computed again by the parent).
+    is computed again by the parent, or served by a shape it holds).
     """
     return {key: verdict for key, verdict in _VERDICT_CACHE.items() if key not in mark}
 
 
 def adopt_verdicts(verdicts: Mapping[Hashable, StaticVerdict]) -> None:
-    """Take in verdicts another process computed.
+    """Take in verdicts another process computed, shape templates included.
 
     Records no hit and no miss (the computing process counted its miss),
     and leaves a verdict already held as it is: a verdict depends on the
-    source bytes alone, so both are the same.
+    source bytes alone, so both are the same, and two templates of one
+    shape serve the same verdict.
     """
     for key, verdict in verdicts.items():
         _VERDICT_CACHE.adopt(key, verdict, _verdict_nbytes(verdict))

@@ -338,10 +338,11 @@ class ByteBudgetLRU:
         return [(key, entry[0]) for key, entry in self._entries.items()]
 
     def adopt(self, key: Hashable, value: Any, nbytes: int) -> None:
-        """Insert a value another process computed, recording no hit or miss.
+        """Insert a value whose lookup was counted elsewhere, recording no hit or miss.
 
-        The process that computed it counted its miss.  A key already held
-        is left as it is.
+        That is a value another process computed (it counted its miss), or
+        one derived from a counted hit on another key (a static verdict
+        served by its script's shape).  A key already held is left as it is.
         """
         nbytes = int(nbytes)
         if key in self._entries or nbytes > self._max_bytes:

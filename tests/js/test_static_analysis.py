@@ -6,6 +6,8 @@ canvas APIs are reachable, whether readouts survive the paper's §3.2
 exclusions, where tainted bytes flow, and when a script is provably inert.
 """
 
+import hashlib
+
 from repro import perf
 from repro.js import nodes as N
 from repro.js.parser import parse
@@ -309,6 +311,17 @@ class TestVerdicts:
         second = verdict_for_source(src, "https://b.example/y.js")
         assert first == second
         assert first.parse_error == "JSSyntaxError: malformed number '0x' at line 1:14"
+
+    def test_lone_surrogates_have_their_own_verdicts(self):
+        # The digest encoded with errors="replace", so both sources hashed
+        # as one and the second got the first's verdict and signature.
+        first = verdict_for_source("var k = 'abcdefghijkl\ud800';")
+        second = verdict_for_source("var k = 'abcdefghijkl\udbff';")
+        assert first.sha != second.sha
+        assert second.signature == ("abcdefghijkl\udbff",)
+        # A source without a lone surrogate keeps the digest of its UTF-8 bytes.
+        src = "var k = 'caf\u00e9';"
+        assert verdict_for_source(src).sha == hashlib.sha256(src.encode("utf-8")).hexdigest()
 
     def test_verdict_cache_hits_on_second_lookup(self):
         src = "var __t_cache_probe = 1 + 2 + 3;"
