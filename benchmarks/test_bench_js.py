@@ -29,7 +29,7 @@ regression.
 import hashlib
 import time
 
-from repro import perf
+from repro import obs, perf
 from repro.browser.browser import Browser
 from repro.js import compiler
 from repro.webgen.vendors import prewarm_sources
@@ -116,9 +116,9 @@ def test_bench_js_crawl(world, bench_json):
     compiler.prewarm(prewarm_sources())
     warm = crawl_seconds(True)
 
-    before = perf.PERF.snapshot()
+    before = obs.METRICS.snapshot()
     crawl_seconds(True)  # one more warm round, bracketed for hit rates
-    delta = perf.diff_snapshots(before, perf.PERF.snapshot())
+    delta = perf.diff_snapshots(before, obs.METRICS.snapshot())
     hit_rates = {}
     for layer in ("js.cache", "js.ic"):
         row = delta.get(layer, {})

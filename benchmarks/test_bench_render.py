@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro import perf
+from repro import obs, perf
 from repro.browser import Browser
 from repro.canvas import HTMLCanvasElement, INTEL_UBUNTU
 from repro.net import Network
@@ -41,7 +41,7 @@ PANGRAM = "Cwm fjordbank glyphs vext quiz"
 @pytest.fixture
 def cache_sandbox():
     """Run a benchmark against pristine caches, restoring the session after."""
-    saved = perf.current_config()
+    saved = perf.config()
     perf.reset_all()
     yield
     perf.configure(saved)
@@ -115,9 +115,9 @@ def test_bench_render_repeated_cluster(cache_sandbox, bench_json):
     # Warm: first site populates the caches, the rest of the cluster hits.
     perf.configure(perf.RenderCacheConfig())
     perf.reset_all()
-    before = perf.PERF.snapshot()
+    before = obs.METRICS.snapshot()
     warm_seconds, warm_outputs, _ = _run_cluster(CLUSTER_SITES)
-    counters = perf.diff_snapshots(before, perf.PERF.snapshot())
+    counters = perf.diff_snapshots(before, obs.METRICS.snapshot())
 
     assert warm_outputs == cold_outputs, "caches must be exactly transparent"
     speedup = cold_seconds / max(warm_seconds, 1e-9)
@@ -176,9 +176,9 @@ def test_bench_render_crawl_cluster(cache_sandbox, bench_json):
 
     perf.configure(perf.RenderCacheConfig())
     perf.reset_all()
-    before = perf.PERF.snapshot()
+    before = obs.METRICS.snapshot()
     warm_seconds, warm_outputs = _crawl_cluster(CLUSTER_SITES)
-    counters = perf.diff_snapshots(before, perf.PERF.snapshot())
+    counters = perf.diff_snapshots(before, obs.METRICS.snapshot())
 
     assert warm_outputs == cold_outputs, "caches must be exactly transparent"
     assert counters.get("render_cache", {}).get("hits", 0) > 0

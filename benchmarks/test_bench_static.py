@@ -27,7 +27,7 @@ inspection but never gated.
 
 import time
 
-from repro import perf
+from repro import obs, perf
 from repro.browser.browser import Browser
 from repro.js.static import verdict_for_source
 from repro.js.static.verdict import _VERDICT_CACHE
@@ -126,10 +126,10 @@ def test_bench_static_verdict_cache(bench_json):
     verdict_for_source(HEAVY_INERT)
     verdict_for_source(FP_SCRIPT)
 
-    before = perf.PERF.snapshot()
+    before = obs.METRICS.snapshot()
     for url in urls:
         Browser(net).load(url)
-    delta = perf.diff_snapshots(before, perf.PERF.snapshot())
+    delta = perf.diff_snapshots(before, obs.METRICS.snapshot())
 
     row = delta.get("js.static", {})
     lookups = row.get("hits", 0.0) + row.get("misses", 0.0)

@@ -210,38 +210,18 @@ def stage_timing_table(result: StudyResult) -> str:
 
 
 def render_cache_table(result: StudyResult) -> str:
-    """Per-layer render-acceleration counters for the study.
+    """Per-layer cache and timer counters for the study.
 
-    One row per cache layer (whole-canvas render cache, glyph atlas, text
-    runs, path coverage masks, encode memoization): hit rate, lookup
-    volume, and the rasterization/encode seconds the hits are estimated to
-    have saved.  Empty string when the run recorded no counters (caches
-    disabled, or a result deserialized from disk).
+    One row per cache layer (whole-canvas render cache, glyph atlas, path
+    coverage masks, encode memoization, compiled scripts, static verdicts
+    and triage): hit rate, lookup volume, and the rasterization/encode
+    seconds the hits are estimated to have saved; then the wall seconds of
+    each timer layer.  Empty string when the run recorded no counters (a
+    result deserialized from disk).
     """
-    counters = result.perf_counters
-    cache_rows = {
-        name: row
-        for name, row in counters.items()
-        if (row.get("hits", 0) or row.get("misses", 0))
-    }
-    if not cache_rows:
-        return ""
-    lines = [f"{'cache layer':14s} {'hit rate':>9s} {'hits':>9s} {'misses':>9s} {'saved':>9s}"]
-    for name in sorted(cache_rows):
-        row = cache_rows[name]
-        lines.append(
-            f"{name:14s} {row.get('hit_rate', 0.0):8.1%} "
-            f"{int(row.get('hits', 0)):9d} {int(row.get('misses', 0)):9d} "
-            f"{row.get('saved_seconds', 0.0):8.2f}s"
-        )
-    timers = {
-        name: row.get("miss_seconds", 0.0)
-        for name, row in counters.items()
-        if name not in cache_rows and row.get("miss_seconds", 0.0)
-    }
-    for name in sorted(timers):
-        lines.append(f"{name:14s} {'-':>9s} {'-':>9s} {'-':>9s} {timers[name]:8.2f}s wall")
-    return "\n".join(lines)
+    from repro.obs.inspect import layer_table
+
+    return "\n".join(layer_table(result.perf_counters))
 
 
 def run_observability_table(result: StudyResult) -> str:
@@ -343,14 +323,12 @@ def profile_table(result: StudyResult) -> str:
     rollup = result.profile
     if not rollup or not rollup.get("samples"):
         return ""
-    from repro import perf
     from repro.obs.inspect import profile_text
 
     lines = profile_text(rollup, top=5)
-    measured = perf.layer_seconds(result.perf_counters)
     render_measured = sum(
-        seconds
-        for layer, seconds in measured.items()
+        row["miss_seconds"]
+        for layer, row in result.perf_counters.items()
         if not layer.startswith("js.") and layer != "gc"
     )
     sampled = {

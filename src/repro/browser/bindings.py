@@ -13,7 +13,7 @@ import math
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro import perf
+from repro import obs
 from repro.browser.instrumentation import CanvasInstrument
 from repro.canvas.context2d import CanvasRenderingContext2D, ImageData
 from repro.canvas.element import HTMLCanvasElement
@@ -324,7 +324,7 @@ class JSCanvasElement(DOMElement):
         url = self.impl.toDataURL(mime, quality)
         # Wall time of render-flush + encode: the hot path all three cache
         # layers accelerate, surfaced next to their hit rates in the report.
-        perf.PERF.add_time("canvas_readout", time.perf_counter() - started)
+        obs.METRICS.inc("perf.miss_seconds[canvas_readout]", time.perf_counter() - started)
         actual_mime = url[len("data:") : url.index(";")]
         self.instrument.record_call(
             _CANVAS_IFACE,
@@ -424,7 +424,7 @@ class JSContext2D(JSObject):
                     self.canvas.canvas_id,
                 )
                 raise JSThrow(str(exc))
-            perf.PERF.add_time("canvas_api", time.perf_counter() - started)
+            obs.METRICS.inc("perf.miss_seconds[canvas_api]", time.perf_counter() - started)
             retval, js_result = self._wrap_result(name, result)
             self.instrument.record_call(
                 _CTX_IFACE,

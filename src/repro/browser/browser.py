@@ -36,7 +36,7 @@ from repro.dom.window import make_navigator, make_screen, make_window
 from repro.js.errors import JSError, JSThrow
 from repro.js.interpreter import Interpreter
 from repro.js.static import verdict_for_source
-from repro import perf
+from repro import obs
 from repro.net.http import Request, ResourceType
 from repro.net.server import Network
 from repro.net.url import URL
@@ -320,7 +320,7 @@ class Browser:
             page._deferred.append((effective_url, source, page.instrument.clock.now_ms()))
             page._deferred_writes.update(verdict.global_writes)
             page._deferred_host_reads.update(verdict.host_reads)
-            perf.PERF.hit("js.static.triage")
+            obs.METRICS.inc("perf.hits[js.static.triage]")
             return True
 
         unbounded = verdict.reads_top or verdict.parse_error is not None
@@ -333,7 +333,7 @@ class Browser:
         page._executed_reads.update(verdict.global_reads)
         page._executed_host_writes.update(verdict.host_writes)
         page._executed_reads_top = page._executed_reads_top or unbounded
-        perf.PERF.miss("js.static.triage")
+        obs.METRICS.inc("perf.misses[js.static.triage]")
         return False
 
     def _flush_deferred(self, page: Page) -> None:
@@ -343,7 +343,7 @@ class Browser:
         page._deferred_host_reads = set()
         clock = page.instrument.clock
         for url, source, clock_ms in pending:
-            perf.PERF.evict("js.static.triage")
+            obs.METRICS.inc("perf.evictions[js.static.triage]")
             with clock.frozen_at(clock_ms):
                 self._run_script(page, url, source)
 

@@ -82,7 +82,8 @@ class _DrawState:
 #: and therefore the rendered pixels — repeat endlessly within one crawl
 #: process; the first canvas pays for rasterization, the rest share its
 #: raster copy-on-write (see docs/performance.md).
-_RENDER_CACHE = perf.ByteBudgetLRU("render_cache", budget_attr="render_cache_bytes")
+#: Whole-canvas rasters are float64 RGBA, the costliest values of any cache.
+_RENDER_CACHE = perf.ByteBudgetLRU("render_cache", 256 * perf.MB)
 
 
 class CanvasRenderingContext2D:

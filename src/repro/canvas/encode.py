@@ -73,7 +73,7 @@ Pixels = Union[np.ndarray, RenderedPixels]
 #: every extraction and identical canvases repeat across sites, so encodes
 #: repeat verbatim; zlib/quantization is pure in the pixel bytes, making
 #: either key exact.
-_ENCODE_CACHE = perf.ByteBudgetLRU("encode", budget_attr="encode_cache_bytes")
+_ENCODE_CACHE = perf.ByteBudgetLRU("encode", 64 * perf.MB)
 
 
 def _memoized_encode(

@@ -85,7 +85,7 @@ def parse_font(font: str) -> FontSpec:
 #: (device, char, spec, cell height), and thousands of page loads share the
 #: same vendor scripts, so a shared cache is a large crawl-speed win.
 #: Byte-budgeted LRU, instrumented through :mod:`repro.perf`.
-_GLYPH_ATLAS = perf.ByteBudgetLRU("glyph_atlas", budget_attr="glyph_cache_bytes")
+_GLYPH_ATLAS = perf.ByteBudgetLRU("glyph_atlas", 64 * perf.MB)
 
 
 class TextRasterizer:

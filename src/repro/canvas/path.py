@@ -433,7 +433,7 @@ def _disk_edges(cx: float, cy: float, r: float, n: int = 16) -> np.ndarray:
 #: site pays for the supersampled winding test and the rest hit the cache.
 #: Keyed by the exact edge bytes plus the pixel box and rule; bounded by a
 #: byte budget with LRU eviction (see docs/performance.md).
-_COVERAGE_CACHE = perf.ByteBudgetLRU("path_mask", budget_attr="path_cache_bytes")
+_COVERAGE_CACHE = perf.ByteBudgetLRU("path_mask", 64 * perf.MB)
 
 
 def _coverage_from_edges(

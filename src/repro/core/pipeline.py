@@ -56,6 +56,7 @@ from repro.crawler.resilience import PageBudget, RetryPolicy
 from repro.crawler.shards import ExecutionConfig, plan_shards, run_sharded_crawl
 from repro.net.server import Network
 from repro.net.url import URL
+from repro.obs.metrics import layer_rows
 from repro.obs.recorder import RunRecorder, resolve_run_dir
 
 __all__ = ["VendorKnowledge", "StudyResult", "run_study", "harvest_vendor_signatures"]
@@ -176,8 +177,9 @@ class StudyResult:
     #: Excluded from equality: a cached run must compare equal to an
     #: uncached one when the science is the same.
     stage_timings: Tuple[StageTiming, ...] = field(default=(), compare=False, repr=False)
-    #: Render-acceleration counters accumulated over this study (per cache
-    #: layer: hits, misses, hit_rate, evictions, miss/saved seconds).
+    #: Cache and timer layers of this study, read back from ``metrics``
+    #: (:func:`repro.obs.metrics.layer_rows`; per layer: hits, misses,
+    #: evictions, miss_seconds, hit_rate, saved_seconds).
     #: Excluded from equality for the same reason as ``stage_timings``: the
     #: caches are exactly transparent, so hit counts are not science.
     perf_counters: Dict[str, Dict[str, float]] = field(
@@ -230,7 +232,6 @@ def run_study(
     execution: ExecutionConfig = ExecutionConfig(),
     cache_dir: Optional[Union[str, Path]] = None,
     stages: Optional[Sequence[str]] = None,
-    render_cache: Optional[perf.RenderCacheConfig] = None,
     obs_dir: Optional[Union[str, Path]] = None,
 ) -> StudyResult:
     """Run the full measurement study over a network.
@@ -269,12 +270,6 @@ def run_study(
     :data:`repro.core.stages.study.STAGE_DOCS`); the result then only
     carries the artifacts that were produced.
 
-    ``render_cache`` overrides the render-acceleration configuration for
-    this run (and, via the worker tasks, for every crawl worker).  The
-    caches are exactly transparent — enabled, disabled, cold or warm, the
-    study result is byte-identical; only ``StudyResult.perf_counters`` and
-    the timing section change.
-
     ``obs_dir`` names the directory that receives this run's observability
     artifacts (``manifest.json`` + ``trace.jsonl``, inspectable with
     ``python -m repro.obs``).  Falls back to ``REPRO_OBS_DIR``, then — when
@@ -282,15 +277,12 @@ def run_study(
     ``<cache_dir>/obs``.  ``StudyResult.metrics`` always carries the same
     metrics delta the trace summary line records, artifacts or not.
     """
-    if render_cache is not None:
-        perf.configure(render_cache)
     # Sampling profiler (REPRO_OBS_PROFILE=1): start it for the study
     # process and discard any samples taken before this run, so the run's
     # rollup covers exactly this study.  Shard workers start their own
     # sampler from the same ObsConfig carried in their tasks.
     if obs_layer.profiler.maybe_start(obs_layer.config()):
         obs_layer.profiler.drain()
-    perf_before = perf.PERF.snapshot()
     metrics_before = obs_layer.METRICS.snapshot()
     cache = StageCache(cache_dir) if cache_dir is not None else None
     ctx = StudyContext(
@@ -326,20 +318,19 @@ def run_study(
                 "jobs": execution.jobs,
                 "sizes": [len(shard) for shard in planned],
             },
-        ).start(metrics_before)
+        ).start()
 
     with obs_layer.span("study.run", targets=len(targets), jobs=execution.jobs):
         run = graph.execute(ctx, only=stages)
     result = _assemble_result(ctx, run)
-    result.perf_counters = perf.diff_snapshots(perf_before, perf.PERF.snapshot())
-    # Fold render-cache wins into the unified metrics, then window them:
-    # StudyResult.metrics is the same delta the trace summary line carries.
-    # Collector time arrives as render_cache.gc.miss_seconds.
-    obs_layer.absorb_perf(obs_layer.METRICS, result.perf_counters)
     obs_layer.gauge("process.peak_rss_mb", perf.peak_rss_mb())
+    # StudyResult.metrics is the same delta the trace summary line carries;
+    # the cache and timer layers (collector time as perf.miss_seconds[gc])
+    # are read back from it.
     result.metrics = obs_layer.diff_metric_snapshots(
         metrics_before, obs_layer.METRICS.snapshot()
     )
+    result.perf_counters = layer_rows(result.metrics)
     # Drain this run's samples (the parent's own, plus every worker delta
     # ingested with the shard payloads) whether or not artifacts are being
     # written — a later run must never inherit them.
@@ -351,6 +342,7 @@ def run_study(
             json.dumps(run.keys, sort_keys=True).encode("utf-8")
         ).hexdigest()[:16]
         recorder.finish(
+            metrics=result.metrics,
             manifest_update={"config_digest": digest, "stage_keys": run.keys},
             health=asdict(result.control.health()),
             stage_timings=tuple(run.timings),

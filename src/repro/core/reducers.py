@@ -539,7 +539,6 @@ class StaticReducer(Reducer):
             self.site_class[observation.domain] = site_class
         if observation.success and outcome is not None:
             self.dynamic_fp[observation.domain] = outcome.is_fingerprinting_site
-        obs_layer.inc("static.sites")
 
     def _add_script(self, verdict, url: str, domain: str) -> None:
         row = self.scripts.get(verdict.sha)
@@ -548,7 +547,6 @@ class StaticReducer(Reducer):
             row["urls"] = set()
             row["domains"] = set()
             self.scripts[verdict.sha] = row
-            obs_layer.inc("static.scripts.distinct")
         row["urls"].add(url)
         row["domains"].add(domain)
 

@@ -25,10 +25,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from repro import obs, perf
+from repro import obs
 from repro.core.stages.cache import StageCache
 from repro.core.stages.fingerprint import stable_hash
 from repro.core.stages.stage import Stage, StageTiming
+from repro.obs.metrics import layer_rows
 
 __all__ = ["StageGraph", "StageGraphError", "GraphRun"]
 
@@ -129,7 +130,7 @@ class StageGraph:
             if not wanted:
                 continue
             started = time.perf_counter()
-            perf_before = perf.PERF.snapshot()
+            metrics_before = obs.METRICS.snapshot()
             keys = {output: stage.cache_key(ctx, run.keys, output) for output in wanted}
             run.keys.update(keys)
             key = stable_hash(keys) if stage.outputs else keys[stage.name]
@@ -161,11 +162,13 @@ class StageGraph:
                 obs.inc("stage.cache.hits")
             elif self.cache is not None:
                 obs.inc("stage.cache.misses")
-            # Render-cache activity attributable to this stage (sharded
-            # crawls merge worker snapshots before this point, so parallel
-            # stages are covered too).
-            perf_delta = perf.diff_snapshots(perf_before, perf.PERF.snapshot())
-            details: Dict[str, Any] = {"perf": perf_delta} if perf_delta else {}
+            # Cache and timer layer activity attributable to this stage
+            # (sharded crawls merge worker deltas before this point, so
+            # parallel stages are covered too).
+            layers = layer_rows(
+                obs.diff_metric_snapshots(metrics_before, obs.METRICS.snapshot())
+            )
+            details: Dict[str, Any] = {"perf": layers} if layers else {}
             if stage.outputs:
                 details["ran"] = sorted(missing)
             run.timings.append(

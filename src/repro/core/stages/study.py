@@ -447,7 +447,6 @@ class StaticStage(Stage):
             classification = self._probe(ctx, domain)
             if classification is not None:
                 reducer.add_recovery(domain, reason, classification)
-                obs_layer.inc("static.recoveries")
         return reducer.finalize()
 
     @staticmethod

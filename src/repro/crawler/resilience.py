@@ -39,6 +39,7 @@ __all__ = [
     "PageBudget",
     "RetryPolicy",
     "collect_with_retries",
+    "count_page",
 ]
 
 #: Failure-reason prefixes a retry can plausibly fix: the site may answer on
@@ -174,17 +175,22 @@ def collect_with_retries(
         if not observation.success:
             page_span.set_attr("failure_reason", observation.failure_reason)
             page_span.set_status("error")
-    _record_page_metrics(observation, label, time.perf_counter() - started)
+    count_page(observation, label)
+    if not observation.success and (observation.failure_reason or "").startswith("timeout"):
+        obs.event("crawl.watchdog", sample_key=observation.domain, domain=observation.domain)
+    obs.observe("crawl.page.seconds", time.perf_counter() - started)
     return observation
 
 
-def _record_page_metrics(observation: SiteObservation, label: str, seconds: float) -> None:
-    """Fold one settled visit into the crawler metrics, per crawl label.
+def count_page(observation: SiteObservation, label: str) -> None:
+    """Fold one settled observation into the crawler counters, per crawl label.
 
     The bracketed names (``crawler.pages[control]``,
     ``crawler.attempts[control|2]``…) are what
     :func:`repro.obs.inspect.crawl_totals` parses back into health totals —
-    the two must stay in lockstep.
+    the two must stay in lockstep.  Besides :func:`collect_with_retries`,
+    the supervisor counts here the observations whose worker never shipped
+    its metrics delta.
     """
     attempts = observation.attempts
     obs.inc(obs._labeled("crawler.pages", label))
@@ -200,10 +206,8 @@ def _record_page_metrics(observation: SiteObservation, label: str, seconds: floa
         obs.inc(f"crawler.failures[{label}|{observation.failure_reason}]")
         if observation.failure_reason.startswith("timeout"):
             obs.inc(obs._labeled("crawler.watchdog", label))
-            obs.event("crawl.watchdog", sample_key=observation.domain, domain=observation.domain)
     if observation.inner_page_failures:
         obs.inc(
             obs._labeled("crawler.inner_page_failures", label),
             observation.inner_page_failures,
         )
-    obs.observe("crawl.page.seconds", seconds)

@@ -27,9 +27,10 @@ change what any site observes, only *when* it is visited.
   (:mod:`repro.crawler.supervisor`: liveness deadline, crash re-dispatch,
   poison-site quarantine, degraded-mode completion);
 * :func:`shard_worker` — the one worker body: a :class:`WorkerTask` in, a
-  :class:`WorkerResult` out, carrying the shard's records, its counter
-  deltas and the static verdicts its page loads computed (so the parent's
-  ``static`` stage analyses no script a worker already analysed);
+  :class:`WorkerResult` out, carrying the shard's records, its one metrics
+  delta (cache counters included) and the static verdicts its page loads
+  computed (so the parent's ``static`` stage analyses no script a worker
+  already analysed);
 * :func:`merge_shard_datasets` — reassemble one label's dataset in target
   order; merged :class:`~repro.crawler.crawl.CrawlHealth` comes from the
   merged dataset's own ``health()``.
@@ -146,9 +147,8 @@ class WorkerResult:
     #: Observations as JSON records per label — the checkpoint schema, so
     #: the parent never depends on pickling in-flight collector objects.
     records: Dict[str, List[Dict[str, Any]]]
-    #: Render/JS cache counters, as a delta from the task start.
-    perf_delta: Dict[str, Dict[str, float]]
-    #: Spans, metrics delta and profiler samples (:func:`repro.obs.worker_payload`).
+    #: Spans, the metrics delta (cache and timer layers included) and
+    #: profiler samples (:func:`repro.obs.worker_payload`).
     obs_payload: Dict[str, Any]
     #: Static verdicts computed during the task (new since it started), for
     #: :func:`repro.js.static.verdict.adopt_verdicts` in the parent.
@@ -247,12 +247,12 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
     """The worker body: crawl one shard under its profile set, ship the result home.
 
     Installs the parent's render-cache and observability configs, starts the
-    sampling profiler to match, crawls, and returns records plus perf and
-    obs *deltas from the task start*, and the static verdicts the task
-    computed.  A worker process may be forked after
-    its parent took in other workers' results, so cumulative snapshots
-    would ship those again; the obs layer likewise drops the trace records
-    and profiler samples a forked child inherits.  With a ``result_path``
+    sampling profiler to match, crawls, and returns records plus the obs
+    payload — the metrics *delta from the task start* — and the static
+    verdicts the task computed.  A worker process may be forked after its
+    parent took in other workers' results, so a cumulative snapshot would
+    ship those again; the obs layer likewise drops the trace records and
+    profiler samples a forked child inherits.  With a ``result_path``
     the result is also pickled there atomically, so a worker that dies
     mid-write never hands the parent a torn payload.
     """
@@ -260,7 +260,6 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
     obs.configure(task.obs_config)
     obs.set_worker_label(task.lane)
     obs.profiler.maybe_start(task.obs_config)
-    perf_before = perf.PERF.snapshot()
     metrics_before = obs.METRICS.snapshot()
     verdicts_before = static_verdict.verdict_mark()
     # Prewarm compiles land after the baseline snapshot: they ship with
@@ -271,7 +270,6 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
             label: [observation.to_json() for observation in dataset.observations]
             for label, dataset in datasets.items()
         },
-        perf_delta=perf.diff_snapshots(perf_before, perf.PERF.snapshot()),
         obs_payload=obs.worker_payload(metrics_before),
         verdicts=static_verdict.verdicts_since(verdicts_before),
     )
@@ -350,7 +348,7 @@ def run_sharded_crawl(
                 inner_paths=inner_paths,
                 resume=resume,
                 execution=execution,
-                perf_config=perf.current_config(),
+                perf_config=perf.config(),
                 obs_config=obs.config(),
                 lane=f"shard-{index:04d}",
                 checkpoints={

@@ -63,9 +63,10 @@ from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro import obs, perf
+from repro import obs
 from repro.core.records import SiteObservation
 from repro.crawler.crawl import QUARANTINE_PREFIX, CrawlDataset, CrawlTarget
+from repro.crawler.resilience import count_page
 from repro.crawler.shards import WorkerTask, shard_worker
 from repro.crawler.storage import CheckpointWriter, checkpoint_path, load_checkpoint
 from repro.js.static import verdict as static_verdict
@@ -268,37 +269,6 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _credit_observation_metrics(observation: SiteObservation, label: str) -> None:
-    """Parent-side crawler counters for one observation whose worker never
-    shipped its metrics delta (persisted before a crash, or synthesized by
-    quarantine).
-
-    Mirrors :func:`repro.crawler.resilience._record_page_metrics` counter
-    for counter — ``repro.obs.inspect.crawl_totals`` must keep agreeing
-    with ``CrawlDataset.health()`` exactly — but records no latency
-    histogram and no events: the page was never timed in this process.
-    """
-    attempts = observation.attempts
-    obs.inc(obs._labeled("crawler.pages", label))
-    obs.inc(obs._labeled("crawler.attempts_total", label), attempts)
-    obs.inc(f"crawler.attempts[{label}|{attempts}]")
-    if attempts > 1:
-        obs.inc(obs._labeled("crawler.retries", label), attempts - 1)
-    if observation.success:
-        obs.inc(obs._labeled("crawler.pages_ok", label))
-        if observation.recovered:
-            obs.inc(obs._labeled("crawler.recovered", label))
-    elif observation.failure_reason:
-        obs.inc(f"crawler.failures[{label}|{observation.failure_reason}]")
-        if observation.failure_reason.startswith("timeout"):
-            obs.inc(obs._labeled("crawler.watchdog", label))
-    if observation.inner_page_failures:
-        obs.inc(
-            obs._labeled("crawler.inner_page_failures", label),
-            observation.inner_page_failures,
-        )
-
-
 class _Supervisor:
     """State for one supervised crawl: task queue, live workers, salvage pool."""
 
@@ -405,7 +375,6 @@ class _Supervisor:
         with open(handle.result_path, "rb") as fh:
             result = pickle.load(fh)
         handle.result_path.unlink(missing_ok=True)
-        perf.PERF.merge(result.perf_delta)
         static_verdict.adopt_verdicts(result.verdicts)
         obs.ingest_worker(result.obs_payload)
         for label, records in result.records.items():
@@ -516,7 +485,7 @@ class _Supervisor:
     ) -> None:
         """Count checkpoint rows whose worker died before shipping metrics.
 
-        A dead worker's perf/metrics payload dies with it, but the
+        A dead worker's metrics delta dies with it, but the
         observations it persisted survive (they are salvaged, seeded into a
         sub-shard, or skipped by the respawn's resume) — so without this,
         ``repro.obs summary`` would under-count exactly the pages that
@@ -529,7 +498,7 @@ class _Supervisor:
                 if (label, observation.domain) in task.credited:
                     continue
                 task.credited.add((label, observation.domain))
-                _credit_observation_metrics(observation, label)
+                count_page(observation, label)
 
     def _quarantine(
         self,
@@ -579,7 +548,7 @@ class _Supervisor:
             # ``collect_with_retries`` (the killed workers' deltas died with
             # them), so without this the run log's failure rows would omit
             # exactly the sites the supervisor gave up on.
-            _credit_observation_metrics(observation, label)
+            count_page(observation, label)
 
 
 def supervise(

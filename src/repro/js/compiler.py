@@ -29,8 +29,9 @@ dispatch, environment-dict chain walks or repeated AST traversal:
 * **Compiled-script cache.**  Compiled programs are interned in a
   module-global byte-budget LRU keyed by ``sha256(source)`` and
   :data:`ENGINE_VERSION`, shared by every page load in the process and
-  pre-warmed by shard workers (:func:`prewarm`).  Counters flow through
-  :data:`repro.perf.PERF` under ``js.cache`` / ``js.compile`` / ``js.ic``.
+  pre-warmed by shard workers (:func:`prewarm`).  Counters flow into
+  :data:`repro.obs.METRICS` under the ``js.cache`` / ``js.compile`` /
+  ``js.ic`` layers.
 
 Transparency is the contract.  The tree-walker is kept as an oracle in
 ``tests/js/reference_interpreter.py``, and for any script compiled
@@ -50,7 +51,7 @@ import hashlib
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import perf
+from repro import obs, perf
 from repro.js import nodes as N
 from repro.js import ops
 from repro.js.errors import JSRuntimeError, JSThrow
@@ -133,12 +134,12 @@ class Runtime:
 
 
 def _flush_ic(rt: Runtime) -> None:
-    """Fold the runtime's IC tallies into PERF (called once per script run)."""
-    if rt.ic_hits or rt.ic_misses:
-        bucket = perf.PERF.layer("js.ic")
-        bucket["hits"] += rt.ic_hits
-        bucket["misses"] += rt.ic_misses
+    """Fold the runtime's IC tallies into the ``js.ic`` layer (once per script run)."""
+    if rt.ic_hits:
+        obs.METRICS.inc("perf.hits[js.ic]", rt.ic_hits)
         rt.ic_hits = 0
+    if rt.ic_misses:
+        obs.METRICS.inc("perf.misses[js.ic]", rt.ic_misses)
         rt.ic_misses = 0
 
 
@@ -1669,11 +1670,16 @@ def compile_program(program: N.Program) -> CompiledProgram:
 #: (sha256(source), ENGINE_VERSION).  The script URL is deliberately not in
 #: the key: attribution is dynamic (``Interpreter.current_script``), so one
 #: vendor script served under many URLs compiles once.
-_SCRIPT_CACHE = perf.ByteBudgetLRU("js.cache", "js_cache_bytes")
+_SCRIPT_CACHE = perf.ByteBudgetLRU("js.cache", 64 * perf.MB)
 
 
 def script_cache() -> perf.ByteBudgetLRU:
     return _SCRIPT_CACHE
+
+
+def _count_compile(seconds: float) -> None:
+    obs.METRICS.inc("perf.misses[js.compile]")
+    obs.METRICS.inc("perf.miss_seconds[js.compile]", seconds)
 
 
 def _source_digest(source: str) -> str:
@@ -1689,7 +1695,7 @@ def get_or_compile(source: str, script_url: str = "<inline>") -> CompiledProgram
     started = time.perf_counter()
     compiled = compile_program(parse(source, script_url))
     elapsed = time.perf_counter() - started
-    perf.PERF.miss("js.compile", elapsed)
+    _count_compile(elapsed)
     _SCRIPT_CACHE.put(key, compiled, compiled.nbytes, elapsed)
     return compiled
 
@@ -1710,7 +1716,7 @@ def prewarm(sources) -> int:
         started = time.perf_counter()
         compiled = compile_program(parse(source, "<prewarm>"))
         elapsed = time.perf_counter() - started
-        perf.PERF.miss("js.compile", elapsed)
+        _count_compile(elapsed)
         _SCRIPT_CACHE.put(key, compiled, compiled.nbytes, elapsed)
         warmed += 1
     return warmed

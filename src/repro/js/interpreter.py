@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional
 
-from repro import perf
+from repro import obs
 from repro.js import compiler as _compiler
 from repro.js.errors import JSRuntimeError
 from repro.js.parser import parse  # noqa: F401 -- re-export; perfbench's trace test checks this alias
@@ -87,7 +87,7 @@ class Interpreter:
         except RecursionError:
             raise JSRuntimeError("maximum call stack size exceeded", None, script_url) from None
         finally:
-            perf.PERF.add_time("js.exec", time.perf_counter() - started)
+            obs.METRICS.inc("perf.miss_seconds[js.exec]", time.perf_counter() - started)
 
     def close(self) -> None:
         """Release the realm once its page is done; nothing runs on it after.

@@ -262,7 +262,7 @@ def _shape_key(tokens: List[Token]) -> bytes:
 
 
 #: Content-addressed verdict cache, beside the compiled-program cache.
-_VERDICT_CACHE = perf.ByteBudgetLRU("js.static", "static_cache_bytes")
+_VERDICT_CACHE = perf.ByteBudgetLRU("js.static", 16 * perf.MB)
 
 
 def _verdict_nbytes(verdict: StaticVerdict) -> int:

@@ -9,10 +9,11 @@ Three pillars, one import (``from repro import obs``):
   crawler, stage graph and storage layers at no measurable cost.
 * **Metrics** — ``obs.METRICS`` is the process-global
   :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
-  fixed-bucket histograms).  Always on.  Shard workers ship *deltas* back
-  to the parent (:func:`worker_payload` / :func:`ingest_worker`), so a
-  sharded crawl's numbers aggregate with no loss and no double-count, the
-  same way :mod:`repro.perf` snapshots merge.
+  fixed-bucket histograms).  Always on, and the only place counters live:
+  the cache and timer layers of :mod:`repro.perf` count into it too.
+  Shard workers ship one *delta* back to the parent
+  (:func:`worker_payload` / :func:`ingest_worker`), so a sharded crawl's
+  numbers aggregate with no loss and no double-count.
 * **Run artifacts** — :class:`~repro.obs.recorder.RunRecorder` writes a
   ``manifest.json`` + ``trace.jsonl`` per run (and appends every run to
   the ``runs.jsonl`` history ledger); ``python -m repro.obs`` inspects
@@ -34,7 +35,7 @@ from typing import Any, Dict, Optional
 
 from repro.obs import profiler
 from repro.obs.config import ObsConfig
-from repro.obs.metrics import MetricsRegistry, absorb_perf
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import diff_snapshots as diff_metric_snapshots
 from repro.obs.trace import NOOP_SPAN, Tracer
 
@@ -45,7 +46,6 @@ __all__ = [
     "NOOP_SPAN",
     "METRICS",
     "TRACE",
-    "absorb_perf",
     "diff_metric_snapshots",
     "config",
     "configure",

@@ -6,7 +6,7 @@ directory or the trace file itself and returns a :class:`RunLog`; the
 ``summary`` / ``slow`` renderers turn it into the operator views the ISSUE
 describes: totals that agree with :class:`~repro.crawler.crawl.CrawlHealth`
 exactly (they come from the never-sampled metrics delta), retry hot spots,
-top slow pages, stage timings and cache hit rates.
+top slow pages, stage timings and the cache and timer layers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.manifest import MANIFEST_NAME
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, layer_rows
 from repro.obs.recorder import TRACE_NAME
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "summary_text",
     "slow_text",
     "histogram_rows",
+    "layer_table",
     "quarantine_rows",
     "profile_text",
 ]
@@ -172,24 +173,31 @@ def _stage_rows(log: RunLog) -> List[Tuple[str, float, bool]]:
     return [(name, seconds[name], bool(cached.get(name))) for name in seconds]
 
 
-def _cache_rows(log: RunLog) -> List[Tuple[str, float, float, float]]:
-    """(layer, hits, misses, hit_rate) for every render-cache layer seen."""
-    counters = log.counters
-    layers = sorted(
-        {
-            name.split(".")[1]
-            for name in counters
-            if name.startswith("render_cache.") and name.count(".") >= 2
-        }
+def layer_table(rows: Dict[str, Dict[str, float]]) -> List[str]:
+    """Table lines for per-layer rows (:func:`~repro.obs.metrics.layer_rows`).
+
+    One row per cache layer with lookups (hit rate, hits, misses and the
+    seconds its hits are estimated to have saved), then one per timer
+    layer with the wall seconds it recorded (``gc`` is the collector's
+    pauses).  No lines when no layer recorded anything.
+    """
+    caches = sorted(name for name, row in rows.items() if row["hits"] or row["misses"])
+    timers = sorted(
+        name for name, row in rows.items() if name not in caches and row["miss_seconds"]
     )
-    rows = []
-    for layer in layers:
-        hits = counters.get(f"render_cache.{layer}.hits", 0.0)
-        misses = counters.get(f"render_cache.{layer}.misses", 0.0)
-        lookups = hits + misses
-        if lookups:
-            rows.append((layer, hits, misses, hits / lookups))
-    return rows
+    if not caches and not timers:
+        return []
+    lines = [f"{'layer':18s} {'hit rate':>9s} {'hits':>9s} {'misses':>9s} {'saved':>9s}"]
+    for name in caches:
+        row = rows[name]
+        lines.append(
+            f"{name:18s} {row['hit_rate']:8.1%} {int(row['hits']):9d} "
+            f"{int(row['misses']):9d} {row['saved_seconds']:8.2f}s"
+        )
+    for name in timers:
+        seconds = rows[name]["miss_seconds"]
+        lines.append(f"{name:18s} {'-':>9s} {'-':>9s} {'-':>9s} {seconds:8.2f}s wall")
+    return lines
 
 
 def histogram_rows(log: RunLog) -> List[Tuple[str, int, float, float, float, float]]:
@@ -372,11 +380,7 @@ def summary_text(log: RunLog, top: int = 5) -> str:
         if hits + misses:
             lines.append(f"stage cache: {hits} hit(s), {misses} miss(es)")
 
-    cache_rows = _cache_rows(log)
-    if cache_rows:
-        lines.append(f"{'render cache':14s} {'hit rate':>9s} {'hits':>9s} {'misses':>9s}")
-        for layer, hits, misses, rate in cache_rows:
-            lines.append(f"{layer:14s} {rate:8.1%} {int(hits):9d} {int(misses):9d}")
+    lines.extend(layer_table(layer_rows(log.summary.get("metrics", {}))))
 
     hist_rows = histogram_rows(log)
     if hist_rows:

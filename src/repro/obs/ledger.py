@@ -24,8 +24,11 @@ On top of the ledger sit the three history verbs of ``python -m repro.obs``:
 
 What regresses: per-stage wall seconds that grow past the threshold
 (ignoring stages below :data:`TIMING_FLOOR_S` — micro-stage jitter is not
-signal), and render-cache / stage-cache hit rates that drop past it
+signal), and cache-layer / stage-cache hit rates that drop past it
 (ignoring layers with fewer than :data:`HIT_RATE_MIN_LOOKUPS` lookups).
+Cache layers are read from their ``perf.hits[<layer>]`` counters; a
+ledger line recorded before those existed names them differently
+(``render_cache.glyph_atlas.hits``) and shows no cache layers here.
 Raw wall seconds never compare across machines — but the ledger compares
 a machine with itself, where they are exactly the drift signal fleet
 crawls die by.
@@ -39,6 +42,8 @@ import os
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.obs.metrics import layer_rows
 
 __all__ = [
     "LEDGER_NAME",
@@ -193,21 +198,15 @@ def _wall_seconds(entry: Dict[str, Any]) -> float:
 
 
 def _hit_rates(entry: Dict[str, Any]) -> Dict[str, Tuple[float, float]]:
-    """``layer -> (hit_rate, lookups)`` for render-cache layers + the stage
-    cache, from the run's counter delta."""
-    counters = entry.get("metrics", {}).get("counters", {})
+    """``layer -> (hit_rate, lookups)`` for the cache layers + the stage
+    cache, from the run's metrics delta."""
+    metrics = entry.get("metrics", {})
     out: Dict[str, Tuple[float, float]] = {}
-    layers = {
-        name.split(".")[1]
-        for name in counters
-        if name.startswith("render_cache.") and name.count(".") >= 2
-    }
-    for layer in sorted(layers):
-        hits = float(counters.get(f"render_cache.{layer}.hits", 0.0))
-        misses = float(counters.get(f"render_cache.{layer}.misses", 0.0))
-        lookups = hits + misses
+    for layer, row in sorted(layer_rows(metrics).items()):
+        lookups = row["hits"] + row["misses"]
         if lookups:
-            out[f"render_cache.{layer}"] = (hits / lookups, lookups)
+            out[layer] = (row["hit_rate"], lookups)
+    counters = metrics.get("counters", {})
     hits = float(counters.get("stage.cache.hits", 0.0))
     misses = float(counters.get("stage.cache.misses", 0.0))
     if hits + misses:
@@ -222,7 +221,7 @@ def _pages(entry: Dict[str, Any]) -> int:
 
 #: Dataset-shape counters: with equal config digests these should be
 #: identical run to run; any difference is drift worth a warning.
-_SHAPE_PREFIXES = ("crawler.pages", "crawler.pages_ok", "detect.", "cluster.")
+_SHAPE_PREFIXES = ("crawler.pages", "crawler.pages_ok")
 
 
 def history_text(entries: Sequence[Dict[str, Any]], top: int = 20) -> str:

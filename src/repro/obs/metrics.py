@@ -3,27 +3,28 @@
 One :class:`MetricsRegistry` absorbs every producer in the study — the
 crawler (pages, retries, failure classes), the network (requests, bytes,
 injected faults), the stage graph (cache hits, per-stage wall time) and the
-render-acceleration layer (:mod:`repro.perf` counters, folded in via
-:func:`absorb_perf`) — under one dotted namespace, so ``repro.obs summary``
-and the report's observability section read a single source of truth.
+cache and timer layers of :mod:`repro.perf` (``perf.hits[<layer>]`` and its
+siblings, read back per layer by :func:`layer_rows`) — under one dotted
+namespace, so ``repro.obs summary``, the ledger and the report read a
+single source of truth.
 
-Snapshots are plain picklable dicts and merge associatively, exactly like
-:class:`repro.perf.PerfCounters` snapshots: shard workers snapshot a
-*delta* (``diff_snapshots(before, after)``) for each task they run and the
-parent merges the deltas, so metrics cross the multiprocessing boundary
-with no loss and no double-counting even when a worker is forked after its
-parent has merged other workers' deltas.
+Snapshots are plain picklable dicts and merge associatively: shard workers
+snapshot a *delta* (``diff_snapshots(before, after)``) for each task they
+run and the parent merges the deltas, so metrics cross the multiprocessing
+boundary with no loss and no double-counting even when a worker is forked
+after its parent has merged other workers' deltas.
 
 Merge semantics per instrument:
 
 * counters — summed (monotonic within a process; deltas clamp at zero);
 * gauges — last-write-wins within a process, ``max`` across merges (a
-  gauge that crosses processes is a residency-style "largest seen");
+  gauge that crosses processes is a "largest seen" level);
 * histograms — bucket counts, sum and count are summed; min/max combine.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "diff_snapshots",
-    "absorb_perf",
+    "layer_rows",
 ]
 
 #: Default histogram buckets: wall-time seconds from sub-millisecond to a
@@ -259,24 +260,33 @@ def diff_snapshots(
     return out
 
 
-def absorb_perf(
-    registry: MetricsRegistry,
-    perf_snapshot: Dict[str, Dict[str, float]],
-    prefix: str = "render_cache",
-) -> None:
-    """Fold a :class:`repro.perf.PerfCounters` snapshot into the registry.
+#: The counters a cache or timer layer records, ``perf.<field>[<layer>]``.
+_LAYER_FIELDS = ("hits", "misses", "evictions", "miss_seconds")
 
-    Each render-cache layer becomes ``<prefix>.<layer>.{hits,misses,...}``
-    counters plus ``entries``/``bytes`` residency gauges — so the unified
-    metrics view covers the acceleration layer without that layer having to
-    know about :mod:`repro.obs` (perf stays the producer, obs the consumer).
+_LAYER_COUNTER = re.compile(rf"^perf\.({'|'.join(_LAYER_FIELDS)})\[(.+)\]$")
+
+
+def layer_rows(snapshot: Dict[str, Dict[str, object]]) -> Dict[str, Dict[str, float]]:
+    """Per-layer rows of the ``perf.<field>[<layer>]`` counters of a snapshot or delta.
+
+    Each row holds ``hits``, ``misses``, ``evictions`` and ``miss_seconds``
+    plus ``hit_rate`` (hits over lookups) and ``saved_seconds``, an
+    estimate of the time hits avoided (hits x mean miss cost).  Counters outside the ``perf.`` namespace are
+    not layers; a layer name may itself be dotted (``js.static.triage``).
     """
-    for layer, row in perf_snapshot.items():
-        for field in ("hits", "misses", "evictions", "hit_seconds", "miss_seconds"):
-            value = float(row.get(field, 0.0))
-            if value:
-                registry.inc(f"{prefix}.{layer}.{field}", value)
-        for field in ("entries", "bytes"):
-            value = float(row.get(field, 0.0))
-            if value:
-                registry.gauge(f"{prefix}.{layer}.{field}", value)
+    rows: Dict[str, Dict[str, float]] = {}
+    for name, value in snapshot.get("counters", {}).items():
+        match = _LAYER_COUNTER.match(name)
+        if match is None:
+            continue
+        field_name, layer = match.groups()
+        row = rows.get(layer)
+        if row is None:
+            row = rows[layer] = dict.fromkeys(_LAYER_FIELDS, 0.0)
+        row[field_name] = float(value)
+    for row in rows.values():
+        lookups = row["hits"] + row["misses"]
+        row["hit_rate"] = row["hits"] / lookups if lookups else 0.0
+        mean_miss = row["miss_seconds"] / row["misses"] if row["misses"] else 0.0
+        row["saved_seconds"] = row["hits"] * mean_miss
+    return rows

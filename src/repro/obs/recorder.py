@@ -4,8 +4,8 @@ A :class:`RunRecorder` brackets one ``run_crawl``/``run_study``:
 
 * :meth:`start` writes ``manifest.json`` into the run directory and marks
   the metrics baseline (so the run's summary is a *delta*, immune to other
-  runs sharing the process — the same windowing trick
-  :func:`repro.perf.diff_snapshots` uses for stages);
+  runs sharing the process — the same windowing the stage graph uses per
+  stage);
 * :meth:`finish` drains the tracer's buffered records into ``trace.jsonl``
   — a ``run`` header line, one line per span/event, and a final ``summary``
   line carrying the exact metrics delta (plus drop counts) — and rewrites
@@ -62,22 +62,16 @@ class RunRecorder:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self, metrics_before: Optional[Dict[str, Any]] = None) -> "RunRecorder":
-        """Write the manifest and mark the metrics baseline.
-
-        Callers that also compute their own metrics delta (``run_study``
-        fills ``StudyResult.metrics``) pass the snapshot they took, so the
-        summary line and the in-process result use the *same* baseline.
-        """
+    def start(self) -> "RunRecorder":
+        """Write the manifest and mark the metrics baseline."""
         manifest_mod.write_manifest(self.run_dir, self.manifest)
-        self._metrics_before = (
-            obs.METRICS.snapshot() if metrics_before is None else metrics_before
-        )
+        self._metrics_before = obs.METRICS.snapshot()
         self._started = True
         return self
 
     def finish(
         self,
+        metrics: Optional[Dict[str, Any]] = None,
         manifest_update: Optional[Dict[str, Any]] = None,
         health: Optional[Dict[str, Any]] = None,
         stage_timings: Sequence[Any] = (),
@@ -85,6 +79,10 @@ class RunRecorder:
     ) -> Path:
         """Flush records + summary to ``trace.jsonl``; returns its path.
 
+        ``metrics`` is the run's metrics delta when the caller windowed it
+        itself (``run_study`` fills ``StudyResult.metrics``): the summary
+        line then carries that very delta, not one taken a collector pause
+        later.  Otherwise the delta runs from :meth:`start` to now.
         ``profile`` is a drained :mod:`~repro.obs.profiler` sample-table
         snapshot.  When the profiler is active and none was passed, the
         process table is drained here — so the CLI paths get profile
@@ -96,7 +94,8 @@ class RunRecorder:
         """
         if not self._started:
             self.start()
-        metrics_delta = diff_snapshots(self._metrics_before, obs.METRICS.snapshot())
+        if metrics is None:
+            metrics = diff_snapshots(self._metrics_before, obs.METRICS.snapshot())
         if manifest_update:
             self.manifest.update(manifest_update)
             manifest_mod.write_manifest(self.run_dir, self.manifest)
@@ -121,7 +120,7 @@ class RunRecorder:
                     {
                         "t": "summary",
                         "label": self.label,
-                        "metrics": metrics_delta,
+                        "metrics": metrics,
                         "health": health,
                         "records": len(records),
                         "dropped": obs.TRACE.dropped,
@@ -149,7 +148,7 @@ class RunRecorder:
             self.label,
             self.manifest,
             stage_timings=stage_timings,
-            metrics=metrics_delta,
+            metrics=metrics,
             profile=profile_rollup,
             health=health,
         )

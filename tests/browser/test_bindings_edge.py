@@ -152,7 +152,7 @@ NON_FINITE = {
 
 def load_with_sibling(body, enabled):
     """Load the two-script page with the render caches on or off."""
-    saved = perf.current_config()
+    saved = perf.config()
     perf.configure(perf.RenderCacheConfig(enabled=enabled))
     try:
         net = Network()

@@ -9,9 +9,10 @@ page must also actually *hit* the whole-canvas cache (the speedup exists).
 
 import pytest
 
-from repro import perf
+from repro import obs, perf
 from repro.browser import Browser
 from repro.net import Network
+from repro.obs.metrics import layer_rows
 from repro.webgen.vendors import VENDOR_SPECS
 
 CUSTOMER = "customer.example"
@@ -19,7 +20,7 @@ CUSTOMER = "customer.example"
 
 @pytest.fixture(autouse=True)
 def cache_sandbox():
-    saved = perf.current_config()
+    saved = perf.config()
     perf.configure(perf.RenderCacheConfig())
     perf.reset_all()
     yield
@@ -50,7 +51,7 @@ def test_vendor_extractions_cache_transparent(spec):
 
     assert disabled == cold, f"{spec.name}: cold cached render diverged"
     assert disabled == warm, f"{spec.name}: warm cached render diverged"
-    snap = perf.PERF.snapshot()
+    snap = layer_rows(obs.METRICS.snapshot())
     assert snap.get("render_cache", {}).get("hits", 0) >= 1, (
         f"{spec.name}: warm re-crawl never hit the render cache"
     )
@@ -64,4 +65,4 @@ def test_render_twice_vendors_still_consistent():
     for spec in double[:2]:
         perf.reset_all()
         load_vendor(spec)
-        assert perf.PERF.snapshot()["render_cache"]["hits"] >= 1
+        assert layer_rows(obs.METRICS.snapshot())["render_cache"]["hits"] >= 1

@@ -130,7 +130,7 @@ call = st.one_of(
 
 def build(calls, rule, enabled):
     """Run the calls on a fresh canvas; return what its path and pixels read."""
-    saved = perf.current_config()
+    saved = perf.config()
     perf.configure(perf.RenderCacheConfig(enabled=enabled))
     perf.reset_caches()
     try:
@@ -197,7 +197,7 @@ class TestLazyPath:
         flattened = []
         real = path_module.flatten_arc
         monkeypatch.setattr(path_module, "flatten_arc", lambda *args: flattened.append(args) or real(*args))
-        saved = perf.current_config()
+        saved = perf.config()
         perf.configure(perf.RenderCacheConfig(enabled=True))
         perf.reset_caches()
         try:

@@ -12,15 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from repro import perf
+from repro import obs, perf
 from repro.browser.privacy import CanvasRandomization, RandomizationState, make_extraction_filter
 from repro.canvas import HTMLCanvasElement, INTEL_UBUNTU, context2d
+from repro.obs.metrics import MetricsRegistry, layer_rows
 
 
 @pytest.fixture(autouse=True)
 def cache_sandbox():
     """Every test starts cold and leaves the session config untouched."""
-    saved = perf.current_config()
+    saved = perf.config()
     perf.configure(perf.RenderCacheConfig())
     perf.reset_all()
     yield
@@ -79,7 +80,7 @@ def transparent(draw):
 class TestTransparency:
     def test_fingerprint_workload_all_formats(self):
         outputs = transparent(draw_fingerprint)
-        assert perf.PERF.snapshot()["render_cache"]["hits"] >= 1
+        assert layer_rows(obs.METRICS.snapshot())["render_cache"]["hits"] >= 1
         assert outputs[0].startswith("data:image/png")
         assert outputs[1].startswith("data:image/jpeg")
 
@@ -205,7 +206,7 @@ class TestCopyOnWrite:
                 c.extraction_filter = make_extraction_filter(CanvasRandomization.PER_RENDER, state)
                 draw_fingerprint(ctx)
                 urls.append((c.toDataURL(), c.toDataURL()))
-            return urls, perf.PERF.snapshot().get("render_cache", {}).get("hits", 0)
+            return urls, layer_rows(obs.METRICS.snapshot()).get("render_cache", {}).get("hits", 0)
 
         (on, hits), (off, _) = readouts(True), readouts(False)
         assert hits == 1
@@ -287,12 +288,10 @@ class TestContentKeying:
 
 
 class TestBoundedness:
-    def test_render_cache_respects_byte_budget(self):
-        from repro.canvas import context2d
-
+    def test_render_cache_respects_byte_budget(self, monkeypatch):
         # ~120x80 float64 RGBA snapshot is ~300 KB; budget two of them.
         budget = 2 * 120 * 80 * 4 * 8
-        perf.configure(perf.RenderCacheConfig(render_cache_bytes=budget))
+        monkeypatch.setattr(context2d._RENDER_CACHE, "max_bytes", budget)
         for i in range(8):
             c, ctx = make_canvas()
             ctx.fillStyle = "#3%d%d" % (i, i)
@@ -300,19 +299,17 @@ class TestBoundedness:
             c.toDataURL()
         cache = context2d._RENDER_CACHE
         assert cache.resident_bytes <= budget
-        assert perf.PERF.snapshot()["render_cache"]["evictions"] >= 1
+        assert layer_rows(obs.METRICS.snapshot())["render_cache"]["evictions"] >= 1
 
-    def test_oversized_value_never_resident(self):
-        from repro.canvas import context2d
-
-        perf.configure(perf.RenderCacheConfig(render_cache_bytes=1024))
+    def test_oversized_value_never_resident(self, monkeypatch):
+        monkeypatch.setattr(context2d._RENDER_CACHE, "max_bytes", 1024)
         c, ctx = make_canvas()
         ctx.fillRect(0, 0, 50, 50)
         c.toDataURL()
         assert context2d._RENDER_CACHE.resident_bytes == 0
 
-    def test_eviction_keeps_outputs_correct(self):
-        perf.configure(perf.RenderCacheConfig(render_cache_bytes=1))
+    def test_eviction_keeps_outputs_correct(self, monkeypatch):
+        monkeypatch.setattr(context2d._RENDER_CACHE, "max_bytes", 1)
 
         def render(i):
             c, ctx = make_canvas()
@@ -331,18 +328,6 @@ class TestConfig:
         cfg = perf.RenderCacheConfig.from_env({"REPRO_RENDER_CACHE": "0"})
         assert not cfg.enabled
         assert perf.RenderCacheConfig.from_env({}).enabled
-
-    def test_from_env_budgets(self):
-        cfg = perf.RenderCacheConfig.from_env(
-            {"REPRO_RENDER_CACHE_RENDER_MB": "8", "REPRO_RENDER_CACHE_GLYPH_MB": "1.5"}
-        )
-        assert cfg.render_cache_bytes == 8 * 1024 * 1024
-        assert cfg.glyph_cache_bytes == int(1.5 * 1024 * 1024)
-        assert cfg.path_cache_bytes == perf.RenderCacheConfig().path_cache_bytes
-
-    def test_from_env_garbage_budget_ignored(self):
-        cfg = perf.RenderCacheConfig.from_env({"REPRO_RENDER_CACHE_RENDER_MB": "lots"})
-        assert cfg.render_cache_bytes == perf.RenderCacheConfig().render_cache_bytes
 
     def test_disable_mid_canvas_stays_correct(self):
         """Ops queued while caching was on replay correctly after disable."""
@@ -365,14 +350,14 @@ class TestConfig:
         draw = draw_fingerprint
         render_outputs(draw)
         render_outputs(draw)
-        snap = perf.PERF.snapshot()
-        row = snap["render_cache"]
+        snap = obs.METRICS.snapshot()
+        row = layer_rows(snap)["render_cache"]
         assert row["hits"] >= 1 and row["misses"] >= 1
         assert 0.0 < row["hit_rate"] < 1.0
-        merged = perf.PerfCounters()
+        merged = MetricsRegistry()
         merged.merge(snap)
         merged.merge(snap)
-        assert merged.snapshot()["render_cache"]["hits"] == 2 * row["hits"]
+        assert layer_rows(merged.snapshot())["render_cache"]["hits"] == 2 * row["hits"]
 
     def test_pixel_identity_cold_vs_warm(self):
         """Beyond the encoded URL: raw pixels of a cache hit are identical."""

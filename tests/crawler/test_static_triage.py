@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro import perf
+from repro import obs, perf
 from repro.browser.browser import Browser
 from repro.crawler.crawl import CrawlTarget, run_crawl
 from repro.crawler.resilience import PageBudget
@@ -25,6 +25,7 @@ from repro.crawler.storage import save_dataset
 from repro.crawler.supervisor import SupervisorConfig
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.net.server import Network
+from repro.obs.metrics import layer_rows
 from tests.crawler.eager_browser import EagerBrowser, eager
 
 JOBS = int(os.environ.get("REPRO_SUPERVISED_JOBS", "2"))
@@ -209,9 +210,9 @@ class TestByteIdentity:
         world = build_world(StudyScale(fraction=0.01, seed=20250504))
         with eager():
             oracle = run_crawl(world.network, world.all_targets)
-        before = perf.PERF.snapshot().get("js.static.triage", {}).get("hits", 0)
+        before = layer_rows(obs.METRICS.snapshot()).get("js.static.triage", {}).get("hits", 0)
         crawled = run_crawl(world.network, world.all_targets)
-        assert perf.PERF.snapshot()["js.static.triage"]["hits"] > before
+        assert layer_rows(obs.METRICS.snapshot())["js.static.triage"]["hits"] > before
         assert_same_bytes(tmp_path, oracle, crawled, "world")
 
     def test_budget_pages_time_out(self):
@@ -246,9 +247,9 @@ class TestTriageSemantics:
     def test_triage_counters_move(self):
         net = Network()
         net.server_for("a.example").add_resource("/", page(INERT_SCRIPT, FP_SCRIPT))
-        before = perf.PERF.snapshot().get("js.static.triage", {})
+        before = layer_rows(obs.METRICS.snapshot()).get("js.static.triage", {})
         Browser(net).load("https://a.example/")
-        after = perf.PERF.snapshot().get("js.static.triage", {})
+        after = layer_rows(obs.METRICS.snapshot()).get("js.static.triage", {})
         assert after.get("hits", 0) - before.get("hits", 0) == 1  # deferred
         assert after.get("misses", 0) - before.get("misses", 0) == 1  # executed
 
@@ -426,14 +427,14 @@ class TestShippedVerdicts:
         shipped = static_verdict.verdicts_since(mark)
         assert list(shipped.values()) == [computed]
         perf.reset_caches()
-        before = perf.PERF.snapshot().get("js.static", {})
+        before = layer_rows(obs.METRICS.snapshot()).get("js.static", {})
         static_verdict.adopt_verdicts(shipped)
         # A key already held is left as it is.
         static_verdict.adopt_verdicts(
             {key: dataclasses.replace(value, classification="other") for key, value in shipped.items()}
         )
-        after = perf.PERF.snapshot().get("js.static", {})
+        after = layer_rows(obs.METRICS.snapshot()).get("js.static", {})
         for field in ("hits", "misses"):
             assert after.get(field, 0) == before.get(field, 0)
         assert static_verdict.verdict_for_source(INERT_SCRIPT) is computed
-        assert perf.PERF.snapshot()["js.static"]["hits"] == before.get("hits", 0) + 1
+        assert layer_rows(obs.METRICS.snapshot())["js.static"]["hits"] == before.get("hits", 0) + 1

@@ -461,12 +461,13 @@ class TestScriptCache:
             assert cache.contains((digest, compiler.ENGINE_VERSION))
 
     def test_contains_records_no_counters(self):
-        from repro import perf
+        from repro import obs
+        from repro.obs.metrics import layer_rows
 
         cache = compiler.script_cache()
-        before = perf.PERF.snapshot().get("js.cache", {})
+        before = layer_rows(obs.METRICS.snapshot()).get("js.cache", {})
         cache.contains(("nonexistent-digest", compiler.ENGINE_VERSION))
-        after = perf.PERF.snapshot().get("js.cache", {})
+        after = layer_rows(obs.METRICS.snapshot()).get("js.cache", {})
         assert after.get("hits", 0.0) == before.get("hits", 0.0)
         assert after.get("misses", 0.0) == before.get("misses", 0.0)
 

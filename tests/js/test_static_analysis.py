@@ -8,7 +8,7 @@ exclusions, where tainted bytes flow, and when a script is provably inert.
 
 import hashlib
 
-from repro import perf
+from repro import obs, perf
 from repro.js import nodes as N
 from repro.js.parser import parse
 from repro.js.static import (
@@ -21,6 +21,7 @@ from repro.js.static import (
     classify,
     verdict_for_source,
 )
+from repro.obs.metrics import layer_rows
 
 
 def analyze(src):
@@ -325,11 +326,11 @@ class TestVerdicts:
 
     def test_verdict_cache_hits_on_second_lookup(self):
         src = "var __t_cache_probe = 1 + 2 + 3;"
-        before = perf.PERF.snapshot().get("js.static", {})
+        before = layer_rows(obs.METRICS.snapshot()).get("js.static", {})
         verdict_for_source(src)
-        mid = perf.PERF.snapshot().get("js.static", {})
+        mid = layer_rows(obs.METRICS.snapshot()).get("js.static", {})
         again = verdict_for_source(src)
-        after = perf.PERF.snapshot().get("js.static", {})
+        after = layer_rows(obs.METRICS.snapshot()).get("js.static", {})
         assert mid.get("misses", 0) - before.get("misses", 0) == 1
         assert after.get("hits", 0) - mid.get("hits", 0) == 1
         assert again.classification == CLASS_INERT

@@ -21,12 +21,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import perf
+from repro import obs
 from repro.js.lexer import tokenize
 from repro.js.parser import parse
 from repro.js.static import analyze_program
 from repro.js.static import verdict as V
 from repro.js.tokens import TokenType
+from repro.obs.metrics import layer_rows
 from repro.webgen import scripts as S
 from tests.js.test_frontend_differential import world_scripts
 from tests.js.test_static_verdicts import BENIGN, VENDORS
@@ -64,7 +65,7 @@ def shape(source):
 
 
 def counts():
-    stats = perf.PERF.snapshot().get("js.static", {})
+    stats = layer_rows(obs.METRICS.snapshot()).get("js.static", {})
     return stats.get("hits", 0), stats.get("misses", 0)
 
 

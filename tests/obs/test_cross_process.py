@@ -6,8 +6,8 @@ The run log holds two crawls of more shards than jobs, so most workers are
 forked after the parent already took in other workers' spans and metrics;
 none of those may ship home twice.  Also pins the per-task delta semantics
 of the worker body: running it twice in one process must not re-ship the
-first task's perf or metric activity (cumulative snapshots would
-double-count on merge).
+first task's metric activity, cache counters included (cumulative
+snapshots would double-count on merge).
 """
 
 from dataclasses import asdict
@@ -26,6 +26,7 @@ from repro.crawler.shards import (
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.obs.config import ObsConfig
 from repro.obs.inspect import crawl_totals, load_run
+from repro.obs.metrics import layer_rows
 from repro.obs.recorder import RunRecorder
 from repro.webgen import build_world
 
@@ -163,7 +164,7 @@ def worker_task(world, **changes):
         inner_paths=(),
         resume=False,
         execution=ExecutionConfig(),
-        perf_config=perf.current_config(),
+        perf_config=perf.config(),
         obs_config=ObsConfig(trace=True),
         lane="shard-0000",
     )
@@ -174,7 +175,7 @@ def worker_task(world, **changes):
 class TestPooledWorkerDeltas:
     def test_worker_ships_per_task_deltas(self, world, untraced):
         """Running the worker body twice in one process must not re-ship the
-        first task's perf counters, metrics or spans."""
+        first task's cache counters, metrics or spans."""
         # A fresh (identically seeded) faulty network per task, so both see
         # the same fault schedule.
         first = shard_worker(worker_task(world))
@@ -188,15 +189,15 @@ class TestPooledWorkerDeltas:
         for result in (first, second):
             spans = [r for r in result.obs_payload["spans"] if r["name"] == "crawl.page"]
             assert len(spans) == len(shard)
-        # Perf deltas are windows, not cumulative snapshots: the same pages
-        # make the same number of render-cache lookups in each task (hits
-        # the second time), never the running total.
+        # Cache counters ride the same delta: the same pages make the same
+        # number of render-cache lookups in each task (hits the second
+        # time), never the running total.
         def lookups(result):
-            row = result.perf_delta["render_cache"]
+            row = layer_rows(result.obs_payload["metrics"])["render_cache"]
             return row["hits"] + row["misses"]
 
         assert lookups(first) > 0
-        assert lookups(second) == lookups(first), "second task re-shipped perf counters"
+        assert lookups(second) == lookups(first), "second task re-shipped cache counters"
         assert len(first.records["control"]) == len(second.records["control"]) == len(shard)
 
     def test_ingest_worker_is_exactly_once_per_payload(self, untraced):

@@ -38,8 +38,8 @@ def entry(run_id="aaaabbbbcccc", digest="cfg1", label="study", stages=(),
 
 def rates(hits, misses, layer="glyph"):
     return {
-        f"render_cache.{layer}.hits": hits,
-        f"render_cache.{layer}.misses": misses,
+        f"perf.hits[{layer}]": hits,
+        f"perf.misses[{layer}]": misses,
     }
 
 
@@ -214,11 +214,13 @@ class TestDiffText:
         assert "cache: ran -> hit" in text
 
     def test_hit_rate_drop_regresses(self):
-        a = entry(counters=rates(90, 10))
-        b = entry(run_id="bbbbbbbbbbbb", counters=rates(30, 70))
-        text, regressions = ledger.diff_text(a, b)
-        assert regressions == 1
-        assert "hit rate 90.0% -> 30.0%" in text
+        for layer in ("glyph", "js.static.triage"):  # a layer name may be dotted
+            a = entry(counters=rates(90, 10, layer))
+            b = entry(run_id="bbbbbbbbbbbb", counters=rates(30, 70, layer))
+            text, regressions = ledger.diff_text(a, b)
+            assert regressions == 1
+            assert f"{layer} " in text
+            assert "hit rate 90.0% -> 30.0%" in text
 
     def test_hit_rate_needs_minimum_lookups(self):
         a = entry(counters=rates(9, 1))
@@ -227,13 +229,13 @@ class TestDiffText:
         assert regressions == 0  # 10 lookups < HIT_RATE_MIN_LOOKUPS
 
     def test_dataset_shape_drift_counts_under_same_config(self):
-        a = entry(counters={"crawler.pages[control]": 40, "detect.fp_sites": 12})
+        a = entry(counters={"crawler.pages[control]": 40, "crawler.pages_ok[control]": 33})
         b = entry(run_id="bbbbbbbbbbbb",
-                  counters={"crawler.pages[control]": 40, "detect.fp_sites": 11})
+                  counters={"crawler.pages[control]": 40, "crawler.pages_ok[control]": 32})
         text, regressions = ledger.diff_text(a, b)
         assert regressions == 1
         assert "dataset-shape drift" in text
-        assert "detect.fp_sites" in text
+        assert "crawler.pages_ok[control]" in text
 
 
 class TestRegressText:
@@ -291,15 +293,18 @@ class TestRegressText:
         assert "1 metric(s) regressed" in text
 
     def test_hit_rate_drop_exits_1(self):
-        bad = entry(
-            run_id="fff000000000",
-            stages=(("crawl.control", 2.0, False),),
-            counters=rates(20, 80),
-        )
-        entries = [self.good("aaa000000000"), bad]
-        text, code = ledger.regress_text(entries)
-        assert code == 1
-        assert "render_cache.glyph.hit_rate" in text
+        for layer in ("glyph", "js.static"):  # a layer name may be dotted
+            good = self.good("aaa000000000")
+            good["metrics"]["counters"].update(rates(80, 20, layer))
+            bad = entry(
+                run_id="fff000000000",
+                stages=(("crawl.control", 2.0, False),),
+                counters={**rates(80, 20), **rates(20, 80, layer)},
+            )
+            text, code = ledger.regress_text([good, bad])
+            assert code == 1
+            assert f"{layer}.hit_rate" in text
+            assert "1 metric(s) regressed" in text
 
     def test_missing_cache_layer_is_a_failure(self):
         gone = entry(run_id="fff000000000", stages=(("crawl.control", 2.0, False),))

@@ -1,20 +1,22 @@
-"""Unit tests for the unified metrics registry and the perf-counter bridge.
+"""Unit tests for the unified metrics registry and its per-layer rows.
 
-Includes the regression tests the ISSUE calls out for
-:func:`repro.perf.diff_snapshots`: layers present only in the newer
-snapshot must survive the diff, and a mid-window ``reset()`` must clamp
-deltas at zero instead of going negative.
+Includes the regression tests for :func:`repro.perf.diff_snapshots`:
+layers present only in the newer snapshot must survive the diff, and a
+mid-window ``reset()`` must clamp deltas at zero instead of going
+negative.
 """
 
 import pickle
 
-from repro import perf
+import pytest
+
+from repro import obs, perf
 from repro.obs.metrics import (
     DEFAULT_BOUNDARIES,
     Histogram,
     MetricsRegistry,
-    absorb_perf,
     diff_snapshots,
+    layer_rows,
 )
 
 
@@ -233,77 +235,99 @@ class TestDiffSnapshots:
 
 
 class TestPerfDiffRegressions:
-    """ISSUE satellite: repro.perf.diff_snapshots edge cases."""
+    """repro.perf.diff_snapshots edge cases, on registry snapshots."""
 
     def test_layer_only_in_newer_snapshot_is_kept(self):
-        counters = perf.PerfCounters()
-        before = counters.snapshot()
-        counters.hit("glyph_atlas")
-        counters.miss("glyph_atlas", 0.5)
-        delta = perf.diff_snapshots(before, counters.snapshot())
+        reg = MetricsRegistry()
+        before = reg.snapshot()
+        reg.inc("perf.hits[glyph_atlas]")
+        reg.inc("perf.misses[glyph_atlas]")
+        reg.inc("perf.miss_seconds[glyph_atlas]", 0.5)
+        delta = perf.diff_snapshots(before, reg.snapshot())
         assert "glyph_atlas" in delta
         assert delta["glyph_atlas"]["hits"] == 1
         assert delta["glyph_atlas"]["misses"] == 1
 
     def test_mid_window_reset_clamps_to_zero(self):
-        counters = perf.PerfCounters()
-        counters.hit("render_cache")
-        counters.hit("render_cache")
-        counters.miss("render_cache", 1.0)
-        before = counters.snapshot()
-        counters.reset()
-        counters.miss("render_cache", 0.25)
-        counters.miss("render_cache", 0.25)
-        delta = perf.diff_snapshots(before, counters.snapshot())
+        reg = MetricsRegistry()
+        reg.inc("perf.hits[render_cache]", 2)
+        reg.inc("perf.misses[render_cache]")
+        reg.inc("perf.miss_seconds[render_cache]", 1.0)
+        before = reg.snapshot()
+        reg.reset()
+        reg.inc("perf.misses[render_cache]", 2)
+        reg.inc("perf.miss_seconds[render_cache]", 0.5)
+        delta = perf.diff_snapshots(before, reg.snapshot())
         row = delta["render_cache"]
         assert row["hits"] == 0.0  # clamped, not -2
         assert row["misses"] == 1.0  # 2 - 1, post-reset activity above baseline
-        assert row["hit_seconds"] == 0.0
+        assert row["miss_seconds"] == 0.0  # 0.5 - 1.0 clamped
         assert all(v >= 0.0 for v in row.values())
 
     def test_mid_window_reset_below_baseline_drops_layer(self):
         """Clamping can hide a whole layer; it must never go negative."""
-        counters = perf.PerfCounters()
-        counters.hit("render_cache")
-        counters.miss("render_cache", 1.0)
-        before = counters.snapshot()
-        counters.reset()
-        counters.miss("render_cache", 0.1)  # still below the old cumulative
-        delta = perf.diff_snapshots(before, counters.snapshot())
+        reg = MetricsRegistry()
+        reg.inc("perf.hits[render_cache]")
+        reg.inc("perf.misses[render_cache]")
+        reg.inc("perf.miss_seconds[render_cache]", 1.0)
+        before = reg.snapshot()
+        reg.reset()
+        reg.inc("perf.misses[render_cache]")  # still not above the old cumulative
+        reg.inc("perf.miss_seconds[render_cache]", 0.1)
+        delta = perf.diff_snapshots(before, reg.snapshot())
         assert delta == {}
 
     def test_idle_layers_dropped(self):
-        counters = perf.PerfCounters()
-        counters.hit("encode")
-        snap = counters.snapshot()
+        reg = MetricsRegistry()
+        reg.inc("perf.hits[encode]")
+        snap = reg.snapshot()
         assert perf.diff_snapshots(snap, snap) == {}
 
-    def test_residency_reports_after_level(self):
-        counters = perf.PerfCounters()
-        counters.set_residency("encode", 5, 1000)
-        before = counters.snapshot()
-        counters.miss("encode", 0.1)
-        counters.set_residency("encode", 9, 4096)
-        delta = perf.diff_snapshots(before, counters.snapshot())
-        assert delta["encode"]["entries"] == 9.0
-        assert delta["encode"]["bytes"] == 4096.0
+    def test_perf_registry_is_the_metrics_registry(self):
+        # One registry: a cache counter is an ordinary obs metric.
+        assert perf.PERF is obs.METRICS
 
 
-class TestAbsorbPerf:
-    def test_layers_become_counters_and_gauges(self):
-        counters = perf.PerfCounters()
-        counters.hit("glyph_atlas", 0.01)
-        counters.miss("glyph_atlas", 0.2)
-        counters.set_residency("glyph_atlas", 3, 512)
+class TestLayerRows:
+    def test_dotted_layer_parses(self):
         reg = MetricsRegistry()
-        absorb_perf(reg, counters.snapshot())
-        assert reg.counter("render_cache.glyph_atlas.hits") == 1
-        assert reg.counter("render_cache.glyph_atlas.misses") == 1
-        assert reg.snapshot()["gauges"]["render_cache.glyph_atlas.bytes"] == 512.0
+        reg.inc("perf.hits[js.static.triage]", 3)
+        reg.inc("perf.misses[js.static.triage]")
+        reg.inc("perf.evictions[js.static.triage]", 2)
+        reg.inc("perf.misses[js.compile]", 2)
+        reg.inc("perf.miss_seconds[js.compile]", 0.5)
+        rows = layer_rows(reg.snapshot())
+        assert rows["js.static.triage"]["hits"] == 3
+        assert rows["js.static.triage"]["evictions"] == 2
+        assert rows["js.static.triage"]["hit_rate"] == 0.75
+        assert rows["js.compile"]["miss_seconds"] == 0.5
+        assert set(rows) == {"js.static.triage", "js.compile"}
 
-    def test_zero_fields_are_skipped(self):
-        counters = perf.PerfCounters()
-        counters.hit("encode")
+    def test_saved_seconds_is_hits_times_mean_miss_cost(self):
         reg = MetricsRegistry()
-        absorb_perf(reg, counters.snapshot())
-        assert "render_cache.encode.misses" not in reg.counters()
+        reg.inc("perf.hits[glyph_atlas]", 4)
+        reg.inc("perf.misses[glyph_atlas]", 2)
+        reg.inc("perf.miss_seconds[glyph_atlas]", 0.2)
+        row = layer_rows(reg.snapshot())["glyph_atlas"]
+        assert row["saved_seconds"] == pytest.approx(0.4)
+
+    def test_non_perf_names_are_not_layers(self):
+        reg = MetricsRegistry()
+        reg.inc("crawler.pages[control]", 5)
+        reg.inc("stage.cache.hits")
+        reg.inc("render_cache.glyph_atlas.hits")  # a pre-registry ledger name
+        reg.inc("perf.lookups[encode]")  # not a layer field
+        reg.gauge("perf.hits[gauge]", 1.0)  # gauges are not layer counters
+        assert layer_rows(reg.snapshot()) == {}
+        assert layer_rows({}) == {}
+
+    def test_cache_counts_into_the_registry(self):
+        cache = perf.ByteBudgetLRU("test.lru", 100)
+        before = obs.METRICS.snapshot()
+        cache.put("a", "A", 60, seconds=0.25)
+        cache.put("b", "B", 60)  # evicts "a"
+        assert cache.get("b") == "B"
+        assert cache.get("a") is None  # a miss is counted by its put
+        row = perf.diff_snapshots(before, obs.METRICS.snapshot())["test.lru"]
+        assert (row["hits"], row["misses"], row["evictions"]) == (1, 2, 1)
+        assert row["miss_seconds"] == 0.25

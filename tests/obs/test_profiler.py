@@ -400,7 +400,7 @@ class TestExactlyOnceShipping:
             inner_paths=(),
             resume=False,
             execution=ExecutionConfig(),
-            perf_config=perf.current_config(),
+            perf_config=perf.config(),
             obs_config=ObsConfig(trace=True, profile=True, profile_hz=profile_hz),
             lane="shard-0000",
         )

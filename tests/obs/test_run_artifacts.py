@@ -28,6 +28,7 @@ from repro.obs.inspect import (
     summary_text,
 )
 from repro.obs.manifest import load_manifest
+from repro.obs.metrics import layer_rows
 from repro.obs.recorder import RunRecorder, resolve_run_dir
 from repro.webgen import build_world
 
@@ -116,9 +117,10 @@ class TestStudyArtifacts:
     def test_render_cache_metrics_absorbed(self, study):
         result, run_dir = study
         log = load_run(run_dir)
+        assert result.perf_counters == layer_rows(log.summary["metrics"])
         for layer, row in result.perf_counters.items():
-            if row.get("hits"):
-                assert log.counters[f"render_cache.{layer}.hits"] == row["hits"]
+            if row["hits"]:
+                assert log.counters[f"perf.hits[{layer}]"] == row["hits"]
 
     def test_page_spans_cover_every_site(self, study):
         result, run_dir = study
@@ -135,6 +137,13 @@ class TestStudyArtifacts:
         assert f"{health.successes}/{health.total} sites ok" in text
         assert "injected faults:" in text
         assert "stage" in text
+        # Every cache layer with lookups has a row, dotted names included.
+        looked_up = {
+            layer for layer, row in result.perf_counters.items() if row["hits"] + row["misses"]
+        }
+        assert {"js.cache", "js.static", "js.static.triage", "render_cache"} <= looked_up
+        rows = {line.split()[0] for line in text.splitlines() if line.strip()}
+        assert looked_up <= rows
 
     def test_chrome_trace_exports_and_validates(self, study):
         _, run_dir = study
@@ -380,3 +389,10 @@ class TestCrawlerCliArtifacts:
         # checkpoint instrumentation fired once per observation + finalize
         assert log.counters["crawler.checkpoint_writes"] == health.total
         assert log.counters["crawler.checkpoint_finalized"] == 1
+        # The crawl's cache and GC counters reach its run log too.
+        layers = layer_rows(log.summary["metrics"])
+        assert layers["js.static"]["hits"] + layers["js.static"]["misses"] > 0
+        assert layers["gc"]["miss_seconds"] > 0
+        lines = summary_text(log).splitlines()
+        assert any(line.startswith("js.static ") for line in lines)
+        assert any(line.startswith("gc ") and line.endswith("s wall") for line in lines)

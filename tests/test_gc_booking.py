@@ -4,8 +4,9 @@ import gc
 import os
 import time
 
-from repro import perf
+from repro import obs
 from repro.config import StudyScale
+from repro.obs.metrics import layer_rows
 from repro.webgen import build_world
 
 
@@ -14,13 +15,13 @@ def _gc_seconds(snapshot):
 
 
 def test_forced_collection_is_booked():
-    before = _gc_seconds(perf.PERF.snapshot())
+    before = _gc_seconds(layer_rows(obs.METRICS.snapshot()))
     cycles = [[] for _ in range(10_000)]
     for item in cycles:
         item.append(item)
     del cycles, item
     gc.collect()
-    assert _gc_seconds(perf.PERF.snapshot()) > before
+    assert _gc_seconds(layer_rows(obs.METRICS.snapshot())) > before
 
 
 def test_parallel_study_reports_worker_collections():

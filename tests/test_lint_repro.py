@@ -27,7 +27,7 @@ class TestDetachedRegistry:
         assert findings[0][1] == 2
 
     def test_each_registry_class_is_flagged(self, tmp_path):
-        for cls in ("PerfCounters", "MetricsRegistry", "SampleTable"):
+        for cls in ("MetricsRegistry", "SampleTable"):
             findings = _lint_source(tmp_path, f"X = {cls}()\n")
             assert [f[2] for f in findings] == ["detached-registry"], cls
 
@@ -50,7 +50,7 @@ class TestDetachedRegistry:
         findings = _lint_source(
             tmp_path,
             "if True:\n"
-            "    FALLBACK = PerfCounters()\n",
+            "    FALLBACK = SampleTable()\n",
         )
         assert [f[2] for f in findings] == ["detached-registry"]
 
@@ -59,7 +59,7 @@ class TestDynamicCacheLayer:
     def test_literal_layer_is_allowed(self, tmp_path):
         findings = _lint_source(
             tmp_path,
-            "CACHE = perf.ByteBudgetLRU('render_cache', budget_attr='x')\n",
+            "CACHE = perf.ByteBudgetLRU('render_cache', 64 * perf.MB)\n",
         )
         assert findings == []
 
@@ -67,17 +67,17 @@ class TestDynamicCacheLayer:
         findings = _lint_source(
             tmp_path,
             "name = 'render'\n"
-            "CACHE = perf.ByteBudgetLRU(name + '_cache', budget_attr='x')\n",
+            "CACHE = perf.ByteBudgetLRU(name + '_cache', 64 * perf.MB)\n",
         )
         assert [f[2] for f in findings] == ["dynamic-cache-layer"]
 
     def test_keyword_layer_is_checked(self, tmp_path):
         good = _lint_source(
-            tmp_path, "C = ByteBudgetLRU(layer='glyph', budget_attr='x')\n"
+            tmp_path, "C = ByteBudgetLRU(layer='glyph', max_bytes=1)\n"
         )
         assert good == []
         bad = _lint_source(
-            tmp_path, "C = ByteBudgetLRU(layer=f'{kind}', budget_attr='x')\n"
+            tmp_path, "C = ByteBudgetLRU(layer=f'{kind}', max_bytes=1)\n"
         )
         assert [f[2] for f in bad] == ["dynamic-cache-layer"]
 

@@ -2,33 +2,32 @@
 """Repo-specific AST lint: guard the exactly-once worker-metrics channel.
 
 Every crawl worker ships its telemetry to the parent process exactly once,
-as an explicit payload delta: ``perf.diff_snapshots`` for the render/JS
-cache counters and ``obs.worker_payload`` for the unified metrics,
-histograms and profiler samples.  The parent folds them back with
-``perf.PERF.merge`` / ``obs.ingest_worker``.  That channel only stays
-exactly-once if all counters live in the process-wide singletons — a second
-registry instantiated at module scope would accumulate counts that no
-payload ever carries, silently losing telemetry for every sharded run.
+as one explicit payload delta: ``obs.worker_payload`` carries the metrics
+delta (cache and timer layers included), histograms and profiler samples,
+and the parent folds it back with ``obs.ingest_worker``.  That channel
+only stays exactly-once if all counters live in the process-wide
+singletons — a second registry instantiated at module scope would
+accumulate counts that no payload ever carries, silently losing telemetry
+for every sharded run.
 
 Two rules, both enforced purely on the AST (nothing is imported):
 
 ``detached-registry``
-    Module-level instantiation of ``PerfCounters`` / ``MetricsRegistry`` /
-    ``SampleTable`` anywhere but the blessed singleton homes
-    (``perf.PERF``, ``obs.METRICS``, ``obs.profiler.TABLE``).  Local
-    instantiations inside functions are fine — tests and snapshot helpers
-    build throwaway registries — but a module-level one is shared state
-    that dodges the payload channel.
+    Module-level instantiation of ``MetricsRegistry`` / ``SampleTable``
+    anywhere but the blessed singleton homes (``obs.METRICS``,
+    ``obs.profiler.TABLE``).  Local instantiations inside functions are
+    fine — tests and snapshot helpers build throwaway registries — but a
+    module-level one is shared state that dodges the payload channel.
 
 ``dynamic-cache-layer``
     ``ByteBudgetLRU(...)`` whose layer name is not a string literal.  The
-    layer name is the merge key in every worker payload and perf report;
-    a computed name cannot be merged deterministically across workers or
-    compared across runs.
+    layer name labels the cache's counters (``perf.hits[<layer>]``) in
+    every worker payload and report; a computed name cannot be merged
+    deterministically across workers or compared across runs.
 
-That every worker ships both deltas needs no rule: the one worker body,
+That every worker ships its delta needs no rule: the one worker body,
 ``repro.crawler.shards.shard_worker``, returns a ``WorkerResult`` whose
-fields require them, and ``tests/obs`` fails if either stops arriving.
+fields require it, and ``tests/obs`` fails if it stops arriving.
 
 Usage::
 
@@ -47,9 +46,8 @@ from typing import Iterator, List, Tuple
 
 #: Registry classes that must only be instantiated at module level in their
 #: blessed singleton homes (file suffix -> class names allowed there).
-REGISTRY_CLASSES = ("PerfCounters", "MetricsRegistry", "SampleTable")
+REGISTRY_CLASSES = ("MetricsRegistry", "SampleTable")
 SINGLETON_HOMES = {
-    "repro/perf.py": {"PerfCounters"},
     "repro/obs/__init__.py": {"MetricsRegistry"},
     "repro/obs/profiler.py": {"SampleTable"},
 }
@@ -107,7 +105,7 @@ def lint_file(path: Path, root: Path) -> List[Finding]:
                     "detached-registry",
                     f"module-level {name}() outside its singleton home: its "
                     "counters never ship in a worker payload (use "
-                    "perf.PERF / obs.METRICS / obs.profiler.TABLE)",
+                    "obs.METRICS / obs.profiler.TABLE)",
                 )
             )
 
@@ -125,7 +123,7 @@ def lint_file(path: Path, root: Path) -> List[Finding]:
                     node.lineno,
                     "dynamic-cache-layer",
                     "ByteBudgetLRU layer name must be a string literal: it "
-                    "is the merge key for worker perf payloads",
+                    "labels the cache's counters in every worker payload",
                 )
             )
 
