@@ -13,6 +13,7 @@ import math
 from typing import Any, List, Optional
 
 from repro.js.errors import JSThrow
+from repro.js.ops import to_int32
 from repro.js.values import (
     NULL,
     UNDEFINED,
@@ -20,6 +21,7 @@ from repro.js.values import (
     JSFunction,
     JSObject,
     NativeFunction,
+    digits_to_number,
     js_equals_strict,
     js_to_number,
     js_to_string,
@@ -310,18 +312,19 @@ def _error_ctor(i, t, a):
 
 def _parse_int(i, t, a):
     text = js_to_string(a[0] if a else UNDEFINED).strip()
-    radix = int(js_to_number(a[1])) if len(a) > 1 and js_truthy(a[1]) else 10
-    sign = 1
+    sign = 1.0
     if text.startswith(("-", "+")):
         if text[0] == "-":
-            sign = -1
+            sign = -1.0
         text = text[1:]
-    if radix == 16 and text.lower().startswith("0x"):
-        text = text[2:]
-    elif radix == 10 and text.lower().startswith("0x"):
+    radix = to_int32(js_to_number(a[1])) if len(a) > 1 else 0
+    if radix and not 2 <= radix <= 36:
+        return math.nan
+    if radix in (0, 16) and text.lower().startswith("0x"):
         radix = 16
         text = text[2:]
-    digits = "0123456789abcdefghijklmnopqrstuvwxyz"[:radix]
+    radix = radix or 10
+    digits = _DIGITS[:radix]
     end = 0
     for ch in text.lower():
         if ch not in digits:
@@ -329,7 +332,7 @@ def _parse_int(i, t, a):
         end += 1
     if end == 0:
         return math.nan
-    return float(sign * int(text[:end], radix))
+    return sign * digits_to_number(text[:end], radix)
 
 
 def _parse_float(i, t, a):
@@ -474,30 +477,62 @@ def number_member(interp, x: float, name: str) -> Any:
         return NativeFunction(fn, name)
 
     if name == "toFixed":
-        return method(lambda i, t, a: f"{x:.{int(js_to_number(a[0] if a else 0.0))}f}")
+        return method(lambda i, t, a: _to_fixed(x, a[0] if a else UNDEFINED))
     if name == "toString":
-        return method(lambda i, t, a: _num_to_radix(x, int(js_to_number(a[0]))) if a else js_to_string(x))
+        return method(lambda i, t, a: _to_radix_string(x, a[0] if a else UNDEFINED))
     if name == "toPrecision":
-        return method(lambda i, t, a: f"{x:.{int(js_to_number(a[0]))}g}" if a else js_to_string(x))
+        return method(lambda i, t, a: _to_precision(x, a[0] if a else UNDEFINED))
     if name == "valueOf":
         return method(lambda i, t, a: x)
     return UNDEFINED
 
 
-def _num_to_radix(x: float, radix: int) -> str:
-    if radix == 10:
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _integer_or_infinity(value: Any) -> float:
+    """ECMAScript ToIntegerOrInfinity: NaN is 0, the infinities stay, the rest truncate."""
+    number = js_to_number(value)
+    if math.isnan(number):
+        return 0.0
+    return number if math.isinf(number) else float(math.trunc(number))
+
+
+def _to_radix_string(x: float, radix_arg: Any) -> str:
+    radix = 10.0 if radix_arg is UNDEFINED else _integer_or_infinity(radix_arg)
+    if not 2 <= radix <= 36:
+        raise JSThrow("RangeError: toString() radix must be between 2 and 36")
+    if radix == 10 or not math.isfinite(x):
         return js_to_string(x)
+    # The integer part only: fraction digits in other radixes are not modelled.
     n = int(x)
-    if n == 0:
-        return "0"
-    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
     sign = "-" if n < 0 else ""
     n = abs(n)
     out = []
     while n:
-        out.append(digits[n % radix])
-        n //= radix
-    return sign + "".join(reversed(out))
+        n, digit = divmod(n, int(radix))
+        out.append(_DIGITS[digit])
+    return sign + ("".join(reversed(out)) or "0")
+
+
+def _to_fixed(x: float, digits_arg: Any) -> str:
+    digits = _integer_or_infinity(digits_arg)
+    if not 0 <= digits <= 100:
+        raise JSThrow("RangeError: toFixed() digits argument must be between 0 and 100")
+    if not math.isfinite(x) or abs(x) >= 1e21:
+        return js_to_string(x)
+    return f"{x:.{int(digits)}f}"
+
+
+def _to_precision(x: float, precision_arg: Any) -> str:
+    if precision_arg is UNDEFINED:
+        return js_to_string(x)
+    precision = _integer_or_infinity(precision_arg)
+    if not math.isfinite(x):
+        return js_to_string(x)
+    if not 1 <= precision <= 100:
+        raise JSThrow("RangeError: toPrecision() argument must be between 1 and 100")
+    return f"{x:.{int(precision)}g}"
 
 
 def array_member(interp, arr: JSArray, name: str) -> Optional[Any]:

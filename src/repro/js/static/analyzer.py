@@ -95,6 +95,11 @@ PURE_LOCAL_METHODS = {
     "toUpperCase", "split", "trim", "toString", "toFixed", "length",
 }
 
+#: Pure methods that throw a RangeError on an argument outside a range
+#: (a number's radix, its fraction digits): pure only when every argument
+#: is a number literal inside it.
+ARGUMENT_RANGES = {"toString": (2, 36), "toFixed": (0, 100)}
+
 #: Sinks a tainted canvas readout can escape through.
 SINK_GLOBAL = "global"
 SINK_STORAGE = "storage"
@@ -708,6 +713,10 @@ class _Analyzer:
         if base.kind in ("arr", "str", "obj", "num", "imagedata"):
             if prop not in PURE_LOCAL_METHODS:
                 self._throw_risk(f"method '.{prop}' on local value at line {node.line}")
+            elif prop in ARGUMENT_RANGES and not self._literals_in_range(
+                node.args, *ARGUMENT_RANGES[prop]
+            ):
+                self._throw_risk(f"argument of '.{prop}' may be out of range at line {node.line}")
             for arg in args:
                 if arg.kind == "fn":
                     self._call_function(arg, [])
@@ -726,6 +735,16 @@ class _Analyzer:
         for arg in args:
             out.with_taint(arg)
         return out
+
+    def _literals_in_range(self, args, low: int, high: int) -> bool:
+        """Whether every argument is a number literal whose integer part is in ``low..high``."""
+        for arg in args:
+            if not isinstance(arg, N.NumberLiteral):
+                return False
+            self.result.reads_numbers = True
+            if not low <= arg.value < high + 1:
+                return False
+        return True
 
     def _canvas_call(self, base: AV, prop: str, args: List[AV], node) -> AV:
         self.result.api_profile.add(prop)

@@ -62,7 +62,7 @@ __all__ = [
 
 #: Bumped whenever the analyzer's semantics change: part of the cache key,
 #: so stale verdicts can never survive an analyzer upgrade.
-ANALYZER_VERSION = "2"
+ANALYZER_VERSION = "3"
 
 CLASS_PARSE_ERROR = "parse-error"
 CLASS_INERT = "inert"

@@ -13,6 +13,7 @@ Mapping to Python values:
 from __future__ import annotations
 
 import math
+import re
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -285,6 +286,25 @@ def _number_to_string(x: float) -> str:
     return repr(x)
 
 
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+\Z")
+
+
+def digits_to_number(digits: str, radix: int) -> float:
+    """The double nearest the value of a digit string; Infinity past the largest double.
+
+    Python's ``int`` refuses more than 4,300 digits in a radix that is not
+    a power of two, so leading zeros go first, and more than 1,100
+    significant digits is at least ``2 ** 1100`` in any radix: Infinity.
+    """
+    significant = digits.lstrip("0")
+    if len(significant) > 1100:
+        return math.inf
+    try:
+        return float(int(significant or "0", radix))
+    except OverflowError:
+        return math.inf
+
+
 def js_to_number(value: Any) -> float:
     """JavaScript ToNumber."""
     if isinstance(value, bool):
@@ -299,9 +319,10 @@ def js_to_number(value: Any) -> float:
         text = value.strip()
         if not text:
             return 0.0
+        if text[:2] in ("0x", "0X"):
+            digits = text[2:]
+            return digits_to_number(digits, 16) if _HEX_DIGITS.match(digits) else math.nan
         try:
-            if text.lower().startswith("0x"):
-                return float(int(text, 16))
             return float(text)
         except ValueError:
             return math.nan

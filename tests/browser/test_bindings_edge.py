@@ -291,6 +291,34 @@ class TestHugeNumberLiterals:
         ]
 
 
+#: Number builtins that raised Python errors out of the page load: each now
+#: throws a RangeError the script can catch, or returns.
+NUMBER_BUILTINS = {
+    "to-string-radix-0": ("var s = (5).toString(0);", "RangeError"),
+    "to-fixed-nan": ("var s = (1.5).toFixed(NaN); console.log(s);", None),
+    "to-precision-nan": ("var s = (1.5).toPrecision(NaN);", "RangeError"),
+    "parse-int-radix-37": ("console.log(isNaN(parseInt('1', 37)));", None),
+    "parse-int-5000-digits": ("console.log(parseInt('1' + '0'.repeat(4999)) === 1/0);", None),
+    "to-number-huge-hex": ("console.log(+('0x' + 'F'.repeat(300)) === 1/0);", None),
+}
+
+
+class TestNumberBuiltins:
+    @pytest.mark.parametrize("body,error", NUMBER_BUILTINS.values(), ids=list(NUMBER_BUILTINS))
+    def test_the_page_loads_and_keeps_the_sibling_extraction(self, body, error):
+        page = load_with_sibling(body, enabled=True)
+        extractions = [e.script_url for e in page.instrument.extractions]
+        if error is None:
+            assert page.script_errors == []
+            assert page.console in (["true"], ["2"])
+            assert extractions == ["https://edge.example/a.js", "https://edge.example/b.js"]
+        else:
+            # The uncaught RangeError ends its own script only.
+            [message] = page.script_errors
+            assert message.startswith("https://edge.example/a.js:") and error in message
+            assert extractions == ["https://edge.example/b.js"]
+
+
 def load_limited(script):
     """Load a one-script page in a child process limited to 1 GiB of address space.
 

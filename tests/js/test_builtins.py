@@ -1,9 +1,13 @@
 """Focused tests for JS built-in objects and primitive methods."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.js import Interpreter
 
 
@@ -130,6 +134,116 @@ class TestNumberMethods:
         assert run(interp, "Number.isInteger(4.5);") is False
         assert run(interp, "Number.isNaN(NaN);") is True
         assert run(interp, "Number.isNaN('NaN');") is False
+
+
+#: 300 hex digits: far past the largest double.
+HUGE_HEX = "F" * 300
+
+
+class TestNumberConversionEdges:
+    """Inputs that hung, crashed or misread: each returns, or throws a catchable RangeError."""
+
+    @pytest.mark.parametrize(
+        "src,message",
+        [
+            ("(5).toString(0);", "radix must be between 2 and 36"),
+            ("(-5).toString(-2);", "radix must be between 2 and 36"),
+            ("(5).toString(1/0);", "radix must be between 2 and 36"),
+            ("(1.5).toFixed(-1);", "toFixed() digits argument must be between 0 and 100"),
+            ("(1.5).toPrecision(NaN);", "toPrecision() argument must be between 1 and 100"),
+            ("(1.5).toPrecision(101);", "toPrecision() argument must be between 1 and 100"),
+        ],
+    )
+    def test_range_errors_are_catchable(self, interp, src, message):
+        caught = run(interp, f"var r = 'none'; try {{ {src} }} catch (e) {{ r = '' + e; }} r;")
+        assert caught == "RangeError: " + ("toString() " if "radix" in message else "") + message
+
+    @pytest.mark.parametrize(
+        "src,expected",
+        [
+            ("(NaN).toString(2);", "NaN"),
+            ("(1/0).toString(2);", "Infinity"),
+            ("(-1/0).toString(16);", "-Infinity"),
+            ("(5).toString(undefined);", "5"),
+            ("(35).toString(36.9);", "z"),  # radix by ToIntegerOrInfinity
+            ("(-255).toString(2);", "-11111111"),
+            ("(0).toString(2);", "0"),
+            ("(1.5).toFixed(NaN);", "2"),  # NaN digits read as 0
+            ("(1.5).toFixed();", "2"),
+            ("(NaN).toFixed(2);", "NaN"),
+            ("(-1/0).toFixed(2);", "-Infinity"),
+            ("(1e21).toFixed(2);", "1e+21"),
+            ("(NaN).toPrecision(500);", "NaN"),
+            ("(1.5).toPrecision();", "1.5"),
+        ],
+    )
+    def test_number_methods(self, interp, src, expected):
+        assert run(interp, src) == expected
+
+    @pytest.mark.parametrize(
+        "src,expected",
+        [
+            ("parseInt('1', 37);", math.nan),
+            ("parseInt('1', 1);", math.nan),
+            ("parseInt('1', 1/0);", 1.0),  # ToInt32(Infinity) is 0: radix 10
+            ("parseInt('1', 0);", 1.0),
+            ("parseInt('0x1f', 10);", 0.0),  # only radix 16 or none strips 0x
+            ("parseInt('0x1f');", 31.0),
+            ("parseInt('0x1f', 16);", 31.0),
+            ("parseInt('0x1f', 4294967312);", 31.0),  # radix by ToInt32: 2 ** 32 + 16
+            ("parseInt('-0x1f');", -31.0),
+            ("parseInt('1' + '0'.repeat(4999));", math.inf),
+            ("parseInt('0'.repeat(4999) + '7');", 7.0),
+            ("parseInt('" + HUGE_HEX + "', 16);", math.inf),
+            ("parseInt('-" + HUGE_HEX + "', 16);", -math.inf),
+            ("parseInt('1' + '0'.repeat(308));", 1e308),
+        ],
+    )
+    def test_parse_int(self, interp, src, expected):
+        result = run(interp, src)
+        assert result == expected or (math.isnan(expected) and math.isnan(result))
+
+    def test_parse_int_keeps_negative_zero(self, interp):
+        assert math.copysign(1.0, run(interp, "parseInt('-0');")) == -1.0
+
+    @pytest.mark.parametrize(
+        "src,expected",
+        [
+            ("Number('0x" + HUGE_HEX + "');", math.inf),
+            ("+('0x" + HUGE_HEX + "');", math.inf),
+            ("Number('0x10');", 16.0),
+            ("Number('0x');", math.nan),
+            ("Number('0xf_f');", math.nan),
+        ],
+    )
+    def test_to_number_of_hex_strings(self, interp, src, expected):
+        result = run(interp, src)
+        assert result == expected or (math.isnan(expected) and math.isnan(result))
+
+    def test_runaway_arguments_throw_in_a_child_process(self):
+        # A radix of 1 once looped forever growing a list, and 1e9 fraction
+        # digits asked for a billion-digit string: a regression must fail
+        # here, out of memory or out of time, not hang the suite.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from repro.js import Interpreter\n"
+            "for src in ('(5).toString(1);', '(1.5).toFixed(1e9);'):\n"
+            "    print(Interpreter().run('var r; try { ' + src + ' } catch (e) { r = \\'\\' + e; } r;'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "RangeError: toString() radix must be between 2 and 36",
+            "RangeError: toFixed() digits argument must be between 0 and 100",
+        ]
 
 
 class TestEncoding:

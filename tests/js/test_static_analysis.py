@@ -8,6 +8,8 @@ exclusions, where tainted bytes flow, and when a script is provably inert.
 
 import hashlib
 
+import pytest
+
 from repro import obs, perf
 from repro.js import nodes as N
 from repro.js.parser import parse
@@ -251,6 +253,29 @@ class TestGlobalPools:
 
     def test_bare_read_of_missing_global_may_throw(self):
         assert analyze("var v = definitelyMissing;").may_throw()
+
+    @pytest.mark.parametrize(
+        "src,throws,reads_numbers",
+        [
+            ("var s = (5).toString();", False, False),
+            ("var s = (5).toString(16);", False, True),
+            ("var s = (35).toString(36.9);", False, True),
+            ("var s = (5).toString(0);", True, True),
+            ("var s = (5).toString(37);", True, True),
+            ("var r = 16; var s = (5).toString(r);", True, False),
+            ("var s = (1.5).toFixed(100);", False, True),
+            ("var s = (1.5).toFixed(101);", True, True),
+            ("var s = (1.5).toFixed(NaN);", True, False),
+            ("var s = parseInt('1', 37);", False, False),
+        ],
+    )
+    def test_range_checked_methods_throw_unless_literal_arguments_fit(
+        self, src, throws, reads_numbers
+    ):
+        a = analyze(src)
+        assert a.may_throw() is throws
+        # A verdict that read an argument's value never stands for its shape.
+        assert a.reads_numbers is reads_numbers
 
 
 class TestVerdicts:
