@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional
 
 from repro import obs
-from repro.obs.metrics import diff_snapshots as _diff_metrics
 from repro.obs.metrics import layer_rows
 
 __all__ = [
@@ -96,7 +95,7 @@ def diff_snapshots(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, D
     are dropped, a layer first seen inside it is kept whole, and a
     mid-window reset clamps at zero.
     """
-    return layer_rows(_diff_metrics(before, after))
+    return layer_rows(obs.diff_metric_snapshots(before, after))
 
 
 _gc_started = 0.0
@@ -165,7 +164,6 @@ class ByteBudgetLRU:
     """
 
     def __init__(self, layer: str, max_bytes: int) -> None:
-        self.layer = layer
         self.max_bytes = int(max_bytes)
         self._hits = f"perf.hits[{layer}]"
         self._misses = f"perf.misses[{layer}]"
