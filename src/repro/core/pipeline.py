@@ -12,6 +12,10 @@ any) :class:`~repro.net.server.Network`:
 6. optional ad-blocker crawls (Table 2) and §5.3 randomization stats,
 7. optional cross-machine validation crawl (§3.1).
 
+Each (site, profile) page load happens once per study: the cross-machine
+check takes the control device's rows from the control crawl, and the vendor
+harvest reads known customers from it.
+
 Since the stage-graph refactor this module is a thin assembly layer: the
 steps above are typed stages in :mod:`repro.core.stages.study`, executed by
 :class:`~repro.core.stages.graph.StageGraph`.  ``run_study`` builds the
@@ -89,17 +93,21 @@ def harvest_vendor_signatures(
     network: Network,
     knowledge: Sequence[VendorKnowledge],
     control: CrawlDataset,
-    device: DeviceProfile = INTEL_UBUNTU,
 ) -> List[VendorSignature]:
     """Build vendor signatures exactly as Appendix A.3 describes.
 
     Precedence: demo page crawl > known-customer crawl (confirmed by script
     pattern) > script pattern over the main crawl's scripts.
+
+    A known customer the control crawl visited is read from ``control``:
+    the crawl loaded it under the control profile already.  Only demo pages
+    and customers outside the crawl are loaded here, under that profile.
     """
     from repro.browser.browser import Browser
 
     detector = FingerprintDetector()
-    collector = CanvasCollector(Browser(network, BrowserProfile(device=device)))
+    crawled = control.by_domain()
+    collector = CanvasCollector(Browser(network, BrowserProfile(device=INTEL_UBUNTU)))
     injector = getattr(network, "injector", None)
     signatures: List[VendorSignature] = []
 
@@ -120,7 +128,7 @@ def harvest_vendor_signatures(
 
         if not hashes and vendor.known_customers and vendor.script_pattern:
             for customer in vendor.known_customers:
-                obs = visit(customer)
+                obs = crawled[customer] if customer in crawled else visit(customer)
                 outcome = detector.detect(obs)
                 for extraction in outcome.fingerprintable:
                     # Always confirmed with the script pattern (A.3): the
@@ -243,8 +251,8 @@ def run_study(
 
     ``execution`` (an :class:`~repro.crawler.shards.ExecutionConfig`) says
     how every crawl the study performs — control, both ad-blocker crawls and
-    both cross-machine devices — executes, and reaches every crawl worker
-    as one value:
+    the cross-machine crawl — executes, and reaches every crawl worker as
+    one value:
 
     * ``jobs > 1`` shards every crawl over that many supervised worker
       processes (:mod:`repro.crawler.supervisor`): a worker that dies or
@@ -393,11 +401,11 @@ def validate_cross_machine(
     """§3.1's validation, generalized to any device fleet.
 
     Recrawl the targets on every device profile — one site-major crawl,
-    each site loaded on every device back to back — and check that the
-    canvas-equality site groupings agree across all of them, even though
-    each device renders the canvases to different bytes.
+    each site loaded on every device back to back — and check with
+    :func:`groupings_agree` that the canvas-equality site groupings agree
+    across all of them, even though each device renders the canvases to
+    different bytes.
     """
-    detector = detector or FingerprintDetector()
     if len(devices) < 2:
         raise ValueError("cross-machine validation needs at least two devices")
     datasets = run_sharded_crawl(
@@ -408,6 +416,18 @@ def validate_cross_machine(
         execution=execution,
         profiles=tuple((device.name, BrowserProfile(device=device)) for device in devices),
     )
+    return groupings_agree([datasets[device.name] for device in devices], detector)
+
+
+def groupings_agree(
+    datasets: Sequence[CrawlDataset], detector: Optional[FingerprintDetector] = None
+) -> bool:
+    """Whether every dataset groups its sites by canvas equality alike.
+
+    The comparison half of :func:`validate_cross_machine`, over crawls of
+    the same targets on two or more devices, however they were obtained.
+    """
+    detector = detector or FingerprintDetector()
 
     def grouping(dataset: CrawlDataset) -> Tuple[Tuple[str, ...], ...]:
         outcomes = detector.detect_all(dataset.successful())
@@ -415,5 +435,5 @@ def validate_cross_machine(
         groups = [tuple(sorted(c.all_sites())) for c in clusters.values() if c.all_sites()]
         return tuple(sorted(groups))
 
-    reference = grouping(datasets[devices[0].name])
-    return all(grouping(datasets[device.name]) == reference for device in devices[1:])
+    reference = grouping(datasets[0])
+    return all(grouping(dataset) == reference for dataset in datasets[1:])

@@ -70,7 +70,7 @@ from repro.core.stages.fingerprint import (
 )
 from repro.core.stages.graph import StageGraph
 from repro.core.stages.stage import Stage
-from repro.crawler.crawl import CrawlTarget
+from repro.crawler.crawl import CrawlDataset, CrawlTarget
 from repro.crawler.resilience import PageBudget, RetryPolicy
 from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
 
@@ -304,7 +304,11 @@ class ReachStage(Stage):
 
 
 class SignaturesStage(Stage):
-    """A.3 vendor ground-truth harvesting (crawls demo and customer pages)."""
+    """A.3 vendor ground-truth harvesting.
+
+    Known customers are read from the control crawl; only demo pages and
+    customers outside the crawl are loaded.
+    """
 
     name = "signatures"
     inputs = ("crawl.control",)
@@ -495,9 +499,16 @@ class StaticStage(Stage):
 
 
 class CrossMachineStage(Stage):
-    """§3.1 cross-device consistency over a sample of the target list."""
+    """§3.1 cross-device consistency over a sample of the target list.
+
+    A device whose browser profile is the control profile loads each page
+    exactly as the control crawl did, so its rows are the control crawl's
+    rows for the sample's domains; only the other devices are crawled,
+    site-major in one pass.  The cache key chains from ``crawl.control``.
+    """
 
     name = "cross_machine"
+    inputs = ("crawl.control",)
 
     def config_fingerprint(self, ctx: StudyContext) -> Any:
         sample = ctx.targets[: ctx.cross_machine_sample]
@@ -511,16 +522,35 @@ class CrossMachineStage(Stage):
         }
 
     def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
-        from repro.core.pipeline import validate_cross_machine
+        from repro.core.pipeline import groupings_agree
 
-        return validate_cross_machine(
-            ctx.network,
-            ctx.targets[: ctx.cross_machine_sample],
-            ctx.detector,
-            devices=ctx.cross_machine_devices,
-            retry_policy=ctx.retry_policy,
-            page_budget=ctx.page_budget,
-            execution=ctx.execution,
+        sample = ctx.targets[: ctx.cross_machine_sample]
+        control = inputs["crawl.control"].by_domain()
+        datasets = {
+            device.name: CrawlDataset(
+                label=device.name, observations=[control[t.domain] for t in sample]
+            )
+            for device in ctx.cross_machine_devices
+            if BrowserProfile(device=device) == ctx.control_profile()
+        }
+        profiles = tuple(
+            (device.name, BrowserProfile(device=device))
+            for device in ctx.cross_machine_devices
+            if device.name not in datasets
+        )
+        if profiles:
+            datasets.update(
+                run_sharded_crawl(
+                    ctx.network,
+                    sample,
+                    retry_policy=ctx.retry_policy,
+                    page_budget=ctx.page_budget,
+                    execution=ctx.execution,
+                    profiles=profiles,
+                )
+            )
+        return groupings_agree(
+            [datasets[device.name] for device in ctx.cross_machine_devices], ctx.detector
         )
 
 

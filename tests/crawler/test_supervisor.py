@@ -399,6 +399,23 @@ def _static_probe_study(out_path):
         )
 
 
+def _known_customer_study(out_path):
+    from repro.core.pipeline import VendorKnowledge, run_study
+
+    targets = make_targets(8)
+    poison = targets[3].domain
+    vendor = VendorKnowledge(
+        name="V", security=False, demo_url=None, known_customers=(poison,),
+        script_pattern="x", uses_url_regex=False,
+    )
+    result = run_study(
+        crashy_network(8, poison), targets, [vendor],
+        include_adblock_crawls=False, execution=supervised(), stages=["signatures"],
+    )
+    with open(out_path, "w") as fh:
+        json.dump({"quarantined": result.quarantined}, fh)
+
+
 class TestStudyIntegration:
     """The supervisor threads through the stage graph and StudyResult."""
 
@@ -437,6 +454,23 @@ class TestStudyIntegration:
         poison = make_targets(8)[3].domain
         assert result["quarantined"] == {poison: "quarantined:exit:137"}
         assert [row[0] for row in result["recovered"]] == [poison]
+
+    def test_harvest_of_a_crash_poison_customer_finishes(self, tmp_path):
+        # The vendor harvest reads a known customer from the control crawl,
+        # which quarantined it; loading its page again in the parent killed
+        # the study (exit 137).  A child process keeps a regression from
+        # taking the test run down with it.
+        ctx = multiprocessing.get_context("spawn")
+        out = tmp_path / "result.json"
+        child = ctx.Process(target=_known_customer_study, args=(str(out),))
+        child.start()
+        child.join(120)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+        poison = make_targets(8)[3].domain
+        assert json.loads(out.read_text())["quarantined"] == {poison: "quarantined:exit:137"}
 
     def test_unsupervised_study_has_empty_quarantine(self):
         from repro.analysis.report import quarantine_table
