@@ -195,7 +195,29 @@ class TestDiffText:
         a = entry(stages=(("manifest", 0.001, False),))
         b = entry(run_id="bbbbbbbbbbbb", stages=(("manifest", 0.004, False),))
         _, regressions = ledger.diff_text(a, b)
-        assert regressions == 0  # 4x but under TIMING_FLOOR_S
+        assert regressions == 0  # 4x but within TIMING_JITTER_S
+
+    @pytest.mark.parametrize(
+        "before,after,flagged",
+        [
+            (0.02, 0.10, False),  # 5x, the jitter of a collector pause
+            (0.07, 0.15, False),
+            (1.40, 1.82, False),  # +30%, the crawl beside a busy process
+            (1.0, 2.0, True),
+            (0.10, 0.70, True),  # a small stage that really slowed
+        ],
+    )
+    def test_a_slowdown_must_exceed_the_jitter_margin(self, before, after, flagged):
+        a = entry(stages=(("serving_context", before, False),))
+        b = entry(run_id="bbbbbbbbbbbb", stages=(("serving_context", after, False),))
+        text, regressions = ledger.diff_text(a, b)
+        assert regressions == int(flagged)
+        assert ("REGRESSED" in text) == flagged
+        prior = [entry(run_id=f"aaa00000000{i}", stages=(("serving_context", before, False),))
+                 for i in range(3)]
+        latest = entry(run_id="fff000000000", stages=(("serving_context", after, False),))
+        _, code = ledger.regress_text([*prior, latest])
+        assert code == int(flagged)
 
     def test_different_config_digests_never_regress(self):
         a = entry(digest="cfg1", stages=(("crawl.control", 2.0, False),))
