@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json as _json
 import math
+from fractions import Fraction
 from typing import Any, List, Optional
 
 from repro.js.errors import JSThrow
@@ -504,15 +505,49 @@ def _to_radix_string(x: float, radix_arg: Any) -> str:
         raise JSThrow("RangeError: toString() radix must be between 2 and 36")
     if radix == 10 or not math.isfinite(x):
         return js_to_string(x)
-    # The integer part only: fraction digits in other radixes are not modelled.
-    n = int(x)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    out = []
-    while n:
-        n, digit = divmod(n, int(radix))
-        out.append(_DIGITS[digit])
-    return sign + ("".join(reversed(out)) or "0")
+    # V8's DoubleToRadixCString, in doubles as V8 computes it: fraction
+    # digits only up to the input's precision, the last one rounded to even.
+    r = int(radix)
+    value = abs(x)
+    integer = math.floor(value)
+    fraction = value - integer
+    delta = max(0.5 * (math.nextafter(value, math.inf) - value), math.nextafter(0.0, 1.0))
+    fraction_digits: List[int] = []
+    while fraction >= delta:
+        fraction *= r
+        delta *= r
+        digit = int(fraction)
+        fraction_digits.append(digit)
+        fraction -= digit
+        if (fraction > 0.5 or (fraction == 0.5 and digit & 1)) and fraction + delta > 1:
+            # Round up: carry through trailing maximal digits, into the integer part.
+            while fraction_digits and fraction_digits[-1] + 1 == r:
+                fraction_digits.pop()
+            if fraction_digits:
+                fraction_digits[-1] += 1
+            else:
+                integer += 1
+            break
+    integer_digits: List[int] = []
+    while integer / r >= 2.0**53:
+        # Digits below the double's precision are written as zeros.
+        integer /= r
+        integer_digits.append(0)
+    while True:
+        remainder = math.fmod(integer, r)
+        integer_digits.append(int(remainder))
+        integer = (integer - remainder) / r
+        if integer <= 0:
+            break
+    out = "".join(_DIGITS[d] for d in reversed(integer_digits))
+    if fraction_digits:
+        out += "." + "".join(_DIGITS[d] for d in fraction_digits)
+    return ("-" if x < 0 else "") + out
+
+
+def _round_half_up(value: Fraction) -> int:
+    """The integer nearest ``value``; a tie takes the larger one."""
+    return math.floor(value + Fraction(1, 2))
 
 
 def _to_fixed(x: float, digits_arg: Any) -> str:
@@ -521,7 +556,13 @@ def _to_fixed(x: float, digits_arg: Any) -> str:
         raise JSThrow("RangeError: toFixed() digits argument must be between 0 and 100")
     if not math.isfinite(x) or abs(x) >= 1e21:
         return js_to_string(x)
-    return f"{x:.{int(digits)}f}"
+    f = int(digits)
+    # n / 10**f nearest the exact value of x (ECMAScript Number.prototype.toFixed).
+    m = str(_round_half_up(Fraction(abs(x)) * 10**f))
+    if f:
+        m = m.rjust(f + 1, "0")
+        m = m[:-f] + "." + m[-f:]
+    return ("-" if x < 0 else "") + m
 
 
 def _to_precision(x: float, precision_arg: Any) -> str:
@@ -532,7 +573,31 @@ def _to_precision(x: float, precision_arg: Any) -> str:
         return js_to_string(x)
     if not 1 <= precision <= 100:
         raise JSThrow("RangeError: toPrecision() argument must be between 1 and 100")
-    return f"{x:.{int(precision)}g}"
+    p = int(precision)
+    sign = "-" if x < 0 else ""
+    if x == 0:
+        m, e = "0" * p, 0
+    else:
+        # n * 10**(e - p + 1) nearest the exact value, 10**(p - 1) <= n < 10**p
+        # (ECMAScript Number.prototype.toPrecision).
+        exact = Fraction(abs(x))
+        e = math.floor(math.log10(abs(x)))
+        while exact < Fraction(10) ** e:
+            e -= 1
+        while exact >= Fraction(10) ** (e + 1):
+            e += 1
+        n = _round_half_up(exact / Fraction(10) ** (e - p + 1))
+        if n == 10**p:
+            n, e = n // 10, e + 1
+        m = str(n)
+    if e < -6 or e >= p:
+        mantissa = m if p == 1 else m[0] + "." + m[1:]
+        return f"{sign}{mantissa}e{'+' if e > 0 else '-'}{abs(e)}"
+    if e == p - 1:
+        return sign + m
+    if e >= 0:
+        return sign + m[: e + 1] + "." + m[e + 1 :]
+    return sign + "0." + "0" * (-(e + 1)) + m
 
 
 def array_member(interp, arr: JSArray, name: str) -> Optional[Any]:

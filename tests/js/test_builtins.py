@@ -136,6 +136,40 @@ class TestNumberMethods:
         assert run(interp, "Number.isNaN('NaN');") is False
 
 
+class TestNumberFormatting:
+    """toFixed, toPrecision and toString(radix) print what JavaScript prints."""
+
+    @pytest.mark.parametrize(
+        "src,expected",
+        [
+            # toFixed: the exact double value, a tie taking the larger n.
+            ("(2.5).toFixed(0);", "3"),
+            ("(0.125).toFixed(2);", "0.13"),
+            ("(1.005).toFixed(2);", "1.00"),  # 1.005 is 1.00499999999999989...
+            ("(-0).toFixed(2);", "0.00"),
+            ("(-1.5).toFixed(0);", "-2"),
+            ("(-0.001).toFixed(2);", "-0.00"),
+            ("(123.456).toFixed(1);", "123.5"),
+            # toPrecision: trailing zeros kept, exponents written e+5.
+            ("(1.5).toPrecision(4);", "1.500"),
+            ("(123456).toPrecision(2);", "1.2e+5"),
+            ("(0.000001234).toPrecision(2);", "0.0000012"),
+            ("(1e-7).toPrecision(1);", "1e-7"),
+            ("(99.99).toPrecision(3);", "100"),
+            ("(0).toPrecision(3);", "0.00"),
+            ("(5e-324).toPrecision(2);", "4.9e-324"),
+            # toString(radix) prints the fraction.
+            ("(0.5).toString(2);", "0.1"),
+            ("(-255.5).toString(16);", "-ff.8"),
+            ("(3.75).toString(2);", "11.11"),
+            ("(0.1).toString(2);", "0.0001100110011001100110011001100110011001100110011001101"),
+            ("(-0).toString(2);", "0"),
+        ],
+    )
+    def test_formats_like_javascript(self, interp, src, expected):
+        assert run(interp, src) == expected
+
+
 #: 300 hex digits: far past the largest double.
 HUGE_HEX = "F" * 300
 
