@@ -109,7 +109,6 @@ class CanvasRenderingContext2D:
         self._stack: List[_DrawState] = []
         self._path = Path()
         self._text = TextRasterizer(device)
-        self._noise_tag = 0
         #: Deferred paint ops: (canonical key, zero-arg replay closure).
         self._pending: List[Tuple[Tuple, Callable[[], None]]] = []
         #: Token describing the surface content beneath the pending ops:
@@ -127,13 +126,6 @@ class CanvasRenderingContext2D:
     @property
     def _surface(self) -> Surface:
         return self.canvas.surface
-
-    def _next_tag(self) -> int:
-        # Monotonic per-operation tag: keeps the device perturbation of two
-        # identical shapes drawn at the same spot identical (tag is derived
-        # from geometry by callers that need that) while distinguishing ops.
-        self._noise_tag += 1
-        return self._noise_tag
 
     # -- deferred rendering ------------------------------------------------------------
 

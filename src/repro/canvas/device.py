@@ -45,14 +45,6 @@ class DeviceProfile:
         data = repr((self.seed,) + tuple(parts)).encode("utf-8")
         return zlib.crc32(data) & 0xFFFFFFFF
 
-    def unit_noise(self, *parts: object) -> float:
-        """Deterministic noise in [-1, 1) keyed by seed + parts."""
-        return (self.hash32(*parts) / 2147483648.0) - 1.0
-
-    def edge_perturbation(self, *parts: object) -> float:
-        """Coverage perturbation for one anti-aliased edge pixel."""
-        return self.unit_noise(*parts) * self.aa_strength
-
     def edge_noise_array(self, tag: int, xs, ys, quanta) -> "np.ndarray":
         """Vectorized deterministic noise in [-aa, aa] for edge pixels.
 

@@ -31,8 +31,6 @@ class StageCache:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
     def path_for(self, stage_name: str, key: str, artifact: str = "pickle") -> Path:
         try:
@@ -45,15 +43,12 @@ class StageCache:
         """(hit, value); a corrupt entry is evicted and reported as a miss."""
         path = self.path_for(stage_name, key, artifact)
         if not path.exists():
-            self.misses += 1
             return False, None
         try:
             value = load_artifact(path)
         except DatasetError:
             path.unlink(missing_ok=True)
-            self.misses += 1
             return False, None
-        self.hits += 1
         return True, value
 
     def put(self, stage_name: str, key: str, value: Any, artifact: str = "pickle") -> Path:

@@ -51,10 +51,6 @@ class GraphRun:
     def cache_hits(self) -> int:
         return sum(1 for t in self.timings if t.cached)
 
-    @property
-    def stages_run(self) -> int:
-        return sum(1 for t in self.timings if not t.cached)
-
 
 class StageGraph:
     """An executable DAG of :class:`Stage` objects."""

@@ -38,15 +38,6 @@ __all__ = [
 ]
 
 
-def _nf(name):
-    """Decorator: mark a Python function as a native with a JS name."""
-
-    def wrap(fn):
-        return NativeFunction(fn, name)
-
-    return wrap
-
-
 # --- global installation -----------------------------------------------------------
 
 

@@ -147,10 +147,6 @@ class URL:
     # -- identity ---------------------------------------------------------------
 
     @property
-    def effective_port(self) -> int:
-        return self.port if self.port is not None else _DEFAULT_PORTS[self.scheme]
-
-    @property
     def origin(self) -> str:
         """RFC 6454 origin serialization (scheme, host, port)."""
         if self.port is None or self.port == _DEFAULT_PORTS[self.scheme]:
