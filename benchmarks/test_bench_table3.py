@@ -1,6 +1,7 @@
 """Benchmark: Table 3 — vendor ground-truth harvesting (A.3)."""
 
-from repro.core.pipeline import harvest_vendor_signatures
+from repro.core.pipeline import harvest_targets, harvest_vendor_signatures
+from repro.crawler.crawl import run_crawl
 from repro.experiments import run_experiment
 
 
@@ -8,9 +9,11 @@ def test_bench_table3(benchmark, world, study):
     knowledge = world.vendor_knowledge()
 
     def regenerate():
-        return harvest_vendor_signatures(world.network, knowledge, study.control)
+        pages = run_crawl(world.network, harvest_targets(knowledge, study.control))
+        return harvest_vendor_signatures(knowledge, study.outcomes, pages)
 
     signatures = benchmark(regenerate)
+    assert signatures == study.signatures
     print()
     print(run_experiment("table3", study))
 

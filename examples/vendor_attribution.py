@@ -13,7 +13,7 @@ Run:  python examples/vendor_attribution.py
 
 from repro.config import StudyScale
 from repro.core import FingerprintDetector, VendorAttributor
-from repro.core.pipeline import harvest_vendor_signatures
+from repro.core.pipeline import harvest_targets, harvest_vendor_signatures
 from repro.crawler import run_crawl
 from repro.webgen import build_world
 
@@ -36,13 +36,16 @@ def main() -> None:
     print("\nCrawling the synthetic web (control configuration)...")
     control = run_crawl(world.network, world.all_targets, label="control")
 
-    print("Harvesting vendor canvas signatures...")
-    signatures = harvest_vendor_signatures(world.network, world.vendor_knowledge(), control)
+    detector = FingerprintDetector()
+    outcomes = detector.detect_all(control.successful())
+
+    print("Harvesting vendor canvas signatures (loading the demo pages)...")
+    knowledge = world.vendor_knowledge()
+    pages = run_crawl(world.network, harvest_targets(knowledge, control), label="harvest")
+    signatures = harvest_vendor_signatures(knowledge, outcomes, pages)
     for sig in signatures:
         print(f"  {sig.name:26s} {len(sig.canvas_hashes)} distinct test canvases harvested")
 
-    detector = FingerprintDetector()
-    outcomes = detector.detect_all(control.successful())
     attributor = VendorAttributor(signatures)
     attributions = attributor.attribute_all(control.by_domain(), outcomes)
 

@@ -1,7 +1,7 @@
 """Analyze a saved crawl dataset (produced by ``python -m repro.crawler``).
 
 Runs the observation-only parts of the pipeline — detection statistics,
-clustering, prevalence, reach, render-twice, serving context — exactly as
+clustering, prevalence, render-twice, serving context — exactly as
 they would run over a real crawl (no access to the generator or ground
 truth).
 
@@ -27,14 +27,9 @@ from repro.crawler.storage import dataset_label, iter_observations
 
 
 def streaming_bundle_spec() -> BundleSpec:
-    """The CLI's bounded-memory bundle recipe.
-
-    ``include_detection=False`` is the load-bearing choice: the detection
-    member keeps every site's full outcome (it *is* the outcome map), which
-    scales with dataset bulk.  Every other member aggregates, so dropping
-    detection makes the whole fold O(distinct canvases + FP sites).
-    """
-    return BundleSpec(include_detection=False, include_serving=True, dns=None)
+    """The CLI's bounded-memory bundle recipe: stats, cluster, prevalence,
+    render-twice and serving context, each O(distinct canvases + FP sites)."""
+    return BundleSpec()
 
 
 def main(argv=None) -> int:

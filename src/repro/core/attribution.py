@@ -86,13 +86,6 @@ class VendorAttributor:
         if len(by_name) != len(self.signatures):
             raise ValueError("duplicate vendor signatures")
 
-    # -- ground-truth harvesting --------------------------------------------------------
-
-    @staticmethod
-    def harvest_canvases(outcome: DetectionOutcome) -> Set[str]:
-        """Canvas hashes a (demo/customer) page rendered — its signature."""
-        return {e.canvas_hash for e in outcome.fingerprintable}
-
     def signature(self, name: str) -> VendorSignature:
         for sig in self.signatures:
             if sig.name == name:
@@ -133,21 +126,13 @@ class VendorAttributor:
         observations: Mapping[str, SiteObservation],
         outcomes: Mapping[str, DetectionOutcome],
     ) -> Dict[str, SiteAttribution]:
-        """Attribute every fingerprinting site in a crawl.
-
-        Thin batch driver over
-        :class:`repro.core.reducers.AttributionReducer` — the streaming
-        path and this one share a single code path.
-        """
-        from repro.core.reducers import AttributionReducer
-
-        reducer = AttributionReducer(self)
+        """Attribute every fingerprinting site in a crawl."""
+        attributions: Dict[str, SiteAttribution] = {}
         for domain, outcome in outcomes.items():
             obs = observations.get(domain)
-            if obs is None:
-                continue
-            reducer.ingest_site(obs, outcome)
-        return reducer.finalize()["attributions"]
+            if obs is not None and outcome.is_fingerprinting_site:
+                attributions[domain] = self.attribute_site(obs, outcome)
+        return attributions
 
     def vendor_site_counts(
         self,

@@ -91,15 +91,30 @@ def analyze_blocklist_context(
     easyprivacy: RuleMatcher,
     disconnect: DisconnectList,
 ) -> BlocklistContext:
-    """Classify every fingerprintable canvas by its script's list coverage.
-
-    Thin batch driver over
-    :class:`repro.core.reducers.BlocklistContextReducer` — the streaming
-    path and this one share a single code path.
-    """
-    from repro.core.reducers import BlocklistContextReducer
-
-    reducer = BlocklistContextReducer(easylist, easyprivacy, disconnect)
+    """Classify every fingerprintable canvas by its script's list coverage."""
+    context = BlocklistContext()
+    # Per-URL memo: crawls see the same script URLs thousands of times.
+    # Pure cache: it never changes a count.
+    memo: Dict[Optional[str], Tuple[bool, bool, bool]] = {}
     for domain, outcome in outcomes.items():
-        reducer.ingest_outcome(domain, populations.get(domain, "top"), outcome)
-    return reducer.finalize()
+        population = populations.get(domain, "top")
+        for extraction in outcome.fingerprintable:
+            url = extraction.script_url
+            flags = memo.get(url)
+            if flags is None:
+                flags = memo[url] = blocklist_flags_for_url(
+                    url, easylist, easyprivacy, disconnect
+                )
+            in_el, in_ep, in_dc = flags
+            context.totals.add(population)
+            if in_el:
+                context.easylist.add(population)
+            if in_ep:
+                context.easyprivacy.add(population)
+            if in_dc:
+                context.disconnect.add(population)
+            if in_el or in_ep or in_dc:
+                context.any_list.add(population)
+            if in_el and in_ep and in_dc:
+                context.all_lists.add(population)
+    return context

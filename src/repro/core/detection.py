@@ -96,17 +96,10 @@ class FingerprintDetector:
     def detect_all(self, observations: Iterable[SiteObservation]) -> Dict[str, DetectionOutcome]:
         """Detection outcomes for a whole crawl, keyed by domain.
 
-        Thin batch driver over :class:`repro.core.reducers.DetectionReducer`
-        — the streaming path and this one share a single code path.  Note
-        the reducer records *successful* observations only, matching how
-        the pipeline has always fed this method (``dataset.successful()``).
+        Records *successful* observations only, matching how the pipeline
+        has always fed this method (``dataset.successful()``).
         """
-        from repro.core.reducers import DetectionReducer
-
-        reducer = DetectionReducer(self)
-        for obs in observations:
-            reducer.ingest(obs)
-        return reducer.finalize()
+        return {obs.domain: self.detect(obs) for obs in observations if obs.success}
 
     @staticmethod
     def fingerprintable_fraction(outcomes: Iterable[DetectionOutcome]) -> float:

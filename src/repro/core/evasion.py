@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.detection import DetectionOutcome, FingerprintDetector
 from repro.crawler.crawl import CrawlDataset
@@ -117,25 +117,40 @@ class AdblockImpact:
     sites: Dict[str, int]
 
 
-def _crawl_row(label: str, dataset: CrawlDataset, detector: FingerprintDetector) -> AdblockImpact:
-    from repro.core.reducers import AdblockRowReducer
-
-    reducer = AdblockRowReducer(label, detector)
-    for obs in dataset.observations:
-        reducer.ingest(obs)
-    return reducer.finalize()
+def _impact_row(
+    label: str,
+    outcomes: Iterable[Tuple[str, DetectionOutcome]],
+    populations: Mapping[str, str],
+) -> AdblockImpact:
+    canvases = {"top": 0, "tail": 0}
+    sites = {"top": 0, "tail": 0}
+    for domain, outcome in outcomes:
+        if outcome.is_fingerprinting_site:
+            population = populations[domain]
+            sites[population] += 1
+            canvases[population] += len(outcome.fingerprintable)
+    return AdblockImpact(label=label, canvases=canvases, sites=sites)
 
 
 def compare_adblock_crawls(
-    control: CrawlDataset,
+    control_outcomes: Mapping[str, DetectionOutcome],
+    populations: Mapping[str, str],
     blocked_crawls: Mapping[str, CrawlDataset],
     detector: Optional[FingerprintDetector] = None,
 ) -> Tuple[AdblockImpact, ...]:
-    """Build Table 2: control row plus one row per ad-blocker crawl."""
+    """Build Table 2: control row plus one row per ad-blocker crawl.
+
+    The control row reads the control crawl's detection outcomes (domain ->
+    outcome, with ``populations`` mapping domain -> "top"/"tail"); only the
+    ad-blocker crawls are detected here.
+    """
     detector = detector or FingerprintDetector()
-    rows = [_crawl_row("Control", control, detector)]
+    rows = [_impact_row("Control", control_outcomes.items(), populations)]
     for label, dataset in blocked_crawls.items():
-        rows.append(_crawl_row(label, dataset, detector))
+        # Streamed: each outcome is dropped once counted, so a crawl's
+        # outcomes are never all held at once.
+        outcomes = ((obs.domain, detector.detect(obs)) for obs in dataset.successful())
+        rows.append(_impact_row(label, outcomes, dataset.populations()))
     return tuple(rows)
 
 

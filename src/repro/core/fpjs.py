@@ -109,10 +109,6 @@ def fpjs_breakdown(
     site rendering one of those canvases, the generating script's URL and
     recorded source decide the flavor (commercial markers win; ad-tech hosts
     next; everything else is open-source self-hosting).
-
-    Shares :func:`site_fpjs_flavor` with the streaming
-    :class:`repro.core.reducers.FpjsReducer` — one classification path,
-    two drivers.
     """
     breakdown = FPJSBreakdown()
     for domain, outcome in outcomes.items():

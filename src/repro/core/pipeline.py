@@ -12,9 +12,10 @@ any) :class:`~repro.net.server.Network`:
 6. optional ad-blocker crawls (Table 2) and §5.3 randomization stats,
 7. optional cross-machine validation crawl (§3.1).
 
-Each (site, profile) page load happens once per study: the cross-machine
-check takes the control device's rows from the control crawl, and the vendor
-harvest reads known customers from it.
+Each (site, profile) page load happens once per study, and each loaded
+page is detected once: the cross-machine check takes the control device's
+rows from the control crawl, and the vendor harvest reads known customers
+from its detection outcomes.
 
 Since the stage-graph refactor this module is a thin assembly layer: the
 steps above are typed stages in :mod:`repro.core.stages.study`, executed by
@@ -32,7 +33,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs as obs_layer
 from repro import perf
@@ -54,7 +55,6 @@ from repro.core.reducers import StaticReport
 from repro.core.stages.cache import StageCache
 from repro.core.stages.stage import StageTiming
 from repro.core.stages.study import StudyContext, build_study_graph
-from repro.crawler.collector import CanvasCollector
 from repro.crawler.crawl import CrawlDataset, CrawlTarget
 from repro.crawler.resilience import PageBudget, RetryPolicy
 from repro.crawler.shards import ExecutionConfig, plan_shards, run_sharded_crawl
@@ -63,7 +63,13 @@ from repro.net.url import URL
 from repro.obs.metrics import layer_rows
 from repro.obs.recorder import RunRecorder, resolve_run_dir
 
-__all__ = ["VendorKnowledge", "StudyResult", "run_study", "harvest_vendor_signatures"]
+__all__ = [
+    "VendorKnowledge",
+    "StudyResult",
+    "run_study",
+    "harvest_targets",
+    "harvest_vendor_signatures",
+]
 
 
 @dataclass(frozen=True)
@@ -89,60 +95,73 @@ class VendorKnowledge:
         return tuple(methods)
 
 
+def harvest_targets(
+    knowledge: Sequence[VendorKnowledge], control: CrawlDataset
+) -> List[CrawlTarget]:
+    """The pages the harvest loads: every vendor demo page, plus each known
+    customer of a pattern vendor that the control crawl did not visit."""
+    crawled = control.by_domain()
+    domains: Dict[str, None] = {}
+    for vendor in knowledge:
+        if vendor.demo_url is not None:
+            domains[URL.parse(vendor.demo_url).host] = None
+        if vendor.script_pattern:
+            for customer in vendor.known_customers:
+                if customer not in crawled:
+                    domains[customer] = None
+    return [CrawlTarget(domain, 0, "top") for domain in domains]
+
+
 def harvest_vendor_signatures(
-    network: Network,
     knowledge: Sequence[VendorKnowledge],
-    control: CrawlDataset,
+    outcomes: Mapping[str, DetectionOutcome],
+    pages: CrawlDataset,
 ) -> List[VendorSignature]:
     """Build vendor signatures exactly as Appendix A.3 describes.
 
     Precedence: demo page crawl > known-customer crawl (confirmed by script
     pattern) > script pattern over the main crawl's scripts.
 
-    A known customer the control crawl visited is read from ``control``:
-    the crawl loaded it under the control profile already.  Only demo pages
-    and customers outside the crawl are loaded here, under that profile.
+    ``outcomes`` is the control crawl's detection (domain -> outcome, for
+    its successful pages) and ``pages`` the crawl of
+    :func:`harvest_targets`: a known customer the control crawl visited is
+    read from ``outcomes``, a demo page or any other customer from ``pages``.
     """
-    from repro.browser.browser import Browser
-
     detector = FingerprintDetector()
-    crawled = control.by_domain()
-    collector = CanvasCollector(Browser(network, BrowserProfile(device=INTEL_UBUNTU)))
-    injector = getattr(network, "injector", None)
+    # A loaded page stands in for the control crawl's view of its domain;
+    # a failed load leaves no outcome.
+    found: Dict[str, Optional[DetectionOutcome]] = dict(outcomes)
+    for page in pages.observations:
+        found[page.domain] = detector.detect(page) if page.success else None
+
+    def pattern_hashes(outcome: Optional[DetectionOutcome], pattern: str) -> Set[str]:
+        # Always confirmed with the script pattern (A.3): a site may run
+        # several fingerprinters.
+        if outcome is None:
+            return set()
+        return {
+            extraction.canvas_hash
+            for extraction in outcome.fingerprintable
+            if extraction.script_url and pattern in extraction.script_url
+        }
+
     signatures: List[VendorSignature] = []
-
-    def visit(domain: str):
-        # A fresh fault clock per visit, as the crawl loop starts one per settle.
-        if injector is not None:
-            injector.new_visit()
-        return collector.collect(domain, rank=0, population="top")
-
     for vendor in knowledge:
         hashes: Set[str] = set()
 
         if vendor.demo_url is not None:
-            url = URL.parse(vendor.demo_url)
-            obs = visit(url.host)
-            outcome = detector.detect(obs)
-            hashes |= {e.canvas_hash for e in outcome.fingerprintable}
+            outcome = found.get(URL.parse(vendor.demo_url).host)
+            if outcome is not None:
+                hashes |= {e.canvas_hash for e in outcome.fingerprintable}
 
         if not hashes and vendor.known_customers and vendor.script_pattern:
             for customer in vendor.known_customers:
-                obs = crawled[customer] if customer in crawled else visit(customer)
-                outcome = detector.detect(obs)
-                for extraction in outcome.fingerprintable:
-                    # Always confirmed with the script pattern (A.3): the
-                    # customer may run several fingerprinters.
-                    if extraction.script_url and vendor.script_pattern in extraction.script_url:
-                        hashes.add(extraction.canvas_hash)
+                hashes |= pattern_hashes(found.get(customer), vendor.script_pattern)
 
         if not hashes and vendor.script_pattern and not vendor.uses_url_regex:
             # Pattern-only vendors: associate canvases via the main crawl.
-            for obs in control.successful():
-                outcome = detector.detect(obs)
-                for extraction in outcome.fingerprintable:
-                    if extraction.script_url and vendor.script_pattern in extraction.script_url:
-                        hashes.add(extraction.canvas_hash)
+            for outcome in outcomes.values():
+                hashes |= pattern_hashes(outcome, vendor.script_pattern)
 
         signatures.append(
             VendorSignature(

@@ -1,113 +1,64 @@
 """Streaming analysis engine: one-pass reducers.
 
-Every analysis in :mod:`repro.core` (detection, clustering, prevalence,
-reach, attribution, blocklist context, serving context, FPJS breakdown,
-render-twice, ad-blocker impact) is expressed as a :class:`Reducer` — a
-small state object with two operations:
+The analyses the streaming CLI (``python -m repro.analysis``) prints —
+extraction statistics, clustering, prevalence, render-twice and serving
+context — are each a :class:`Reducer`: a small state object with two
+operations:
 
-* ``ingest(observation)`` — fold one :class:`SiteObservation` into the
-  state (detection runs once per observation and is shared by every
-  member of a bundle);
-* ``finalize()`` — produce exactly the report dataclass the old batch
-  function returned.
+* ``ingest_site(observation, outcome)`` — fold one :class:`SiteObservation`
+  and its detection outcome into the state;
+* ``finalize()`` — produce exactly the report the batch function returns.
 
-The batch entry points (``detect_all``, ``cluster_canvases``,
-``compute_prevalence``, ``analyze_blocklist_context``,
-``analyze_serving_context``, ``fpjs_breakdown``, ``render_twice_fraction``,
-``compare_adblock_crawls``, ``attribute_all``) are thin drivers over these
-reducers — one code path, two drivers — so streaming output is *equal* to
-batch output by construction, not by coincidence.
+The batch entry points (``cluster_canvases``, ``compute_prevalence``,
+``render_twice_fraction``, ``analyze_serving_context``) are thin drivers
+over these reducers — one code path, two drivers — so streaming output is
+*equal* to batch output by construction, not by coincidence.
 
-Two callers fold a whole crawl: the study's reduce stage
-(:class:`repro.core.stages.study.ReduceStage`) ingests the control crawl
-once, and the analysis CLI streams a JSONL dataset through a bundle in
-bounded memory.  See ``docs/analysis-architecture.md``.
+The study detects once, in its ``detect`` stage, and calls the batch
+functions on those outcomes; the analysis CLI streams a JSONL dataset
+through an :class:`AnalysisBundle` in bounded memory.  See
+``docs/analysis-architecture.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs as obs_layer
 from repro.core.clustering import CanvasCluster
-from repro.core.context import BlocklistContext, blocklist_flags_for_url
-from repro.core.detection import (
-    MIN_CANVAS_SIZE,
-    DetectionOutcome,
-    FingerprintDetector,
-)
-from repro.core.evasion import AdblockImpact, ServingContext, site_serving_flags
-from repro.core.fpjs import FPJSBreakdown, site_fpjs_flavor
+from repro.core.detection import DetectionOutcome, FingerprintDetector
+from repro.core.evasion import ServingContext, site_serving_flags
 from repro.core.prevalence import PopulationPrevalence, PrevalenceReport
-from repro.core.reach import ReachReport, compute_reach
 from repro.core.records import SiteObservation
 
 __all__ = [
     "Reducer",
-    "DetectionReducer",
     "ExtractionStats",
     "ExtractionStatsReducer",
     "ClusterReducer",
     "PrevalenceReducer",
-    "ReachReducer",
-    "AttributionReducer",
-    "BlocklistContextReducer",
     "ServingContextReducer",
-    "FpjsReducer",
     "RenderTwiceReducer",
-    "AdblockRowReducer",
     "StaticReport",
     "StaticReducer",
     "BundleSpec",
     "AnalysisBundle",
-    "REDUCER_VERSION",
 ]
-
-#: Bump when any reducer's state layout or semantics change — reaches the
-#: reduce stage's cache key through :meth:`BundleSpec.fingerprint`.
-REDUCER_VERSION = "2"
 
 
 class Reducer:
-    """One streaming analysis: ``ingest`` observations, then ``finalize``
-    into the batch report dataclass.
-
-    ``ingest`` detects on demand (via the reducer's own detector); inside an
-    :class:`AnalysisBundle` the shared outcome is passed to ``ingest_site``
-    directly so detection runs once per observation, not once per member.
-    """
-
-    def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
-        self.detector = detector or FingerprintDetector()
-
-    def ingest(self, observation: SiteObservation) -> None:
-        outcome = self.detector.detect(observation) if observation.success else None
-        self.ingest_site(observation, outcome)
+    """One streaming analysis: ``ingest_site`` observations with their
+    detection outcomes, then ``finalize`` into the batch report."""
 
     def ingest_site(
         self, observation: SiteObservation, outcome: Optional[DetectionOutcome]
     ) -> None:
-        """Fold one observation with its (possibly shared) detection outcome."""
+        """Fold one observation with its detection outcome (None when failed)."""
         raise NotImplementedError
 
     def finalize(self) -> Any:
         raise NotImplementedError
-
-
-class DetectionReducer(Reducer):
-    """§3.2 — streaming ``detect_all(dataset.successful())``."""
-
-    def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
-        self.outcomes: Dict[str, DetectionOutcome] = {}
-
-    def ingest_site(self, observation, outcome) -> None:
-        if observation.success and outcome is not None:
-            self.outcomes[observation.domain] = outcome
-
-    def finalize(self) -> Dict[str, DetectionOutcome]:
-        return self.outcomes
 
 
 @dataclass
@@ -125,8 +76,7 @@ class ExtractionStats:
 class ExtractionStatsReducer(Reducer):
     """Counts behind ``fingerprintable_fraction`` without keeping outcomes."""
 
-    def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
+    def __init__(self) -> None:
         self.kept = 0
         self.total = 0
 
@@ -143,8 +93,7 @@ class ExtractionStatsReducer(Reducer):
 class ClusterReducer(Reducer):
     """§4.2 — streaming ``cluster_canvases``."""
 
-    def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
+    def __init__(self) -> None:
         self.clusters: Dict[str, CanvasCluster] = {}
 
     def ingest_site(self, observation, outcome) -> None:
@@ -187,8 +136,7 @@ class _PopulationState:
 class PrevalenceReducer(Reducer):
     """§4.1 — streaming ``compute_prevalence``."""
 
-    def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
+    def __init__(self) -> None:
         self.populations: Dict[str, _PopulationState] = {
             "top": _PopulationState(),
             "tail": _PopulationState(),
@@ -223,125 +171,10 @@ class PrevalenceReducer(Reducer):
         return PrevalenceReport(top=reports["top"], tail=reports["tail"])
 
 
-class ReachReducer(Reducer):
-    """§4.2 — streaming ``compute_reach`` inputs (clusters + FP site sets)."""
-
-    def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
-        self.cluster = ClusterReducer(detector)
-        self.fp_sites: Dict[str, Set[str]] = {"top": set(), "tail": set()}
-        self.successful_top = 0
-
-    def ingest_site(self, observation, outcome) -> None:
-        if observation.success and observation.population == "top":
-            self.successful_top += 1
-        if outcome is None:
-            return
-        if outcome.is_fingerprinting_site:
-            self.fp_sites.setdefault(observation.population, set()).add(
-                observation.domain
-            )
-        self.cluster.ingest_site(observation, outcome)
-
-    def finalize(self) -> ReachReport:
-        return compute_reach(
-            self.cluster.finalize(),
-            self.fp_sites.get("top", set()),
-            self.fp_sites.get("tail", set()),
-            self.successful_top,
-        )
-
-
-class AttributionReducer(Reducer):
-    """§4.3 — streaming ``attribute_all`` plus the Table 1 count tables.
-
-    Takes a built :class:`~repro.core.attribution.VendorAttributor` (vendor
-    signatures are an analysis *input*, harvested by the signatures stage).
-    """
-
-    def __init__(self, attributor, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
-        self.attributor = attributor
-        self.attributions: Dict[str, Any] = {}
-        self.populations: Dict[str, str] = {}
-
-    def ingest_site(self, observation, outcome) -> None:
-        if outcome is None or not outcome.is_fingerprinting_site:
-            return
-        self.attributions[observation.domain] = self.attributor.attribute_site(
-            observation, outcome
-        )
-        self.populations[observation.domain] = observation.population
-
-    def finalize(self) -> Dict[str, Any]:
-        return {
-            "attributions": self.attributions,
-            "vendor_counts": self.attributor.vendor_site_counts(
-                self.attributions, self.populations
-            ),
-            "vendor_totals": self.attributor.attributed_site_totals(
-                self.attributions, self.populations
-            ),
-        }
-
-
-class BlocklistContextReducer(Reducer):
-    """§5.1 — streaming ``analyze_blocklist_context`` (Table 4)."""
-
-    def __init__(
-        self,
-        easylist,
-        easyprivacy,
-        disconnect,
-        detector: Optional[FingerprintDetector] = None,
-    ) -> None:
-        super().__init__(detector)
-        self.easylist = easylist
-        self.easyprivacy = easyprivacy
-        self.disconnect = disconnect
-        self.context = BlocklistContext()
-        # Per-URL memo: crawls see the same script URLs thousands of times.
-        # Pure cache: it never changes a count.
-        self._memo: Dict[Optional[str], Tuple[bool, bool, bool]] = {}
-
-    def ingest_site(self, observation, outcome) -> None:
-        if outcome is not None:
-            self.ingest_outcome(observation.domain, observation.population, outcome)
-
-    def ingest_outcome(
-        self, domain: str, population: str, outcome: DetectionOutcome
-    ) -> None:
-        context = self.context
-        for extraction in outcome.fingerprintable:
-            url = extraction.script_url
-            flags = self._memo.get(url)
-            if flags is None:
-                flags = blocklist_flags_for_url(
-                    url, self.easylist, self.easyprivacy, self.disconnect
-                )
-                self._memo[url] = flags
-            in_el, in_ep, in_dc = flags
-            context.totals.add(population)
-            if in_el:
-                context.easylist.add(population)
-            if in_ep:
-                context.easyprivacy.add(population)
-            if in_dc:
-                context.disconnect.add(population)
-            if in_el or in_ep or in_dc:
-                context.any_list.add(population)
-            if in_el and in_ep and in_dc:
-                context.all_lists.add(population)
-
-    def finalize(self) -> BlocklistContext:
-        return self.context
-
-
 class ServingContextReducer(Reducer):
     """§5.2 — streaming ``analyze_serving_context``."""
 
-    def __init__(self, dns=None, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
+    def __init__(self, dns=None) -> None:
         self.dns = dns
         self.context = ServingContext()
 
@@ -372,32 +205,10 @@ class ServingContextReducer(Reducer):
         return self.context
 
 
-class FpjsReducer(Reducer):
-    """§4.3.1 — streaming ``fpjs_breakdown``."""
-
-    def __init__(
-        self, fpjs_hashes: Set[str], detector: Optional[FingerprintDetector] = None
-    ) -> None:
-        super().__init__(detector)
-        self.fpjs_hashes = set(fpjs_hashes)
-        self.breakdown = FPJSBreakdown()
-
-    def ingest_site(self, observation, outcome) -> None:
-        if outcome is None:
-            return
-        flavor = site_fpjs_flavor(observation, outcome, self.fpjs_hashes)
-        if flavor is not None:
-            self.breakdown.add(flavor, observation.population)
-
-    def finalize(self) -> FPJSBreakdown:
-        return self.breakdown
-
-
 class RenderTwiceReducer(Reducer):
     """§5.3 — streaming ``render_twice_fraction``."""
 
-    def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
+    def __init__(self) -> None:
         self.fp_sites = 0
         self.double_sites = 0
 
@@ -419,25 +230,6 @@ class RenderTwiceReducer(Reducer):
 
     def finalize(self) -> float:
         return self.double_sites / self.fp_sites if self.fp_sites else 0.0
-
-
-class AdblockRowReducer(Reducer):
-    """Table 2 — streaming ``_crawl_row`` for one crawl configuration."""
-
-    def __init__(self, label: str, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
-        self.label = label
-        self.canvases: Dict[str, int] = {"top": 0, "tail": 0}
-        self.sites: Dict[str, int] = {"top": 0, "tail": 0}
-
-    def ingest_site(self, observation, outcome) -> None:
-        if outcome is None or not outcome.is_fingerprinting_site:
-            return
-        self.sites[observation.population] += 1
-        self.canvases[observation.population] += len(outcome.fingerprintable)
-
-    def finalize(self) -> AdblockImpact:
-        return AdblockImpact(label=self.label, canvases=self.canvases, sites=self.sites)
 
 
 # -- static/dynamic cross-validation ------------------------------------------------
@@ -506,8 +298,7 @@ class StaticReducer(Reducer):
     per-site state.
     """
 
-    def __init__(self, detector: Optional[FingerprintDetector] = None) -> None:
-        super().__init__(detector)
+    def __init__(self) -> None:
         #: sha -> mutable row: verdict fields + the urls/domains seen with it.
         self.scripts: Dict[str, Dict[str, Any]] = {}
         self.site_class: Dict[str, str] = {}
@@ -596,58 +387,32 @@ class StaticReducer(Reducer):
 # -- bundle: one detection pass feeding every member --------------------------------
 
 
-@dataclass(frozen=True)
 class BundleSpec:
-    """Recipe for an :class:`AnalysisBundle`.
+    """Recipe for the analysis CLI's :class:`AnalysisBundle`.
 
-    Hashed — via :meth:`fingerprint` — into the reduce stage's cache key.
-    ``include_detection=False`` drops the full per-site outcome map so a
-    bundle's memory footprint is bounded by the number of *distinct
-    canvases and FP sites*, not by dataset bulk — the CLI's streaming mode.
+    Every member aggregates — none keeps a per-site outcome map — so a
+    bundle's memory is bounded by the number of distinct canvases and FP
+    sites, not by dataset bulk.
     """
 
-    min_size: int = MIN_CANVAS_SIZE
-    include_detection: bool = True
-    include_serving: bool = False
-    dns: Any = field(default=None, hash=False, compare=False)
-
     def build(self) -> "AnalysisBundle":
-        detector = FingerprintDetector(min_size=self.min_size)
-        members: Dict[str, Reducer] = {}
-        if self.include_detection:
-            members["detection"] = DetectionReducer(detector)
-        members["stats"] = ExtractionStatsReducer(detector)
-        members["cluster"] = ClusterReducer(detector)
-        members["prevalence"] = PrevalenceReducer(detector)
-        members["reach"] = ReachReducer(detector)
-        members["render_twice"] = RenderTwiceReducer(detector)
-        if self.include_serving:
-            members["serving"] = ServingContextReducer(self.dns, detector)
-        return AnalysisBundle(spec=self, members=members, detector=detector)
-
-    def fingerprint(self) -> Dict[str, Any]:
-        """JSON-able identity for cache keys (``dns`` content is hashed by
-        the stage separately when serving analysis is bundled)."""
-        return {
-            "reducers": REDUCER_VERSION,
-            "min_size": self.min_size,
-            "detection": self.include_detection,
-            "serving": self.include_serving,
-        }
+        return AnalysisBundle(
+            {
+                "stats": ExtractionStatsReducer(),
+                "cluster": ClusterReducer(),
+                "prevalence": PrevalenceReducer(),
+                "render_twice": RenderTwiceReducer(),
+                "serving": ServingContextReducer(),
+            }
+        )
 
 
 class AnalysisBundle:
     """A set of reducers sharing one detection pass per observation."""
 
-    def __init__(
-        self,
-        spec: BundleSpec,
-        members: Dict[str, Reducer],
-        detector: FingerprintDetector,
-    ) -> None:
-        self.spec = spec
+    def __init__(self, members: Dict[str, Reducer]) -> None:
         self.members = members
-        self.detector = detector
+        self.detector = FingerprintDetector()
         self.count = 0
 
     def ingest(self, observation: SiteObservation) -> None:
@@ -655,15 +420,7 @@ class AnalysisBundle:
         for member in self.members.values():
             member.ingest_site(observation, outcome)
         self.count += 1
-        obs_layer.inc("analysis.ingest.sites")
-
-    def ingest_many(self, observations: Iterable[SiteObservation]) -> None:
-        for observation in observations:
-            self.ingest(observation)
 
     def finalize_member(self, name: str) -> Any:
         with obs_layer.span("analysis.finalize", member=name):
             return self.members[name].finalize()
-
-    def finalize(self) -> Dict[str, Any]:
-        return {name: self.finalize_member(name) for name in self.members}

@@ -7,7 +7,6 @@ the crawl is one stage with one output per browser profile:
 artifact           produces                                    paper
 =================  ==========================================  ==========
 crawl.control      control :class:`CrawlDataset` (``crawl``)   §3.1
-reduce             :class:`AnalysisBundle` over the control    §3.2-§4.2
 detect             ``{domain: DetectionOutcome}``              §3.2
 cluster            ``{hash: CanvasCluster}``                   §4.2
 prevalence         :class:`PrevalenceReport`                   §4.1
@@ -29,23 +28,21 @@ profiles whose outputs missed the cache, so the
 parallelizes it — deliberately *outside* every cache key, because how a
 crawl executes cannot change the artifact.
 
-The observation-heavy analyses (detection, clustering, prevalence, reach,
-render-twice) flow through one :class:`ReduceStage`, which folds the merged
-control crawl once, in the parent, into an
-:class:`~repro.core.reducers.AnalysisBundle` (see
+The ``detect`` stage is the study's one detection pass: it classifies each
+successful control page once, in the parent, whatever executed the crawl,
+and every later analysis reads its outcomes (see
 ``docs/analysis-architecture.md``).  Its only cache is the stage graph's
-whole-artifact cache.  The downstream analysis stages finalize bundle
-members, so their cache keys chain off the reduce key and a warm cache
-re-runs nothing.  Blocklist/serving context deliberately stay *outside* the
-bundle's cache identity: changing a blocklist or the DNS zone re-runs only
-those stages, never detection or clustering.
+whole-artifact cache, and the analysis stages' keys chain off its key, so a
+warm cache re-runs nothing.  Blocklist/serving context deliberately stay
+*outside* detection's cache identity: changing a blocklist or the DNS zone
+re-runs only those stages, never detection or clustering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from repro import obs as obs_layer
 from repro.blocklists.matcher import RuleMatcher
@@ -53,10 +50,12 @@ from repro.browser.extensions import AdBlockerExtension
 from repro.browser.profile import BrowserProfile
 from repro.canvas.device import APPLE_M1, DeviceProfile, INTEL_UBUNTU
 from repro.core.attribution import VendorAttributor
+from repro.core.clustering import cluster_canvases
 from repro.core.context import analyze_blocklist_context
 from repro.core.detection import FingerprintDetector
 from repro.core.evasion import analyze_serving_context, compare_adblock_crawls
-from repro.core.reducers import AnalysisBundle, BundleSpec
+from repro.core.prevalence import compute_prevalence
+from repro.core.reach import compute_reach
 from repro.core.stages.cache import StageCache
 from repro.core.stages.fingerprint import (
     fingerprint_dns,
@@ -74,12 +73,11 @@ from repro.crawler.crawl import CrawlDataset, CrawlTarget
 from repro.crawler.resilience import PageBudget, RetryPolicy
 from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
 
-__all__ = ["StudyContext", "build_study_graph", "control_bundle_spec", "STAGE_DOCS"]
+__all__ = ["StudyContext", "build_study_graph", "STAGE_DOCS"]
 
 #: One-line description per stage name (used by ``--stage`` help and docs).
 STAGE_DOCS = {
     "crawl.control": "control crawl of the top+tail target list (§3.1)",
-    "reduce": "fold the control crawl into the analysis bundle (§3.2-§4.2)",
     "detect": "fingerprintability detection over successful pages (§3.2)",
     "cluster": "canvas-equality clustering (§4.2)",
     "prevalence": "prevalence per population (§4.1)",
@@ -167,16 +165,6 @@ class StudyContext:
         return bool(self.include_adblock_crawls and self.easylist_text)
 
 
-def control_bundle_spec(ctx: StudyContext) -> BundleSpec:
-    """The study's streaming-analysis bundle for the control crawl.
-
-    Deliberately parameterized by the detector's ``min_size`` *only*:
-    blocklists and the DNS zone stay out so changing either never touches
-    the reduce stage's cache identity (see module docstring).
-    """
-    return BundleSpec(min_size=ctx.detector.min_size)
-
-
 class CrawlStage(Stage):
     """One site-major crawl of the target list under the study's profiles.
 
@@ -238,94 +226,101 @@ class CrawlStage(Stage):
         return {output: datasets[self._label(output)] for output in outputs}
 
 
-class ReduceStage(Stage):
-    """Fold the control crawl into one :class:`AnalysisBundle`.
+class DetectStage(Stage):
+    """§3.2 detection over every successfully crawled control page.
 
-    One pass in the parent: every control observation is ingested exactly
-    once, whether the crawl ran in-process, under the supervisor or came
-    from the stage cache.  The stage graph's whole-artifact cache is the
-    only cache; a warm run never reaches :meth:`run`.
+    The study's one detection pass: each page is classified once, in the
+    parent, whether the crawl ran in-process, under the supervisor or came
+    from the stage cache.  Deliberately keyed by the detector's
+    ``min_size`` *only* (see module docstring).
     """
 
-    name = "reduce"
-    inputs = ("crawl.control",)
-
-    def config_fingerprint(self, ctx: StudyContext) -> Any:
-        return control_bundle_spec(ctx).fingerprint()
-
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> AnalysisBundle:
-        bundle = control_bundle_spec(ctx).build()
-        bundle.ingest_many(inputs["crawl.control"].observations)
-        return bundle
-
-
-class DetectStage(Stage):
-    """§3.2 detection over every successfully crawled page."""
-
     name = "detect"
-    inputs = ("reduce",)
+    inputs = ("crawl.control",)
     version = "2"
 
+    def config_fingerprint(self, ctx: StudyContext) -> Any:
+        return {"min_size": ctx.detector.min_size}
+
     def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
-        return inputs["reduce"].finalize_member("detection")
+        return ctx.detector.detect_all(inputs["crawl.control"].successful())
 
 
 class ClusterStage(Stage):
     """§4.2 canvas-equality clustering."""
 
     name = "cluster"
-    inputs = ("reduce",)
+    inputs = ("crawl.control", "detect")
     version = "2"
 
     def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
-        return inputs["reduce"].finalize_member("cluster")
+        return cluster_canvases(inputs["detect"], inputs["crawl.control"].populations())
 
 
 class PrevalenceStage(Stage):
     """§4.1 prevalence per population."""
 
     name = "prevalence"
-    inputs = ("reduce",)
+    inputs = ("crawl.control", "detect")
     version = "2"
 
     def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
-        return inputs["reduce"].finalize_member("prevalence")
+        return compute_prevalence(inputs["crawl.control"], inputs["detect"])
 
 
 class ReachStage(Stage):
     """§4.2 reach of each cluster across populations."""
 
     name = "reach"
-    inputs = ("reduce",)
+    inputs = ("crawl.control", "detect", "cluster")
     version = "2"
 
     def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
-        return inputs["reduce"].finalize_member("reach")
+        control = inputs["crawl.control"]
+        populations = control.populations()
+        fp_sites: Dict[str, Set[str]] = {"top": set(), "tail": set()}
+        for domain, outcome in inputs["detect"].items():
+            if outcome.is_fingerprinting_site:
+                fp_sites.setdefault(populations[domain], set()).add(domain)
+        successful_top = sum(1 for o in control.successful() if o.population == "top")
+        return compute_reach(
+            inputs["cluster"], fp_sites["top"], fp_sites["tail"], successful_top
+        )
 
 
 class SignaturesStage(Stage):
     """A.3 vendor ground-truth harvesting.
 
-    Known customers are read from the control crawl; only demo pages and
-    customers outside the crawl are loaded.
+    Known customers are read from the control crawl's detection outcomes;
+    only demo pages and customers outside the crawl are loaded, in one crawl
+    under the control profile with the study's execution, retries and page
+    budget — so a poison demo page is quarantined like any crawled site.
     """
 
     name = "signatures"
-    inputs = ("crawl.control",)
+    inputs = ("crawl.control", "detect")
 
     def config_fingerprint(self, ctx: StudyContext) -> Any:
         return {
             "network": ctx.network_fingerprint(),
             "vendors": fingerprint_vendor_knowledge(ctx.vendor_knowledge),
-            "min_size": ctx.detector.min_size,
+            "retry": fingerprint_policy(ctx.retry_policy),
+            "budget": fingerprint_policy(ctx.page_budget),
         }
 
     def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
-        from repro.core.pipeline import harvest_vendor_signatures
+        from repro.core.pipeline import harvest_targets, harvest_vendor_signatures
 
-        return harvest_vendor_signatures(
-            ctx.network, ctx.vendor_knowledge, inputs["crawl.control"]
+        pages = run_sharded_crawl(
+            ctx.network,
+            harvest_targets(ctx.vendor_knowledge, inputs["crawl.control"]),
+            profile=ctx.control_profile(),
+            label="harvest",
+            retry_policy=ctx.retry_policy,
+            page_budget=ctx.page_budget,
+            execution=ctx.execution,
         )
+        return harvest_vendor_signatures(ctx.vendor_knowledge, inputs["detect"], pages)
 
 
 class AttributionStage(Stage):
@@ -392,14 +387,15 @@ class AdblockCompareStage(Stage):
     """Table 2: canvas activity under each ad blocker vs the control crawl."""
 
     name = "adblock_rows"
-    inputs = ("crawl.control", "crawl.abp", "crawl.ubo")
+    inputs = ("crawl.control", "detect", "crawl.abp", "crawl.ubo")
 
     def config_fingerprint(self, ctx: StudyContext) -> Any:
         return {"min_size": ctx.detector.min_size}
 
     def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
         return compare_adblock_crawls(
-            inputs["crawl.control"],
+            inputs["detect"],
+            inputs["crawl.control"].populations(),
             {
                 "Adblock Plus": inputs["crawl.abp"],
                 "UBlock Origin": inputs["crawl.ubo"],
@@ -443,7 +439,7 @@ class StaticStage(Stage):
 
         control = inputs["crawl.control"]
         outcomes = inputs["detect"]
-        reducer = StaticReducer(ctx.detector)
+        reducer = StaticReducer()
         with obs_layer.span("static.analyze", sites=len(control.observations)):
             for observation in control.observations:
                 reducer.ingest_site(observation, outcomes.get(observation.domain))
@@ -568,7 +564,6 @@ def build_study_graph(
         crawls += ["crawl.abp", "crawl.ubo"]
     stages = [
         CrawlStage(crawls),
-        ReduceStage(),
         DetectStage(),
         ClusterStage(),
         PrevalenceStage(),

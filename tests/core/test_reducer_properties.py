@@ -1,8 +1,8 @@
 """Property test for the one-pass fold.
 
 The streaming engine's correctness rests on one contract: a single pass of
-an :class:`~repro.core.reducers.AnalysisBundle` over any observation
-stream equals the batch analyses over the same stream.  Hypothesis searches
+the analysis CLI's :class:`~repro.core.reducers.AnalysisBundle` over any
+observation stream equals the batch analyses over the same stream.  Hypothesis searches
 for counterexamples over randomized observation streams (failures, lossy
 and tiny canvases, animation scripts, inline scripts — every exclusion
 path).
@@ -13,15 +13,14 @@ import hashlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.__main__ import streaming_bundle_spec
 from repro.core.clustering import cluster_canvases
 from repro.core.detection import FingerprintDetector
 from repro.core.evasion import analyze_serving_context, render_twice_fraction
 from repro.core.prevalence import compute_prevalence
 from repro.core.records import CanvasApiCall, CanvasExtraction, SiteObservation
-from repro.core.reducers import BundleSpec
+from repro.core.reducers import ExtractionStats
 from repro.crawler.crawl import CrawlDataset
-
-SPEC = BundleSpec(include_serving=True)
 
 #: A small canvas-content alphabet so distinct sites share canvases (the
 #: whole point of clustering/reach).
@@ -93,14 +92,18 @@ def stream(draw, max_sites: int = 12):
 @settings(max_examples=40, deadline=None)
 @given(stream())
 def test_single_pass_equals_batch_analyses(observations):
-    bundle = SPEC.build()
-    bundle.ingest_many(observations)
+    bundle = streaming_bundle_spec().build()
+    for site in observations:
+        bundle.ingest(site)
 
     dataset = CrawlDataset(label="control", observations=list(observations))
     populations = dataset.populations()
     outcomes = FingerprintDetector().detect_all(dataset.successful())
     assert bundle.count == len(observations)
-    assert bundle.finalize_member("detection") == outcomes
+    assert bundle.finalize_member("stats") == ExtractionStats(
+        kept=sum(len(o.fingerprintable) for o in outcomes.values()),
+        total=sum(o.total_extractions for o in outcomes.values()),
+    )
     assert bundle.finalize_member("cluster") == cluster_canvases(outcomes, populations)
     assert bundle.finalize_member("prevalence") == compute_prevalence(dataset, outcomes)
     assert bundle.finalize_member("render_twice") == render_twice_fraction(outcomes)

@@ -1,7 +1,8 @@
 """The visiting vendor harvest: every demo page and known customer is loaded.
 
-``harvest_vendor_signatures`` reads a known customer the control crawl
-visited from the control dataset instead of loading its page again.  This
+The ``signatures`` stage reads a known customer the control crawl visited
+from the control crawl's detection outcomes instead of loading its page
+again.  This
 harvest loads every one, each in a fresh browser visit under the control
 profile with no retries: it is the harvest as it was before that reuse,
 kept as the oracle the reuse answers to on an unfaulted world.  The pattern

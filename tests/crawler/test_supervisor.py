@@ -399,21 +399,35 @@ def _static_probe_study(out_path):
         )
 
 
-def _known_customer_study(out_path):
+def _harvest_study(out_path, **vendor):
     from repro.core.pipeline import VendorKnowledge, run_study
 
-    targets = make_targets(8)
-    poison = targets[3].domain
-    vendor = VendorKnowledge(
-        name="V", security=False, demo_url=None, known_customers=(poison,),
-        script_pattern="x", uses_url_regex=False,
-    )
     result = run_study(
-        crashy_network(8, poison), targets, [vendor],
+        crashy_network(8, make_targets(8)[3].domain), make_targets(8),
+        [VendorKnowledge(name="V", script_pattern="x", **vendor)],
         include_adblock_crawls=False, execution=supervised(), stages=["signatures"],
     )
     with open(out_path, "w") as fh:
         json.dump({"quarantined": result.quarantined}, fh)
+
+
+def _known_customer_study(out_path):
+    _harvest_study(out_path, known_customers=(make_targets(8)[3].domain,))
+
+
+def _demo_study(out_path):
+    _harvest_study(out_path, demo_url=f"https://{make_targets(8)[3].domain}/")
+
+
+def _exit_code_in_child(target, out_path):
+    """Run ``target(out_path)`` in a spawned child; a crash kills only it."""
+    child = multiprocessing.get_context("spawn").Process(target=target, args=(str(out_path),))
+    child.start()
+    child.join(120)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    return child.exitcode
 
 
 class TestStudyIntegration:
@@ -441,15 +455,8 @@ class TestStudyIntegration:
         # probe runs no JS, so the poison's process fault must not kill the
         # study (it did: exit 137 in the parent).  A child process keeps a
         # regression from taking the test run down with it.
-        ctx = multiprocessing.get_context("spawn")
         out = tmp_path / "result.json"
-        child = ctx.Process(target=_static_probe_study, args=(str(out),))
-        child.start()
-        child.join(120)
-        if child.is_alive():
-            child.kill()
-            child.join()
-        assert child.exitcode == 0
+        assert _exit_code_in_child(_static_probe_study, out) == 0
         result = json.loads(out.read_text())
         poison = make_targets(8)[3].domain
         assert result["quarantined"] == {poison: "quarantined:exit:137"}
@@ -460,15 +467,17 @@ class TestStudyIntegration:
         # which quarantined it; loading its page again in the parent killed
         # the study (exit 137).  A child process keeps a regression from
         # taking the test run down with it.
-        ctx = multiprocessing.get_context("spawn")
         out = tmp_path / "result.json"
-        child = ctx.Process(target=_known_customer_study, args=(str(out),))
-        child.start()
-        child.join(120)
-        if child.is_alive():
-            child.kill()
-            child.join()
-        assert child.exitcode == 0
+        assert _exit_code_in_child(_known_customer_study, out) == 0
+        poison = make_targets(8)[3].domain
+        assert json.loads(out.read_text())["quarantined"] == {poison: "quarantined:exit:137"}
+
+    def test_harvest_of_a_crash_poison_demo_finishes(self, tmp_path):
+        # The harvest loads demo pages through the study's crawl executor,
+        # so a supervised study quarantines a poison demo page; loading it
+        # in the parent killed the study (exit 137).
+        out = tmp_path / "result.json"
+        assert _exit_code_in_child(_demo_study, out) == 0
         poison = make_targets(8)[3].domain
         assert json.loads(out.read_text())["quarantined"] == {poison: "quarantined:exit:137"}
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro import obs
 from repro.config import StudyScale
+from repro.core.pipeline import harvest_targets
 from repro.crawler.resilience import RetryPolicy
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.obs.__main__ import main as obs_main
@@ -122,12 +123,16 @@ class TestStudyArtifacts:
             if row["hits"]:
                 assert log.counters[f"perf.hits[{layer}]"] == row["hits"]
 
-    def test_page_spans_cover_every_site(self, study):
+    def test_page_spans_cover_every_site(self, study, world):
+        # Every control page, then each page the vendor harvest loads.
         result, run_dir = study
         log = load_run(run_dir)
         domains = [r["attrs"]["domain"] for r in log.spans("crawl.page")]
+        harvested = harvest_targets(world.vendor_knowledge(), result.control)
+        assert harvested
         assert sorted(domains) == sorted(
-            o.domain for o in result.control.observations
+            [o.domain for o in result.control.observations]
+            + [target.domain for target in harvested]
         )
 
     def test_summary_text_renders(self, study):

@@ -1,16 +1,19 @@
-"""Streaming analysis through the full study pipeline.
+"""The study's one detection pass, through the full study pipeline.
 
-The reduce stage is the study's one fold: it ingests every control
-observation exactly once, in the parent, whatever executed the crawl, and
-the stage cache is its only cache.  The ``analysis.ingest.sites`` counter
-makes that visible.  That serial, parallel and warm runs produce the same
+The ``detect`` stage classifies every successful control page exactly once,
+in the parent, whatever executed the crawl, and every later analysis reads
+its outcomes; the stage cache is its only cache.  A spy on
+:meth:`FingerprintDetector.detect`, keyed by observation identity, makes
+that visible.  That serial, parallel and warm runs produce the same
 ``StudyResult`` is pinned in ``tests/test_pipeline_stages.py``.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro import obs
 from repro.config import StudyScale
+from repro.core.detection import FingerprintDetector
 from repro.core.pipeline import run_study
 from repro.crawler.shards import ExecutionConfig
 from repro.webgen import build_world
@@ -23,18 +26,29 @@ def world():
     return build_world(SCALE)
 
 
-def counter_delta(before, after):
-    b = before["counters"]
-    return {
-        name: value - b.get(name, 0)
-        for name, value in after["counters"].items()
-        if value != b.get(name, 0)
-    }
+@pytest.fixture
+def detected(monkeypatch):
+    """id(observation) -> how many times ``FingerprintDetector.detect`` ran on it."""
+    counts = Counter()
+    # Holds every detected observation, so no id is reused during the test.
+    seen = []
+    detect = FingerprintDetector.detect
+
+    def spy(self, observation):
+        counts[id(observation)] += 1
+        seen.append(observation)
+        return detect(self, observation)
+
+    monkeypatch.setattr(FingerprintDetector, "detect", spy)
+    return counts
 
 
-def run_with_counters(world, **kwargs):
-    before = obs.METRICS.snapshot()
-    result = run_study(
+def detections(counts, dataset):
+    return [counts[id(observation)] for observation in dataset.observations]
+
+
+def study(world, **kwargs):
+    return run_study(
         world.network,
         world.all_targets if "targets" not in kwargs else kwargs.pop("targets"),
         world.vendor_knowledge(),
@@ -45,48 +59,55 @@ def run_with_counters(world, **kwargs):
         dns=world.network.dns,
         **kwargs,
     )
-    return result, counter_delta(before, obs.METRICS.snapshot())
 
 
-class TestOneFold:
-    def test_each_run_folds_every_control_site_once(self, tmp_path):
+class TestOneDetectionPass:
+    def test_each_run_detects_every_control_page_once(self, detected, tmp_path):
         cache_dir = tmp_path / "cache"
-        runs = (
-            ("serial", {}, 1),
-            ("jobs=2", {"execution": ExecutionConfig(jobs=2)}, 1),
-            ("cold cache", {"cache_dir": cache_dir}, 1),
-            ("warm cache", {"cache_dir": cache_dir}, 0),
-        )
-        for mode, kwargs, folds in runs:
-            world = build_world(SCALE)
-            _, counters = run_with_counters(world, include_adblock_crawls=False, **kwargs)
-            sites = counters.get("analysis.ingest.sites", 0)
-            assert sites == folds * len(world.all_targets), mode
+        for mode, kwargs in (
+            ("serial", {}),
+            ("jobs=2", {"execution": ExecutionConfig(jobs=2)}),
+            ("cold cache", {"cache_dir": cache_dir}),
+        ):
+            result = study(build_world(SCALE), **kwargs)
+            assert result.adblock_rows, mode
+            expected = [int(o.success) for o in result.control.observations]
+            assert detections(detected, result.control) == expected, mode
+
+        detected.clear()
+        warm = study(build_world(SCALE), cache_dir=cache_dir)
+        assert all(timing.cached for timing in warm.stage_timings)
+        assert not detected
 
 
 class TestIncrementalAppend:
-    def test_appended_cached_study_equals_uncached(self, world, tmp_path):
+    def test_appended_cached_study_equals_uncached(self, world, detected, tmp_path):
         cache_dir = tmp_path / "cache"
         base, appended = 64, 80
         assert len(world.all_targets) >= appended
 
-        run_with_counters(
+        study(
             world,
             targets=world.all_targets[:base],
             stages=["prevalence"],
             cache_dir=cache_dir,
         )
-        grown, counters = run_with_counters(
+        detected.clear()
+        grown = study(
             world,
             targets=world.all_targets[:appended],
             stages=["prevalence"],
             cache_dir=cache_dir,
         )
-        # A grown crawl is a new reduce input: it is folded whole, once.
-        assert counters.get("analysis.ingest.sites", 0) == appended
+        # A grown crawl is a new detect input: each of its pages is
+        # detected once, and nothing else is.
+        assert len(grown.control.observations) == appended
+        expected = [int(o.success) for o in grown.control.observations]
+        assert detections(detected, grown.control) == expected
+        assert sum(detected.values()) == sum(expected)
 
         fresh_world = build_world(SCALE)
-        fresh, _ = run_with_counters(
+        fresh = study(
             fresh_world,
             targets=fresh_world.all_targets[:appended],
             stages=["prevalence"],
