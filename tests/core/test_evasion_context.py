@@ -5,9 +5,15 @@ import pytest
 from repro.blocklists.disconnect import DisconnectList
 from repro.blocklists.matcher import RuleMatcher
 from repro.core.context import analyze_blocklist_context
-from repro.core.detection import DetectionOutcome
-from repro.core.evasion import analyze_serving_context, render_twice_fraction
-from repro.core.records import CanvasExtraction
+from repro.core.detection import DetectionOutcome, FingerprintDetector
+from repro.core.evasion import (
+    AdblockImpact,
+    analyze_serving_context,
+    compare_adblock_crawls,
+    render_twice_fraction,
+)
+from repro.core.records import CanvasExtraction, SiteObservation
+from repro.crawler.crawl import CrawlDataset
 from repro.net.dns import DNSZone
 
 
@@ -105,6 +111,53 @@ class TestServingContext:
     def test_non_fp_sites_ignored(self):
         ctx = analyze_serving_context({"a.com": DetectionOutcome(domain="a.com")}, {"a.com": "top"})
         assert ctx.fp_sites["top"] == 0
+
+
+class TestAdblockRows:
+    def test_control_row_counts_the_given_outcomes(self):
+        outcomes = {
+            "a.com": outcome(
+                "a.com",
+                extraction("data:1", "https://a.com/fp.js"),
+                extraction("data:2", "https://a.com/fp.js"),
+            ),
+            "b.com": outcome("b.com"),
+            "c.com": outcome("c.com", extraction("data:3", "https://vendor.net/fp.js")),
+        }
+        pops = {"a.com": "top", "b.com": "top", "c.com": "tail"}
+        assert compare_adblock_crawls(outcomes, pops, {}) == (
+            AdblockImpact("Control", canvases={"top": 2, "tail": 1}, sites={"top": 1, "tail": 1}),
+        )
+
+    def test_only_the_ad_blocker_crawls_are_detected(self, monkeypatch):
+        """The control row reads outcomes already detected; each successful
+        ad-blocker page is detected once and a failed one never."""
+        def page(domain, population, *extractions):
+            return SiteObservation(domain, 0, population, True, extractions=list(extractions))
+
+        blocked = CrawlDataset(
+            "abp",
+            [
+                page("a.com", "top", extraction("data:1", "https://a.com/fp.js")),
+                SiteObservation("b.com", 0, "top", False, failure_reason="timeout"),
+                page("c.com", "tail", extraction("data:2", "https://vendor.net/fp.js")),
+            ],
+        )
+        detected = []
+        detect = FingerprintDetector.detect
+
+        def spy(self, observation):
+            detected.append(id(observation))
+            return detect(self, observation)
+
+        monkeypatch.setattr(FingerprintDetector, "detect", spy)
+        control = {"a.com": outcome("a.com", extraction("data:1", "https://a.com/fp.js"))}
+        rows = compare_adblock_crawls(control, {"a.com": "top"}, {"Adblock Plus": blocked})
+        assert sorted(detected) == sorted(id(o) for o in blocked.successful())
+        assert [row.label for row in rows] == ["Control", "Adblock Plus"]
+        assert rows[1] == AdblockImpact(
+            "Adblock Plus", canvases={"top": 1, "tail": 1}, sites={"top": 1, "tail": 1}
+        )
 
 
 class TestRenderTwice:
