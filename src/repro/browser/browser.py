@@ -4,7 +4,8 @@
 scans it for scripts, and executes them in order in the page's JS realm:
 an interpreter wired with ``window`` / ``document`` / ``navigator`` and an
 instrumented canvas factory, built when the page's first script runs (see
-:meth:`Browser._realm`).  Extensions see every subresource request; script
+:meth:`Browser._realm`).  Extensions see every script request, in one
+place (:meth:`Browser._process_script_tag`), and may only cancel it; script
 errors are contained per-script like a real browser.
 
 Every script goes through static triage first: a script the analyzer
@@ -155,6 +156,10 @@ class Browser:
         #: runaway script.  None keeps the interpreter default.
         self.js_step_budget = js_step_budget
         self._randomization = RandomizationState(self.profile.session_seed)
+        #: While a list, every script request a page load puts to the
+        #: profile's extensions is appended to it, asked or not (the
+        #: collector lends one to a settle a later profile may replay).
+        self.script_requests: Optional[List[Request]] = None
 
     @property
     def _step_budget(self) -> int:
@@ -247,6 +252,8 @@ class Browser:
             request = Request(
                 url=resolved, resource_type=ResourceType.SCRIPT, document_url=page.url
             )
+            if self.script_requests is not None:
+                self.script_requests.append(request)
             for extension in self.profile.extensions:
                 if extension.on_request(request):
                     page.blocked_urls.append(str(resolved))

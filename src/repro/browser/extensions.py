@@ -21,12 +21,19 @@ __all__ = ["Extension", "AdBlockerExtension"]
 
 
 class Extension:
-    """Base extension: sees every subresource request before it is sent."""
+    """Base extension: sees every script request before it is sent."""
 
     name = "extension"
 
     def on_request(self, request: Request) -> bool:
-        """Return True to cancel (block) the request."""
+        """Return True to cancel (block) the request.
+
+        Free of side effects: the answer depends on the request alone, and
+        asking changes nothing.  So a crawl may ask again about a request
+        another profile's page load made, and skip a load whose requests
+        this extension would all let through (see
+        :func:`repro.crawler.crawl.crawl_profiles`).
+        """
         raise NotImplementedError
 
 
@@ -44,7 +51,6 @@ class AdBlockerExtension(Extension):
         self.matchers: List[RuleMatcher] = list(matchers)
         self.extra_matchers: List[RuleMatcher] = list(extra_matchers)
         self.honor_first_party_exception = honor_first_party_exception
-        self.blocked_log: List[str] = []
 
     def on_request(self, request: Request) -> bool:
         url = str(request.url)
@@ -62,6 +68,5 @@ class AdBlockerExtension(Extension):
                 third_party=third_party,
                 page_domain=page_domain,
             ):
-                self.blocked_log.append(url)
                 return True
         return False

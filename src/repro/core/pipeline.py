@@ -439,20 +439,33 @@ def validate_cross_machine(
 
 
 def groupings_agree(
-    datasets: Sequence[CrawlDataset], detector: Optional[FingerprintDetector] = None
+    datasets: Sequence[CrawlDataset],
+    detector: Optional[FingerprintDetector] = None,
+    outcomes: Optional[Sequence[Optional[Mapping[str, DetectionOutcome]]]] = None,
 ) -> bool:
     """Whether every dataset groups its sites by canvas equality alike.
 
     The comparison half of :func:`validate_cross_machine`, over crawls of
     the same targets on two or more devices, however they were obtained.
+    ``outcomes``, one entry per dataset, holds the detection outcomes of a
+    dataset's successful sites where they are already known (the study's
+    ``detect`` stage has the control device's); a ``None`` entry, or no
+    ``outcomes`` at all, detects that dataset here.
     """
     detector = detector or FingerprintDetector()
+    known = list(outcomes) if outcomes is not None else [None] * len(datasets)
 
-    def grouping(dataset: CrawlDataset) -> Tuple[Tuple[str, ...], ...]:
-        outcomes = detector.detect_all(dataset.successful())
+    def grouping(
+        dataset: CrawlDataset, outcomes: Optional[Mapping[str, DetectionOutcome]]
+    ) -> Tuple[Tuple[str, ...], ...]:
+        if outcomes is None:
+            outcomes = detector.detect_all(dataset.successful())
         clusters = cluster_canvases(outcomes, dataset.populations())
         groups = [tuple(sorted(c.all_sites())) for c in clusters.values() if c.all_sites()]
         return tuple(sorted(groups))
 
-    reference = grouping(datasets[0])
-    return all(grouping(dataset) == reference for dataset in datasets[1:])
+    reference = grouping(datasets[0], known[0])
+    return all(
+        grouping(dataset, outcome) == reference
+        for dataset, outcome in zip(datasets[1:], known[1:])
+    )

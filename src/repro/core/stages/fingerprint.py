@@ -32,8 +32,22 @@ __all__ = [
 ]
 
 
+#: Values JSON encodes as they are.  Matched by exact type, so an Enum that
+#: subclasses ``str`` or ``int`` still reduces to its ``value``.
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 def _canonical(value: Any) -> Any:
-    """Reduce a value to canonical JSON-able data (deterministic ordering)."""
+    """Reduce a value to canonical JSON-able data (deterministic ordering).
+
+    JSON-native leaves return first and lists recurse without a call per
+    leaf: a network fingerprint reduces tens of thousands of them.
+    """
+    kind = type(value)
+    if kind in _JSON_LEAVES:
+        return value
+    if kind is list or kind is tuple:
+        return [v if type(v) in _JSON_LEAVES else _canonical(v) for v in value]
     if isinstance(value, Enum):
         return value.value
     if is_dataclass(value) and not isinstance(value, type):

@@ -11,9 +11,6 @@ __all__ = ["Autoconsent"]
 class Autoconsent:
     """Clicks through consent banners the crawler encounters."""
 
-    def __init__(self) -> None:
-        self.banners_handled = 0
-
     def handle(self, page: Page) -> bool:
         """Opt in on ``page`` if it shows a known banner pattern.
 
@@ -29,5 +26,4 @@ class Autoconsent:
             for button in page.document.query_selector_all(".consent-accept"):
                 button._js_click(None, None, [])
         page.trigger("consent")
-        self.banners_handled += 1
         return True

@@ -15,7 +15,6 @@ class UserBehavior:
 
     def __init__(self, settle_ms: float = SETTLE_MS) -> None:
         self.settle_ms = settle_ms
-        self.pages_scrolled = 0
 
     def simulate(self, page: Page) -> None:
         """Scroll down and up, then wait for late scripts to finish."""
@@ -23,7 +22,6 @@ class UserBehavior:
             return
         # Scrolling fires scroll listeners: lazily-loaded fingerprinting runs.
         page.trigger("scroll")
-        self.pages_scrolled += 1
         # The settle wait advances the virtual clock, so anything recorded
         # afterwards is visibly later in the timeline.
         page.instrument.clock.advance(self.settle_ms)

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import closing
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.browser.browser import Browser, Page
+from repro.browser.extensions import Extension
 from repro.core.records import SiteObservation
 from repro.crawler.autoconsent import Autoconsent
 from repro.crawler.behavior import UserBehavior
 from repro.crawler.resilience import PageBudget
+from repro.net.http import Request
 from repro.net.url import URL
 
-__all__ = ["CanvasCollector"]
+__all__ = ["CanvasCollector", "SettleRecording", "Replay"]
 
 
 class CanvasCollector:
@@ -170,4 +173,60 @@ class CanvasCollector:
             blocked_urls=list(page.blocked_urls),
             script_errors=list(page.script_errors),
             script_sources=dict(page.script_sources),
+        )
+
+
+class SettleRecording:
+    """One settle's attempts, kept for a later profile to replay.
+
+    It is the collector of the settle it records: each visit lends the
+    browser a list for the script requests its page loads put to
+    extensions, and keeps the attempt's observation beside it.
+    """
+
+    def __init__(self, collector: CanvasCollector) -> None:
+        self.collector = collector
+        self.attempts: List[Tuple[SiteObservation, List[Request]]] = []
+
+    def collect(self, domain: str, rank: int, population: str) -> SiteObservation:
+        browser = self.collector.browser
+        browser.script_requests = requests = []
+        observation = self.collector.collect(domain, rank, population)
+        browser.script_requests = None
+        self.attempts.append((observation, requests))
+        return observation
+
+    def replayable(self, extensions: Tuple[Extension, ...]) -> bool:
+        """Whether a profile that adds ``extensions`` would settle as recorded:
+        no attempt crashed, and every extension lets every request through."""
+        return not any(
+            (observation.failure_reason or "").startswith("crash:")
+            or any(extension.on_request(r) for r in requests for extension in extensions)
+            for observation, requests in self.attempts
+        )
+
+    def replay(self) -> "Replay":
+        return Replay(observation for observation, _requests in self.attempts)
+
+
+class Replay:
+    """A collector whose visits hand back a recorded settle's attempts in order.
+
+    Each visit returns a copy of the next attempt's observation: fresh
+    lists that share the recorded (frozen) records and strings.
+    """
+
+    def __init__(self, observations: Iterable[SiteObservation]) -> None:
+        self._observations = iter(observations)
+
+    def collect(self, domain: str, rank: int, population: str) -> SiteObservation:
+        observation = next(self._observations)
+        return dataclasses.replace(
+            observation,
+            calls=list(observation.calls),
+            property_accesses=list(observation.property_accesses),
+            extractions=list(observation.extractions),
+            blocked_urls=list(observation.blocked_urls),
+            script_errors=list(observation.script_errors),
+            script_sources=dict(observation.script_sources),
         )

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro import obs
 from repro.browser.browser import Browser
 from repro.browser.instrumentation import VirtualClock
+from repro.browser.privacy import CanvasRandomization
 from repro.browser.profile import BrowserProfile
 from repro.core.records import SiteObservation
-from repro.crawler.collector import CanvasCollector
+from repro.crawler.collector import CanvasCollector, SettleRecording
 from repro.crawler.resilience import (
     PageBudget,
     RetryPolicy,
@@ -192,6 +195,17 @@ class CrawlDataset:
         )
 
 
+def _adds_extensions(first: BrowserProfile, profile: BrowserProfile) -> bool:
+    """Whether ``profile`` is ``first`` plus extensions, and ``first`` keeps
+    no per-page state (``PER_RENDER`` noise advances a per-browser readout
+    counter, so a skipped load would shift the noise of every later page)."""
+    return (
+        not first.extensions
+        and first.privacy_mode is not CanvasRandomization.PER_RENDER
+        and dataclasses.replace(profile, extensions=()) == first
+    )
+
+
 def crawl_profiles(
     network: Network,
     targets: Iterable[CrawlTarget],
@@ -211,6 +225,16 @@ def crawl_profiles(
     profile) visit settles through :func:`collect_with_retries` under its
     own label with a fresh fault clock, so each label's dataset equals a
     separate crawl under that profile alone.  Returns one dataset per label.
+
+    A later profile that is the first one plus extensions (ad blockers)
+    replays the first profile's settle of the same site in this pass when
+    no attempt of it crashed and no extension would cancel a script
+    request it made: extensions act only on script requests, and a page
+    load is a deterministic function of the profile and the responses, so
+    until a cancel the later load would repeat the first step for step.
+    ``perf.hits[crawl.replay]`` and ``perf.misses[crawl.replay]`` count
+    the replayed and the loaded later settles with extensions.  Only a
+    settle that a later profile may replay records its requests.
 
     Each profile gets its own browser, reused across sites; every page load
     runs its scripts in a fresh JS realm of its own — matching how the real
@@ -254,6 +278,14 @@ def crawl_profiles(
         )
         for label, profile in profiles
     }
+    first = collectors[labels[0]].browser.profile
+    #: Later labels with extensions -> whether they may replay the first.
+    blockers = {
+        label: _adds_extensions(first, collectors[label].browser.profile)
+        for label in labels[1:]
+        if collectors[label].browser.profile.extensions
+    }
+    replayers = [label for label, replays in blockers.items() if replays]
     datasets = {label: CrawlDataset(label=label) for label in labels}
     done: Dict[str, set] = {label: set() for label in labels}
     for label, prior in (resume_from or {}).items():
@@ -268,14 +300,27 @@ def crawl_profiles(
     gc.set_threshold(*_CRAWL_GC_THRESHOLD)
     try:
         for index, target in enumerate(targets):
+            recording = None
             for label in labels:
                 if target.domain in done[label]:
                     continue
+                collector = collectors[label]
+                if label == labels[0]:
+                    if any(target.domain not in done[later] for later in replayers):
+                        collector = recording = SettleRecording(collector)
+                elif label in blockers:
+                    if recording is not None and blockers[label] and recording.replayable(
+                        collector.browser.profile.extensions
+                    ):
+                        collector = recording.replay()
+                        obs.METRICS.inc("perf.hits[crawl.replay]")
+                    else:
+                        obs.METRICS.inc("perf.misses[crawl.replay]")
                 if injector is not None:
                     # Each settle starts a fresh fault clock (see FaultInjector).
                     injector.new_visit()
                 observation = collect_with_retries(
-                    collectors[label],
+                    collector,
                     target,
                     policy=retry_policy,
                     clock=backoff_clock,

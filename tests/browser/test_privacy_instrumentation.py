@@ -2,12 +2,14 @@
 
 import numpy as np
 
+from repro.browser.browser import Browser
 from repro.browser.extensions import AdBlockerExtension
 from repro.browser.instrumentation import CanvasInstrument, VirtualClock
 from repro.browser.privacy import CanvasRandomization, RandomizationState, make_extraction_filter
 from repro.browser.profile import BrowserProfile
 from repro.blocklists.matcher import RuleMatcher
 from repro.net.http import Request, ResourceType
+from repro.net.server import Network
 from repro.net.url import URL
 
 
@@ -123,7 +125,12 @@ class TestAdBlockerExtension:
     def test_blocks_matching_third_party(self):
         ext = AdBlockerExtension("abp", [RuleMatcher.from_text("||tracker.net^$script")])
         assert ext.on_request(self.make_request("https://tracker.net/fp.js"))
-        assert ext.blocked_log == ["https://tracker.net/fp.js"]
+        network = Network()
+        network.server_for("site.example").add_resource(
+            "/", '<html><script src="https://tracker.net/fp.js"></script></html>'
+        )
+        page = Browser(network, BrowserProfile(extensions=(ext,))).load("https://site.example/")
+        assert page.blocked_urls == ["https://tracker.net/fp.js"]
 
     def test_first_party_exception(self):
         ext = AdBlockerExtension("abp", [RuleMatcher.from_text("/fp.js$script")])

@@ -14,7 +14,7 @@ import repro.core.stages.study as study
 from repro.browser.profile import BrowserProfile
 from repro.canvas.device import APPLE_M1, INTEL_UBUNTU, device_fleet
 from repro.config import StudyScale
-from repro.core.detection import DetectionOutcome
+from repro.core.detection import DetectionOutcome, FingerprintDetector
 from repro.core.pipeline import (
     VendorKnowledge,
     harvest_targets,
@@ -69,9 +69,9 @@ class TestCrossMachineReadsTheControlCrawl:
         compared = []
         agree = pipeline.groupings_agree
 
-        def spy(datasets, detector=None):
-            compared.append(list(datasets))
-            return agree(datasets, detector)
+        def spy(datasets, detector=None, outcomes=None):
+            compared.append((list(datasets), outcomes))
+            return agree(datasets, detector, outcomes)
 
         monkeypatch.setattr(pipeline, "groupings_agree", spy)
         targets = world.all_targets[:TARGETS]
@@ -96,8 +96,11 @@ class TestCrossMachineReadsTheControlCrawl:
             retry_policy=retry,
             execution=execution,
         )
-        [(control_rows, apple_rows)] = compared
+        [([control_rows, apple_rows], [control_outcomes, apple_outcomes])] = compared
         assert records(control_rows) == records(fresh)
+        # The control rows' outcomes are the detect stage's; Apple's are detected.
+        assert control_outcomes == FingerprintDetector().detect_all(fresh.successful())
+        assert apple_outcomes is None
         assert len(apple_rows.observations) == SAMPLE
         assert result.cross_machine_consistent is True
         if faulted:

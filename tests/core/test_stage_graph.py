@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.browser.privacy import CanvasRandomization
+from repro.canvas.device import INTEL_UBUNTU
 from repro.core.stages.cache import StageCache
 from repro.core.stages.fingerprint import stable_hash
 from repro.core.stages.graph import StageGraph, StageGraphError
 from repro.core.stages.stage import Stage
+from repro.crawler.resilience import PageBudget, RetryPolicy
+from repro.js.tokens import TokenType
 
 
 class Source(Stage):
@@ -79,6 +83,37 @@ class TestStableHash:
     def test_rejects_unfingerprittable(self):
         with pytest.raises(TypeError):
             stable_hash(object())
+
+    @pytest.mark.parametrize(
+        "payload, digest",
+        [
+            (
+                [CanvasRandomization.PER_SESSION, TokenType.NUMBER, (1, 2.5, True, None)],
+                "c5ffa52ac455fd26888d44ee07a41c3d30f0fad221f61d22e3fc6c690e2ac6c9",
+            ),
+            (
+                {"retry": RetryPolicy(), "budget": PageBudget(), "device": INTEL_UBUNTU},
+                "6d9035e4407ec062f13360293c4a4a6ec49e148012290c2fc97097e7c8de1101",
+            ),
+            (
+                {"hosts": {"b.example", "a.example"}, "ranks": frozenset({3, 1, 2})},
+                "340d73435b6dc3f0bd0eb966e40ec5312467fda96a1e3424d0f27014ad20c5e1",
+            ),
+            (
+                [b"canvas", b""],
+                "e0f6f8b625aab9fba35758fb427abc954ab5ce87cc3a13fdbb252e4f88bd9b9f",
+            ),
+            (
+                {2: "two", 10: ["ten", {1: 1.0}]},
+                "980e627f71878acd81c38ccfbc7e87617ea01747a154e266e16cf42b750bc98c",
+            ),
+        ],
+        ids=["enum", "dataclass", "set", "bytes", "int-keyed-dict"],
+    )
+    def test_digests_are_pinned(self, payload, digest):
+        """Cache keys are these digests: a changed encoding would orphan
+        every stage cache entry already on disk."""
+        assert stable_hash(payload) == digest
 
 
 class TestGraphValidation:

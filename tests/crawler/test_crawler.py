@@ -71,7 +71,7 @@ class TestCollector:
         obs = collector.collect("gated.example", rank=1, population="top")
         assert obs.success
         assert len(obs.extractions) == 1  # ran only because autoconsent opted in
-        assert collector.autoconsent.banners_handled == 1
+        assert list(obs.script_sources) == ["https://gated.example/#inline"]
 
     def test_scroll_behavior_runs_lazy_fingerprinting(self, network):
         collector = CanvasCollector(Browser(network))

@@ -47,6 +47,22 @@ class TestSerialParallelCachedEquivalence:
             assert expected in names
         assert all(t.seconds >= 0 for t in timings)
 
+    def test_stage_keys_are_pinned(self, serial_result):
+        """A study's cache keys, as the stage cache on disk knows them."""
+        assert {t.name: t.key[:16] for t in serial_result.stage_timings} == {
+            "crawl": "3b26a79cb751ebf4",
+            "detect": "e5467dc63b9f73cc",
+            "cluster": "2d0d05af2ae268f9",
+            "prevalence": "5173a15d84297222",
+            "signatures": "4c8c7747fc1fb40a",
+            "serving_context": "fbfbba95c6a4054e",
+            "static": "6cc9e3a92f6b29cc",
+            "blocklist_context": "67e648c859c3865d",
+            "adblock_rows": "2803062462c0b362",
+            "reach": "685ee857bc8519d7",
+            "attribution": "a56223f9caf92f7f",
+        }
+
     def test_optional_stages_follow_monolith_conditionals(self):
         result = fresh_world().run_full_study(include_adblock_crawls=False)
         names = {t.name for t in result.stage_timings}
