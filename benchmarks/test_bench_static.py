@@ -1,15 +1,20 @@
 """Benchmark: the static script analyzer and its verdict cache.
 
-Two benchmarks, one contract each:
+Three benchmarks:
 
 ``static_analyze_vendors``
-    Wall time to produce a :class:`StaticVerdict` for the full 13-script
-    vendor corpus — a cold verdict cache (CFG + dataflow + taint for every
-    script) vs a warm one (digest lookup in the ``js.static`` byte-budget
-    LRU).  Every page that ships a known vendor script re-asks the same
-    question, so the warm path is the steady-state crawl cost.  Like the
-    JS script cache, the raw ratio is far past the contract, so the gated
-    ``speedup`` is capped and ``raw_speedup`` keeps the uncapped number.
+    One cold analysis of the full 13-script vendor corpus (CFG, dataflow
+    and taint for every script, on an empty verdict cache), in reference
+    seconds (``perfbench.speed.SpeedMeter``): the median of :data:`ROUNDS`
+    rounds, each the mean of :data:`PASSES` passes.  The warm pass (a
+    digest lookup per script) is timed beside it; the ratio of the two,
+    ``cold_over_warm``, is informational.
+
+``static_shape_lookup``
+    :data:`SHAPE_SCRIPTS` analytics scripts of one shape, each a digest
+    miss served by the shape of the one analysed before them, in reference
+    seconds: the median of :data:`ROUNDS` rounds.  This is what a page
+    load's triage pays for a site's own script, unique to the site.
 
 ``static_verdict_cache``
     Hit rate of the ``js.static`` verdict cache across page loads (every
@@ -20,21 +25,31 @@ What triage saves end to end is measured by perfbench's ``study``
 workload (``wall_s``), not here: every page load triages, so there is no
 triage-off side left to compare with.
 
-All gated metrics are ratios of same-session runs on the same machine,
-capped at their contract values; raw wall seconds are recorded for
-inspection but never gated.
+``cold_ref_s``, ``shape_ref_s`` and the hit rate feed the CI regression
+gate (``check_regression.py``); raw seconds and the ratio are recorded
+for inspection.  The ratio of a 40 ms pass to a 30 µs one read between
+544 and 1,411 on one machine, so it is not gated.
 """
 
+import statistics
 import time
 
+from perfbench.speed import SpeedMeter
 from repro import obs, perf
 from repro.browser.browser import Browser
 from repro.js.static import verdict_for_source
 from repro.js.static.verdict import _VERDICT_CACHE
 from repro.net.server import Network
+from repro.webgen.scripts import analytics_filler_script
 from repro.webgen.vendors import VENDOR_SPECS
 
-ROUNDS = 3
+#: Timed rounds of each gated measurement; the gate reads their median.
+ROUNDS = 5
+#: Cold passes per round, so that each round lasts long enough for the
+#: speed meter to sample it several times.
+PASSES = 5
+#: Shape-served lookups per round.
+SHAPE_SCRIPTS = 3000
 
 #: Compute-heavy inert script: big enough that skipping it pays, small
 #: enough that the analyzer's termination proof still covers it.
@@ -57,8 +72,15 @@ window.__fp = c.toDataURL();
 PAGES = 30
 
 
-def _best(fn, rounds=ROUNDS):
+def _best(fn, rounds=3):
     return min(fn() for _ in range(rounds))
+
+
+def _ref_seconds(fn):
+    """``fn()``'s seconds times the machine's speed while it ran."""
+    with SpeedMeter() as meter:
+        seconds = fn()
+    return seconds * meter.speed()
 
 
 def _vendor_sources():
@@ -81,23 +103,20 @@ def _triage_network(pages=PAGES):
 
 def test_bench_static_analyze_vendors(bench_json):
     sources = _vendor_sources()
-    reps = 10
 
-    def analyze_seconds(warm):
-        def once():
-            started = time.perf_counter()
-            for _ in range(reps):
-                if not warm:
-                    _VERDICT_CACHE.clear()
-                for i, source in enumerate(sources):
-                    verdict_for_source(source, f"https://vendor{i}.example/fp.js")
-            return (time.perf_counter() - started) / reps
+    def analyze_seconds(warm, passes):
+        started = time.perf_counter()
+        for _ in range(passes):
+            if not warm:
+                _VERDICT_CACHE.clear()
+            for i, source in enumerate(sources):
+                verdict_for_source(source, f"https://vendor{i}.example/fp.js")
+        return (time.perf_counter() - started) / passes
 
-        return _best(once)
-
-    warm = analyze_seconds(True)
-    cold = analyze_seconds(False)
-    speedup = cold / warm
+    warm = _best(lambda: analyze_seconds(True, 10))
+    cold = _best(lambda: analyze_seconds(False, 10))
+    cold_rounds = [_ref_seconds(lambda: analyze_seconds(False, PASSES)) for _ in range(ROUNDS)]
+    cold_ref_s = statistics.median(cold_rounds)
 
     classes = {
         verdict_for_source(s).classification for s in sources
@@ -105,19 +124,51 @@ def test_bench_static_analyze_vendors(bench_json):
     assert classes == {"fingerprinting-likely"}, classes
 
     print(f"\nstatic analysis, {len(sources)}-script vendor corpus:")
-    print(f"  cold (CFG+dataflow+taint): {cold * 1000:8.3f} ms")
+    print(f"  cold (CFG+dataflow+taint): {cold * 1000:8.3f} ms, {cold_ref_s:.4f} ref s "
+          f"(median of {', '.join(f'{r:.4f}' for r in cold_rounds)})")
     print(f"  warm (verdict cache hit):  {warm * 1000:8.3f} ms")
-    print(f"  warm-cache speedup:        {speedup:8.1f}x")
+    print(f"  cold over warm:            {cold / warm:8.1f}x")
     bench_json(
         "static",
         "static_analyze_vendors",
-        speedup=min(speedup, 50.0),
-        raw_speedup=speedup,
+        cold_ref_s=cold_ref_s,
+        cold_rounds=cold_rounds,
+        cold_over_warm=cold / warm,
         cold_ms=cold * 1000,
         warm_ms=warm * 1000,
         scripts=len(sources),
     )
-    assert speedup >= 3.0, f"warm verdict cache only {speedup:.1f}x faster than cold"
+    assert cold / warm >= 3.0, f"warm verdict cache only {cold / warm:.1f}x faster than cold"
+
+
+def test_bench_static_shape_lookup(bench_json):
+    template = analytics_filler_script(0)
+    scripts = [analytics_filler_script(seed) for seed in range(1, SHAPE_SCRIPTS + 1)]
+
+    def lookup_seconds():
+        _VERDICT_CACHE.clear()
+        verdict_for_source(template)
+        before = obs.METRICS.snapshot()
+        started = time.perf_counter()
+        for script in scripts:
+            verdict_for_source(script)
+        seconds = time.perf_counter() - started
+        row = perf.diff_snapshots(before, obs.METRICS.snapshot()).get("js.static", {})
+        # Every lookup misses the digest and hits the shape.
+        assert (row.get("hits", 0), row.get("misses", 0)) == (SHAPE_SCRIPTS, 0)
+        return seconds
+
+    shape_rounds = [_ref_seconds(lookup_seconds) for _ in range(ROUNDS)]
+    shape_ref_s = statistics.median(shape_rounds)
+    print(f"\n{SHAPE_SCRIPTS} analytics scripts served by shape: {shape_ref_s:.4f} ref s "
+          f"(median of {', '.join(f'{r:.4f}' for r in shape_rounds)})")
+    bench_json(
+        "static",
+        "static_shape_lookup",
+        shape_ref_s=shape_ref_s,
+        shape_rounds=shape_rounds,
+        scripts=SHAPE_SCRIPTS,
+    )
 
 
 def test_bench_static_verdict_cache(bench_json):

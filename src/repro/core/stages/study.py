@@ -128,6 +128,9 @@ class StudyContext:
 
     _network_fp: Optional[str] = field(default=None, repr=False, compare=False)
     _targets_fp: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _matchers: Dict[str, RuleMatcher] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def network_fingerprint(self) -> str:
         """Content hash of the synthetic network, computed once per run."""
@@ -142,22 +145,28 @@ class StudyContext:
             self._targets_fp = fingerprint_targets(self.targets)
         return self._targets_fp
 
+    def matcher(self, name: str) -> RuleMatcher:
+        """The ``easylist``, ``easyprivacy`` or ``ubo-extra`` list, parsed once
+        per run (a matcher keeps no state between calls, so every profile and
+        stage shares it)."""
+        matcher = self._matchers.get(name)
+        if matcher is None:
+            text = getattr(self, name.replace("-", "_") + "_text")
+            matcher = self._matchers[name] = RuleMatcher.from_text(text, name)
+        return matcher
+
     # -- browser profiles, built exactly as the monolithic pipeline did -------
 
     def control_profile(self) -> BrowserProfile:
         return BrowserProfile(device=INTEL_UBUNTU)
 
     def abp_profile(self) -> BrowserProfile:
-        easylist = RuleMatcher.from_text(self.easylist_text, "easylist")
-        abp = AdBlockerExtension("Adblock Plus", [easylist])
+        abp = AdBlockerExtension("Adblock Plus", [self.matcher("easylist")])
         return BrowserProfile(device=INTEL_UBUNTU, extensions=(abp,))
 
     def ubo_profile(self) -> BrowserProfile:
-        easylist = RuleMatcher.from_text(self.easylist_text, "easylist")
-        extra = []
-        if self.ubo_extra_text:
-            extra.append(RuleMatcher.from_text(self.ubo_extra_text, "ubo-extra"))
-        ubo = AdBlockerExtension("UBlock Origin", [easylist], extra_matchers=extra)
+        extra = [self.matcher("ubo-extra")] if self.ubo_extra_text else []
+        ubo = AdBlockerExtension("UBlock Origin", [self.matcher("easylist")], extra_matchers=extra)
         return BrowserProfile(device=INTEL_UBUNTU, extensions=(ubo,))
 
     # -- which optional stages apply (the monolith's conditionals verbatim) ---
@@ -369,8 +378,8 @@ class BlocklistContextStage(Stage):
         return analyze_blocklist_context(
             inputs["detect"],
             control.populations(),
-            RuleMatcher.from_text(ctx.easylist_text, "easylist"),
-            RuleMatcher.from_text(ctx.easyprivacy_text, "easyprivacy"),
+            ctx.matcher("easylist"),
+            ctx.matcher("easyprivacy"),
             ctx.disconnect,
         )
 

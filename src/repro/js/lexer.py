@@ -17,14 +17,16 @@ Malformed literals (``0x``, ``'\\xZZ'``, ``²``) raise
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 import math
 import re
-from typing import List
+from typing import List, Optional
 
 from repro.js.errors import JSSyntaxError
 from repro.js.tokens import KEYWORDS, PUNCTUATORS, Token, TokenType
 
-__all__ = ["tokenize"]
+__all__ = ["shape_key", "tokenize"]
 
 _ESCAPES = {
     "n": "\n",
@@ -53,35 +55,90 @@ _PUNCT = TokenType.PUNCT
 #: compile (~12 ms per process).
 _DIGITISH = r"[^\x00-\x2f\x3a-\x7f]"
 
-#: Punctuators, longest match first (the order of ``PUNCTUATORS``).  A ``.``
-#: followed by something that may be a digit is left to ``_lex_rare``,
-#: which decides between ``.5`` and member access.
-_PUNCT_ALTERNATION = "|".join(
-    r"\.(?!" + _DIGITISH + ")" if p == "." else re.escape(p) for p in PUNCTUATORS
+#: A ``.`` that is a punctuator: one followed by something that may be a
+#: digit is left to ``_lex_rare``, which decides between ``.5`` and member
+#: access.
+_DOT = r"\.(?!" + _DIGITISH + ")"
+
+
+def _punctuators(dot: str) -> str:
+    """Punctuators, longest match first (the order of ``PUNCTUATORS``), with
+    ``dot`` for ``.``."""
+    return "|".join(dot if p == "." else re.escape(p) for p in PUNCTUATORS)
+
+
+# Fragments of the master pattern's branches, shared with the shape pattern.
+_IDENT_TEXT = r"[A-Za-z_$][\w$]*"
+_COMMENT_TEXT = r"//[^\n]*"
+_HEX_TEXT = r"0[xX][0-9a-fA-F]*"
+# A decimal number.  The lookahead rejects a match followed by ".", a digit,
+# an exponent or a non-ASCII character.  That rejects every shorter prefix of
+# a number, so the branch cannot backtrack into one, and every number
+# str.isdigit could extend ("1٣", "1e٣"); those, and the odd "1.5.x", go to
+# _lex_rare.
+_NUM_TEXT = (
+    r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"(?![.]|" + _DIGITISH + r"|[eE][+-]?" + _DIGITISH + r")"
 )
+_STRING_TEXT = r"'[^'\\\n]*'|\"[^\"\\\n]*\""
 
 _MASTER = re.compile(
     r"[ \t\r\f\v]*(?:"
-    r"(?P<ident>[A-Za-z_$][\w$]*)"
+    r"(?P<ident>" + _IDENT_TEXT + r")"
     r"|(?P<nl>\n)"
-    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<comment>" + _COMMENT_TEXT + r")"
     r"|(?P<block>/\*)"
-    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
-    # A decimal number.  The lookahead rejects a match followed by ".", a
-    # digit, an exponent or a non-ASCII character.  That rejects every
-    # shorter prefix of a number, so the branch cannot backtrack into one,
-    # and every number str.isdigit could extend ("1٣", "1e٣"); those, and
-    # the odd "1.5.x", go to _lex_rare.
-    r"|(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-    r"(?![.]|" + _DIGITISH + r"|[eE][+-]?" + _DIGITISH + r"))"
-    r"|(?P<punct>" + _PUNCT_ALTERNATION + r")"
-    r"|(?P<string>'[^'\\\n]*'|\"[^\"\\\n]*\")"
+    r"|(?P<hex>" + _HEX_TEXT + r")"
+    r"|(?P<num>" + _NUM_TEXT + r")"
+    r"|(?P<punct>" + _punctuators(_DOT) + r")"
+    r"|(?P<string>" + _STRING_TEXT + r")"
     r"|(?P<escaped>['\"])"
     r"|(?P<template>`)"
     # Not a space or tab, so at the end of input the prefix cannot give one
     # back to this branch.
     r"|(?P<rare>[^ \t\r\f\v])"
     r")"
+)
+
+#: A block comment up to the first ``*/``, less the ``*/``.
+_BLOCK_BODY = r"/\*(?:[^*]|\*(?!/))*"
+_BLOCK_TEXT = _BLOCK_BODY + r"\*/"
+#: One thing the lexer skips between two tokens.  The line comment must run
+#: to the end of its line, so no reading of a gap is shorter than another.
+_GAP = r"(?:[ \t\r\f\v\n]|" + _COMMENT_TEXT + r"(?![^\n])|" + _BLOCK_TEXT + r")"
+#: A number token: the ``hex`` branch, else the ``num`` branch.
+_NUMBER_TEXT = r"(?:" + _HEX_TEXT + "|" + _NUM_TEXT + ")"
+#: A quoted string whose end the pattern can tell: every escape is ``\x``
+#: or ``\u`` with hex digits, or one other character.  Any other ``\x`` or
+#: ``\u`` is not mirrored.
+_ESCAPED_TEXT = "|".join(
+    q + r"(?:[^" + q + r"\\\n]|\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|[^xu]))*" + q
+    for q in "'\""
+)
+
+#: The shape pattern: _MASTER's spaces and branches in order, keeping text
+#: instead of building tokens.  Each match is a run kept verbatim (group 1:
+#: spaces, tokens, comments and newlines), ended by a number literal, which
+#: is left out, or by group 2, the rest of the source from the first
+#: character that only the ``template`` or ``rare`` branch takes.  A block comment or string
+#: is kept whole, as the lexer consumes it, so no digit inside one is read as
+#: a number.  A number is kept where the parser makes it a name: followed by
+#: ``:`` (an object key), or after ``.`` (the property of ``new a. 1``), which
+#: the ``.`` branch takes with the gap before it.  A number that ends the
+#: source is kept too, so a left-out number always has a run after it.  No
+#: alternative has two readings, so the pass is linear.
+_SHAPE = re.compile(
+    r"((?:[ \t\r\f\v]"
+    + r"|" + _IDENT_TEXT
+    + r"|\n"
+    + r"|" + _COMMENT_TEXT
+    + r"|" + _BLOCK_BODY + r"(?:\*/|\Z)"  # unterminated: the rest, and an error
+    + r"|0[xX](?![0-9a-fA-F])"  # no digits: an error
+    + r"|" + _NUMBER_TEXT + r"(?:(?=" + _GAP + r"*:)|\Z)"
+    + r"|" + _punctuators(_DOT + r"(?:" + _GAP + r"*" + _NUMBER_TEXT + r")?")
+    + r"|" + _STRING_TEXT
+    + r"|" + _ESCAPED_TEXT
+    + r")*)(?:" + _NUMBER_TEXT + r"|([^ \t\r\f\v][\s\S]*))?"
 )
 
 _IDENT_REST = re.compile(r"[\w$]*")
@@ -336,3 +393,23 @@ def tokenize(source: str, script: str = "<anonymous>") -> List[Token]:
 
     tokens.append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
     return tokens
+
+
+def shape_key(source: str) -> Optional[bytes]:
+    """The digest of ``source``'s text with number literals left out, except
+    where the parser makes a number a name (see :data:`_SHAPE`).
+
+    Two sources of one key tokenize to the same token types, values and
+    lines, but for the values of the numbers left out, or both fail to.
+    ``None`` when the pass does not mirror the lexer: a non-ASCII source,
+    whose digits and letters ``str.isdigit`` and ``str.isalpha`` decide, or
+    one that reaches the ``template`` or ``rare`` branch.  The parts of one
+    ``split`` are serialized by ``marshal`` version 2, which writes no
+    back-references, so equal parts give equal bytes.
+    """
+    if not source.isascii():
+        return None
+    parts = _SHAPE.split(source)
+    if any(parts[2::3]):
+        return None
+    return hashlib.sha256(marshal.dumps(parts, 2)).digest()

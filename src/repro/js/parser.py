@@ -57,16 +57,9 @@ _NUMBER = TokenType.NUMBER
 _STRING = TokenType.STRING
 
 
-def parse(
-    source: str, script: str = "<anonymous>", tokens: Optional[List[Token]] = None
-) -> N.Program:
-    """Parse ``source`` into a :class:`~repro.js.nodes.Program`.
-
-    ``tokens``, when given, are ``tokenize(source, script)`` lexed already.
-    """
-    if tokens is None:
-        tokens = tokenize(source, script)
-    return Parser(tokens, script).parse_program()
+def parse(source: str, script: str = "<anonymous>") -> N.Program:
+    """Parse ``source`` into a :class:`~repro.js.nodes.Program`."""
+    return Parser(tokenize(source, script), script).parse_program()
 
 
 class Parser:

@@ -7,16 +7,22 @@ byte-budget LRU keyed by ``(sha256(source), ANALYZER_VERSION)`` beside the
 compiled-program cache, and two scripts served at different URLs with the
 same body share one entry.
 
-The same LRU also holds verdicts by script *shape*: the source's tokens
-with number values left out.  The parser reads a number's value only to
-build a number literal or a name (an object key, a property after ``.``),
-and the shape keeps the value of every number that becomes a name, so two
-sources of one shape parse to the same tree up to number literals.  A
-verdict whose analysis read no number literal's value
-(``Analysis.reads_numbers``) is stored under its shape too, and a later
-source of that shape gets it with its own ``sha`` and ``signature``, the
-only fields taken from the text, without being parsed or analysed.  Parse
-errors never serve a shape: their columns move with the numbers.
+The same LRU also holds verdicts by script *shape*: the source's text
+with number literals left out, from one regular-expression pass that
+mirrors the lexer (:func:`repro.js.lexer.shape_key`).  Two sources of one
+shape lex to the same tokens and lines up to number values.  The parser
+reads a number's value only to build a number literal or a name (an
+object key, a property after ``.``), and the shape keeps the text of every
+number that becomes a name, so two sources of one shape parse to the same
+tree up to number literals.  A verdict whose analysis read no number
+literal's value (``Analysis.reads_numbers``) is stored under its shape
+too, and a later source of that shape gets it with its own ``sha`` and
+``signature``, the only fields taken from the text, without being lexed,
+parsed or analysed.  A source the pass does not mirror (non-ASCII, a
+template literal, a character only the lexer's rare branch takes) has no
+shape and is analysed in full.  Parse errors never serve a shape: their
+columns move with the numbers.  A shape key is ``bytes``, so it never
+equals a source's hex digest.
 
 The fingerprinting-likelihood class mirrors the dynamic detector's §3.2
 heuristics statically: a readout in a lossy encoding, from a canvas whose
@@ -29,21 +35,17 @@ script ``fingerprinting-likely``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import marshal
 import re
 import time
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
 
 from repro import perf
 from repro.js.compiler import _source_digest
 from repro.js.errors import JSError, JSThrow
-from repro.js.lexer import tokenize
+from repro.js.lexer import shape_key
 from repro.js.parser import parse
 from repro.js.static.analyzer import IMPURE_MATH_CALLS, Analysis, analyze_program
-from repro.js.tokens import Token, TokenType
 
 __all__ = [
     "ANALYZER_VERSION",
@@ -233,34 +235,6 @@ def _verdict(source: str, sha: str, analysis: Analysis) -> StaticVerdict:
     )
 
 
-_TYPE = attrgetter("type")
-_VALUE = attrgetter("value")
-_LINE = attrgetter("line")
-_TYPE_CODES = {kind: code for code, kind in enumerate(TokenType)}
-_NUMBER_CODE = _TYPE_CODES[TokenType.NUMBER]
-
-
-def _shape_key(tokens: List[Token]) -> bytes:
-    """The digest of a token list's types, values and lines, with number
-    values left out except where the parser makes a number a name: followed
-    by ``:`` (an object key) or after ``.`` (the property of ``new a. 1``).
-
-    Columns are left out too: nothing the analysis keeps reads one.  The
-    lists are serialized by ``marshal`` version 2, which writes no
-    back-references, so equal lists give equal bytes.  The digest is
-    ``bytes`` and never equals a source's hex digest.
-    """
-    codes = bytes(map(_TYPE_CODES.__getitem__, map(_TYPE, tokens)))
-    values = list(map(_VALUE, tokens))
-    index = codes.find(_NUMBER_CODE)
-    while index >= 0:  # the last token is EOF, so ``index + 1`` is a token
-        if tokens[index + 1].key != ":" and tokens[index - 1].key != ".":
-            values[index] = None
-        index = codes.find(_NUMBER_CODE, index + 1)
-    lines = list(map(_LINE, tokens))
-    return hashlib.sha256(marshal.dumps((codes, values, lines), 2)).digest()
-
-
 #: Content-addressed verdict cache, beside the compiled-program cache.
 _VERDICT_CACHE = perf.ByteBudgetLRU("js.static", 16 * perf.MB)
 
@@ -281,9 +255,10 @@ def verdict_for_source(source: str, script_url: str = "<anonymous>") -> StaticVe
     A verdict depends on the source bytes alone, never on ``script_url``:
     the cache is keyed by digest, so the same body served at two URLs (or
     analysed first by either of two crawl workers) has one verdict.  On a
-    digest miss the source is lexed once and its shape looked up (see the
-    module docstring); a shape hit is this call's one recorded hit, and a
-    full analysis its one recorded miss.
+    digest miss the source's shape is looked up (see the module docstring),
+    and the source is lexed only if no verdict is held for it; a shape hit
+    is this call's one recorded hit, and a full analysis its one recorded
+    miss.
     """
     sha = _source_digest(source)
     key = (sha, ANALYZER_VERSION)
@@ -291,15 +266,16 @@ def verdict_for_source(source: str, script_url: str = "<anonymous>") -> StaticVe
     if cached is not None:
         return cached
     started = time.perf_counter()
-    try:
-        tokens = tokenize(source)
-        shape = (_shape_key(tokens), ANALYZER_VERSION)
+    shape = shape_key(source)
+    if shape is not None:
+        shape = (shape, ANALYZER_VERSION)
         template = _VERDICT_CACHE.get(shape)
         if template is not None:
             verdict = dataclasses.replace(template, sha=sha, signature=_signature(source))
             _VERDICT_CACHE.adopt(key, verdict, _verdict_nbytes(verdict))
             return verdict
-        analysis = analyze_program(parse(source, tokens=tokens))
+    try:
+        analysis = analyze_program(parse(source))
     except (JSError, JSThrow, RecursionError) as exc:
         verdict, shape = _error_verdict(source, sha, exc), None
     else:

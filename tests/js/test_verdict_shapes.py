@@ -1,12 +1,17 @@
 """Verdicts served by a script's shape equal the verdicts a full analysis gives.
 
-On a digest miss, ``verdict_for_source`` lexes the source and looks up its
-shape: the tokens with number values left out.  A source whose shape is
-held gets the held verdict with its own ``sha`` and ``signature``, and is
-neither parsed nor analysed; only analyses that read no number literal's
-value (``Analysis.reads_numbers``) are held by shape.  The oracle is the
-cold verdict: the same source on an empty cache, analysed in full.
+On a digest miss, ``verdict_for_source`` looks up the source's shape: its
+text with number literals left out, from one regular-expression pass
+(``repro.js.lexer.shape_key``).  A source whose shape is held gets the held
+verdict with its own ``sha`` and ``signature``, and is neither lexed,
+parsed nor analysed; only analyses that read no number literal's value
+(``Analysis.reads_numbers``) are held by shape.  The oracle is the cold
+verdict: the same source on an empty cache, analysed in full.
 
+* Soundness of the text key against the token shape, the tokens' types,
+  values and lines with number values left out (``token_shape``): every
+  source of up to four boundary characters, and seeded random and
+  Hypothesis sources of up to about twelve.
 * Differential: every distinct script of a small study world and the
   vendor and benign corpora, and copies of each with its number literals
   replaced, served on a warm cache against cold.
@@ -16,13 +21,20 @@ cold verdict: the same source on an empty cache, analysed in full.
   one-shape templates, and the cache's hit and miss counts.
 """
 
+import hashlib
+import itertools
+import marshal
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.js.lexer import tokenize
+from repro.js import lexer as L
+from repro.js import parser as P
+from repro.js.errors import JSSyntaxError
+from repro.js.lexer import shape_key, tokenize
 from repro.js.parser import parse
 from repro.js.static import analyze_program
 from repro.js.static import verdict as V
@@ -61,7 +73,34 @@ def served(first, second):
 
 
 def shape(source):
-    return V._shape_key(tokenize(source))
+    return shape_key(source)
+
+
+_TYPE_CODES = {kind: code for code, kind in enumerate(TokenType)}
+
+
+def token_shape(source):
+    """The digest of ``source``'s token types, values and lines, with number
+    values left out except where the parser makes a number a name: followed
+    by ``:`` (an object key) or after ``.`` (the property of ``new a. 1``).
+    ``None`` when the source fails to lex."""
+    try:
+        tokens = tokenize(source)
+    except JSSyntaxError:
+        return None
+    codes = bytes(_TYPE_CODES[token.type] for token in tokens)
+    values = [token.value for token in tokens]
+    for index, token in enumerate(tokens):  # the last token is EOF
+        if token.type is TokenType.NUMBER:
+            if tokens[index + 1].key != ":" and tokens[index - 1].key != ".":
+                values[index] = None
+    lines = [token.line for token in tokens]
+    return hashlib.sha256(marshal.dumps((codes, values, lines), 2)).digest()
+
+
+def shape_entries():
+    """The keys of the cache's shape templates (a digest key is a hex ``str``)."""
+    return [key for key, _verdict in V._VERDICT_CACHE.items() if isinstance(key[0], bytes)]
 
 
 def counts():
@@ -88,6 +127,84 @@ def renumbered(source, shift):
         parts += [source[last:start], VALUES[(i + shift) % len(VALUES)]]
         last = end
     return "".join(parts) + source[last:]
+
+
+#: Characters at the lexer's branch boundaries: digits, number and hex
+#: parts, a key's ``:``, both quotes and the escapes, comments, spaces and
+#: lines, a letter, and three the shape pass does not mirror.
+BOUNDARY = ("0", "1", "9", ".", ":", "x", "e", "+", "'", '"', "\\", "/", "*",
+            " ", "\n", "a", "`", "@", "\u00e9")
+#: More digits, a hex digit, ``\u``, the punctuators around numbers, and
+#: comments and escapes whole, which a few characters rarely spell.
+RANDOM_EXTRA = ("5", "F", "E", "X", "u", "-", "=", ";", "{", "}", ",", "\t", "_", "$",
+                "/**/", "//", "*/", "0x1", "1e5", "\\x41", "\\u0041")
+
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def assert_sound(sources):
+    """Sources of one text key have one token shape, or all fail to lex.
+
+    Returns the groups of sources that share a key.
+    """
+    groups = {}
+    for source in sources:
+        key = shape_key(source)
+        if key is not None:
+            groups.setdefault(key, []).append(source)
+    shared = [group for group in groups.values() if len(group) > 1]
+    for group in shared:
+        assert len({token_shape(source) for source in group}) == 1, group
+    return shared
+
+
+def renumber_digits(rng, source):
+    """``source`` with some digit runs replaced by others, of other lengths."""
+    return _DIGITS.sub(
+        lambda m: rng.choice(("0", "1", "7", "10", "123")) if rng.random() < 0.7 else m.group(),
+        source,
+    )
+
+
+class TestTextKeySoundness:
+    def test_every_source_of_four_boundary_characters(self):
+        shared = assert_sound(
+            "".join(chars)
+            for length in range(5)
+            for chars in itertools.product(BOUNDARY, repeat=length)
+        )
+        # Numbers are left out, so thousands of keys stand for sources that
+        # lex, and for more than one each.
+        assert sum(token_shape(group[0]) is not None for group in shared) > 1000
+
+    def test_seeded_random_sources(self):
+        rng = random.Random(20250504)
+        alphabet = BOUNDARY + RANDOM_EXTRA
+        weights = [4] * len(BOUNDARY) + [1] * len(RANDOM_EXTRA)
+        sources = []
+        for _ in range(6000):
+            source = "".join(rng.choices(alphabet, weights, k=rng.randint(1, 9)))
+            sources += [source, renumber_digits(rng, source), renumber_digits(rng, source)]
+        assert_sound(sources)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(BOUNDARY + RANDOM_EXTRA), max_size=9).map("".join), st.randoms())
+    def test_hypothesis_sources(self, source, rng):
+        assert_sound([source, renumber_digits(rng, source), renumber_digits(rng, source)])
+
+    @pytest.mark.parametrize(
+        "source",
+        ["var a = `x`;", "var s = '\u00e9';", "var a = 1 @ 2;", "var a = 1..x;", "var a = '\\x 1';"],
+    )
+    def test_a_source_the_pass_does_not_mirror_has_no_key(self, source):
+        assert shape_key(source) is None
+
+    def test_earlier_collisions_are_told_apart(self):
+        # An unterminated block comment against two punctuators, and a hex
+        # prefix without digits after ``.`` against a number and a name.
+        assert shape_key("/*") != shape_key("/ *")
+        assert shape_key("a. 0x") != shape_key("a. 0 x")
+        assert token_shape("/*") is None and token_shape("a. 0x") is None
 
 
 class TestDifferential:
@@ -155,15 +272,15 @@ class TestDifferingPairs:
 
 class TestServedFields:
     def test_a_served_verdict_has_its_own_sha_and_signature(self):
-        # Comments are no tokens, so the banner and a string constant in a
-        # comment differ within one shape.
-        first = "/*! Acme tag v1 */\nvar __tag = 101; // 'first-site-constant'\n"
-        second = "/*! Bolt tag v2 */\nvar __tag = 202; // 'second-site-constant'\n"
+        # Signature constants are found in the text, so the one between the
+        # closing and opening quotes takes in the number between them.
+        first = "var a = 'x'; var __tag = 101; var b = 'y';\n"
+        second = "var a = 'x'; var __tag = 202; var b = 'y';\n"
         assert shape(first) == shape(second)
         verdict = served(first, second)
         assert verdict == cold(second)
         assert verdict.sha != cold(first).sha
-        assert verdict.signature == ("Bolt tag v2", "second-site-constant")
+        assert verdict.signature == ("; var __tag = 202; var b = ",)
 
 
 def reads_numbers(source):
@@ -270,16 +387,30 @@ def test_a_warm_instance_equals_its_cold_verdict(pair):
 
 class TestCounts:
     def test_two_analytics_scripts_are_analysed_once(self, monkeypatch):
-        parses = []
+        parses, lexes = [], []
         monkeypatch.setattr(V, "parse", lambda *a, **k: parses.append(1) or parse(*a, **k))
+        for module in (L, P):
+            monkeypatch.setattr(module, "tokenize", lambda *a, **k: lexes.append(1) or tokenize(*a, **k))
         hits, misses = counts()
         first = V.verdict_for_source(S.analytics_filler_script(11))
         assert counts() == (hits, misses + 1)
+        assert (len(parses), len(lexes)) == (1, 1)
         second = V.verdict_for_source(S.analytics_filler_script(12))
         assert counts() == (hits + 1, misses + 1)
-        assert len(parses) == 1
+        # The shape hit neither lexes nor parses.
+        assert (len(parses), len(lexes)) == (1, 1)
         assert first.sha != second.sha
         assert second == cold(S.analytics_filler_script(12))
+
+    @pytest.mark.parametrize(
+        "template", ["var a = `x` + {};", "var s = '\u00e9' + {};", "var a = {} @ 2;"]
+    )
+    def test_a_source_the_pass_does_not_mirror_is_analysed_in_full(self, template):
+        for value in (1, 2):
+            hits, misses = counts()
+            V.verdict_for_source(template.format(value))
+            assert counts() == (hits, misses + 1)
+        assert shape_entries() == []
 
     def test_every_call_records_one_hit_or_one_miss(self):
         sources = [

@@ -343,6 +343,24 @@ class TestExports:
         # js.compile, compiled closures running a script as js.exec.
         assert subsystems == {"render": 8, "js.exec": 10, "js.compile": 5, "other": 1}
 
+    def test_static_analysis_is_booked_as_js_static(self):
+        # Triage asks the static analyzer for a verdict: the analyzer's own
+        # frames, and the digest, lexer and parser it calls, are js.static;
+        # the same lexer and parser under a compile stay js.compile.
+        under_triage = ("repro.browser.browser:_triage", "repro.js.static.verdict:verdict_for_source")
+        rows = [
+            ((), under_triage, 3, 0.3),
+            ((), under_triage + ("repro.js.compiler:_source_digest",), 1, 0.1),
+            ((), under_triage + ("repro.js.parser:parse", "repro.js.lexer:tokenize"), 4, 0.4),
+            ((), under_triage + ("repro.js.static.analyzer:analyze_program",
+                                 "repro.js.static.cfg:build"), 2, 0.2),
+            ((), ("repro.js.compiler:get_or_compile", "repro.js.parser:parse",
+                  "repro.js.lexer:tokenize"), 5, 0.5),
+        ]
+        rollup = profiler.rollup(make_snapshot(rows))
+        subsystems = {row["name"]: row["samples"] for row in rollup["by_subsystem"]}
+        assert subsystems == {"js.static": 10, "js.compile": 5}
+
     def test_rollup_of_nothing(self):
         rollup = profiler.rollup(None)
         assert rollup["samples"] == 0

@@ -122,6 +122,37 @@ class TestExecutionReachesEveryCrawl:
         assert all(received == execution for _, received in seen)
 
 
+class TestBlocklistsParsedOnce:
+    def test_a_study_parses_each_list_once(self, monkeypatch):
+        """The stage keys, both ad-blocker profiles and the blocklist
+        context share one parse of EasyList, EasyPrivacy and the uBlock
+        Origin extra list."""
+        import repro.core.pipeline as pipeline
+        from repro.blocklists.matcher import RuleMatcher
+
+        parsed = []
+        from_text = RuleMatcher.from_text.__func__
+
+        def spy(cls, text, name=""):
+            parsed.append(name)
+            return from_text(cls, text, name)
+
+        monkeypatch.setattr(RuleMatcher, "from_text", classmethod(spy))
+        world = fresh_world()
+        result = pipeline.run_study(
+            world.network,
+            world.all_targets[:24],
+            world.vendor_knowledge(),
+            easylist_text=world.easylist_text,
+            easyprivacy_text=world.easyprivacy_text,
+            disconnect=world.disconnect,
+            ubo_extra_text=world.ubo_extra_text,
+            stages=["crawl.abp", "crawl.ubo", "blocklist_context"],
+        )
+        assert result.blocklist_context is not None
+        assert sorted(parsed) == ["easylist", "easyprivacy", "ubo-extra"]
+
+
 class TestPartialCrawlCache:
     """The crawl stage crawls only the profiles whose outputs are missing."""
 
