@@ -19,12 +19,13 @@ from its detection outcomes.
 
 Since the stage-graph refactor this module is a thin assembly layer: the
 steps above are typed stages in :mod:`repro.core.stages.study`, executed by
-:class:`~repro.core.stages.graph.StageGraph`.  ``run_study`` builds the
-:class:`~repro.core.stages.study.StudyContext`, executes the graph (with
-optional parallel crawling via ``execution`` and content-addressed caching
-via ``cache_dir``) and assembles the artifacts into a :class:`StudyResult`.
-The result is identical to the old monolithic pipeline's, whatever the
-worker count or cache temperature.
+:class:`~repro.core.stages.graph.StageGraph`.  ``run_study`` takes what the
+study measures as one frozen :class:`~repro.core.stages.study.StudyConfig`
+and how it runs as its other arguments (parallel crawling via
+``execution``, content-addressed caching via ``cache_dir``), executes the
+graph and assembles the artifacts into a :class:`StudyResult`.  The result
+is identical whatever the worker count or cache temperature
+(``tests/test_invariance_matrix.py``).
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from repro.core.evasion import AdblockImpact, ServingContext, render_twice_fract
 from repro.core.prevalence import PrevalenceReport
 from repro.core.reach import ReachReport
 from repro.core.reducers import StaticReport
-from repro.core.stages.cache import StageCache
 from repro.core.stages.stage import StageTiming
-from repro.core.stages.study import StudyContext, build_study_graph
+from repro.core.stages.study import StudyConfig, build_study_graph
 from repro.crawler.crawl import CrawlDataset, CrawlTarget
 from repro.crawler.resilience import PageBudget, RetryPolicy
 from repro.crawler.shards import ExecutionConfig, plan_shards, run_sharded_crawl
@@ -65,6 +65,7 @@ from repro.obs.recorder import RunRecorder, resolve_run_dir
 
 __all__ = [
     "VendorKnowledge",
+    "StudyConfig",
     "StudyResult",
     "run_study",
     "harvest_targets",
@@ -243,59 +244,37 @@ class StudyResult:
 
 
 def run_study(
-    network: Network,
-    targets: Sequence[CrawlTarget],
-    vendor_knowledge: Sequence[VendorKnowledge],
-    easylist_text: str = "",
-    easyprivacy_text: str = "",
-    disconnect=None,
-    ubo_extra_text: str = "",
-    dns=None,
-    include_adblock_crawls: bool = True,
-    include_cross_machine: bool = False,
-    cross_machine_sample: int = 200,
-    retry_policy: Optional[RetryPolicy] = None,
-    page_budget: Optional[PageBudget] = None,
+    config: StudyConfig,
     execution: ExecutionConfig = ExecutionConfig(),
     cache_dir: Optional[Union[str, Path]] = None,
     stages: Optional[Sequence[str]] = None,
     obs_dir: Optional[Union[str, Path]] = None,
 ) -> StudyResult:
-    """Run the full measurement study over a network.
+    """Run the study ``config`` describes; the other arguments say how.
 
-    ``retry_policy`` / ``page_budget`` thread the resilience layer through
-    every crawl the study performs (control, ad-blocker, cross-machine), so
-    the whole methodology holds up under transient faults — e.g. a
-    :class:`~repro.net.faults.FaultyNetwork` wrapping ``network``.
+    ``config`` is everything the result depends on, and the only input of
+    every stage key.  Its ``retry_policy`` / ``page_budget`` thread the
+    resilience layer through every crawl the study performs (control,
+    ad-blocker, cross-machine), so the whole methodology holds up under
+    transient faults — e.g. a :class:`~repro.net.faults.FaultyNetwork` as
+    its ``network``.
 
     ``execution`` (an :class:`~repro.crawler.shards.ExecutionConfig`) says
-    how every crawl the study performs — control, both ad-blocker crawls and
-    the cross-machine crawl — executes, and reaches every crawl worker as
-    one value:
-
-    * ``jobs > 1`` shards every crawl over that many supervised worker
-      processes (:mod:`repro.crawler.supervisor`): a worker that dies or
-      stops making progress is re-dispatched from its checkpoint, and a
-      site that keeps killing workers is quarantined, so the study
-      completes in degraded mode with every skipped site accounted as a
-      ``quarantined:*`` failure row (see ``StudyResult.quarantined``);
-    * ``supervisor`` tunes that supervisor, or with ``jobs=1`` isolates the
-      crawl in one supervised worker;
-    * ``js_prewarm`` is a list of script sources each worker compiles into
-      its warm JS cache before the first page load (typically
-      :func:`repro.webgen.vendors.prewarm_sources`, passed as plain strings
-      so this layer never imports ``webgen``).
-
-    All three are pure execution knobs: a no-fault run returns a
-    :class:`StudyResult` equal to a serial one, and only latency and the
-    ``js.cache`` counters move.
+    how every crawl the study performs executes.  ``jobs > 1`` shards every
+    crawl over that many supervised worker processes
+    (:mod:`repro.crawler.supervisor`): a worker that dies or stops making
+    progress is re-dispatched from its checkpoint, and a site that keeps
+    killing workers is quarantined, so the study completes in degraded mode
+    with every skipped site accounted as a ``quarantined:*`` failure row
+    (see ``StudyResult.quarantined``).  ``supervisor`` tunes that
+    supervisor, or with ``jobs=1`` isolates the crawl in one supervised
+    worker.
 
     ``cache_dir`` enables the content-addressed stage cache (warm re-runs
-    load every artifact and perform zero page loads) and, like
-    ``execution``, never changes the result.  ``stages`` optionally
-    restricts execution to the named stages plus their dependencies (see
-    :data:`repro.core.stages.study.STAGE_DOCS`); the result then only
-    carries the artifacts that were produced.
+    load every artifact and perform zero page loads).  ``stages``
+    optionally restricts execution to the named stages plus their
+    dependencies (see :data:`repro.core.stages.study.STAGE_DOCS`); the
+    result then only carries the artifacts that were produced.
 
     ``obs_dir`` names the directory that receives this run's observability
     artifacts (``manifest.json`` + ``trace.jsonl``, inspectable with
@@ -303,6 +282,10 @@ def run_study(
     tracing is on (``REPRO_OBS_TRACE=1``) and a ``cache_dir`` is given — to
     ``<cache_dir>/obs``.  ``StudyResult.metrics`` always carries the same
     metrics delta the trace summary line records, artifacts or not.
+
+    ``execution``, ``cache_dir`` and ``obs_dir`` never change the result
+    (``tests/test_invariance_matrix.py``), except that a supervised run
+    records the sites it quarantined as failure rows.
     """
     # Sampling profiler (REPRO_OBS_PROFILE=1): start it for the study
     # process and discard any samples taken before this run, so the run's
@@ -311,32 +294,14 @@ def run_study(
     if obs_layer.profiler.maybe_start(obs_layer.config()):
         obs_layer.profiler.drain()
     metrics_before = obs_layer.METRICS.snapshot()
-    cache = StageCache(cache_dir) if cache_dir is not None else None
-    ctx = StudyContext(
-        network=network,
-        targets=targets,
-        vendor_knowledge=vendor_knowledge,
-        easylist_text=easylist_text,
-        easyprivacy_text=easyprivacy_text,
-        disconnect=disconnect,
-        ubo_extra_text=ubo_extra_text,
-        dns=dns,
-        include_adblock_crawls=include_adblock_crawls,
-        include_cross_machine=include_cross_machine,
-        cross_machine_sample=cross_machine_sample,
-        retry_policy=retry_policy,
-        page_budget=page_budget,
-        execution=execution,
-        checkpoint_dir=Path(cache_dir) / "shards" if cache_dir is not None else None,
-    )
-    graph = build_study_graph(ctx, cache=cache)
+    graph = build_study_graph(config, execution, cache_dir)
 
     run_dir = resolve_run_dir(
         obs_dir, Path(cache_dir) / "obs" if cache_dir is not None else None
     )
     recorder: Optional[RunRecorder] = None
     if run_dir is not None:
-        planned = plan_shards(targets, max(1, execution.jobs))
+        planned = plan_shards(config.targets, max(1, execution.jobs))
         recorder = RunRecorder(
             run_dir,
             label="study",
@@ -347,9 +312,9 @@ def run_study(
             },
         ).start()
 
-    with obs_layer.span("study.run", targets=len(targets), jobs=execution.jobs):
-        run = graph.execute(ctx, only=stages)
-    result = _assemble_result(ctx, run)
+    with obs_layer.span("study.run", targets=len(config.targets), jobs=execution.jobs):
+        run = graph.execute(config, only=stages)
+    result = _assemble_result(run)
     obs_layer.gauge("process.peak_rss_mb", perf.peak_rss_mb())
     # StudyResult.metrics is the same delta the trace summary line carries;
     # the cache and timer layers (collector time as perf.miss_seconds[gc])
@@ -378,7 +343,7 @@ def run_study(
     return result
 
 
-def _assemble_result(ctx: StudyContext, run) -> StudyResult:
+def _assemble_result(run) -> StudyResult:
     """Fold graph artifacts into a :class:`StudyResult` (cheap, pure)."""
     artifacts = run.artifacts
     control = artifacts.get("crawl.control", CrawlDataset(label="control"))

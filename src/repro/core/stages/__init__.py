@@ -21,7 +21,7 @@ from repro.core.stages.fingerprint import (
 )
 from repro.core.stages.graph import GraphRun, StageGraph, StageGraphError
 from repro.core.stages.stage import PIPELINE_VERSION, Stage, StageTiming
-from repro.core.stages.study import STAGE_DOCS, StudyContext, build_study_graph
+from repro.core.stages.study import STAGE_DOCS, StudyConfig, build_study_graph
 
 __all__ = [
     "PIPELINE_VERSION",
@@ -32,7 +32,7 @@ __all__ = [
     "StageGraph",
     "StageGraphError",
     "StageTiming",
-    "StudyContext",
+    "StudyConfig",
     "build_study_graph",
     "fingerprint_dns",
     "fingerprint_network",

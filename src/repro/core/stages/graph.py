@@ -14,9 +14,9 @@ topological order, and executes stages in that order.  For every stage it:
    wall-clock timing either way.
 
 ``execute(only=...)`` restricts the run to the requested artifacts (or
-stages) plus their transitive dependencies — the substrate for ``--stage``
-CLI flags.  Selection works per artifact: asking for one output of a
-multi-output stage runs that stage for that output alone.
+stages) plus their transitive dependencies — the substrate for
+``run_study(stages=...)``.  Selection works per artifact: asking for one
+output of a multi-output stage runs that stage for that output alone.
 """
 
 from __future__ import annotations

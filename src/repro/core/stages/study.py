@@ -21,12 +21,14 @@ adblock_rows       ``(AdblockImpact, ...)``                    Table 2
 cross_machine      bool consistency verdict (conditional)      §3.1
 =================  ==========================================  ==========
 
-The ``crawl`` stage runs through
-:func:`~repro.crawler.shards.run_sharded_crawl`, site-major over the
-profiles whose outputs missed the cache, so the
-:class:`~repro.crawler.shards.ExecutionConfig` in the :class:`StudyContext`
-parallelizes it — deliberately *outside* every cache key, because how a
-crawl executes cannot change the artifact.
+The study's configuration has two parts.  :class:`StudyConfig` says what
+the study measures, and every stage key is computed from it alone.  How the
+study runs (the :class:`~repro.crawler.shards.ExecutionConfig`, the stage
+cache, stage selection, the observability directory) never reaches a key:
+:func:`build_study_graph` hands the execution config, and the checkpoint
+directory derived from the cache directory, to the three stages that crawl
+(``crawl``, ``signatures``, ``cross_machine``), because how a crawl executes
+cannot change the artifact.
 
 The ``detect`` stage is the study's one detection pass: it classifies each
 successful control page once, in the parent, whatever executed the crawl,
@@ -42,13 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Union
 
 from repro import obs as obs_layer
 from repro.blocklists.matcher import RuleMatcher
 from repro.browser.extensions import AdBlockerExtension
 from repro.browser.profile import BrowserProfile
-from repro.canvas.device import APPLE_M1, DeviceProfile, INTEL_UBUNTU
+from repro.canvas.device import APPLE_M1, INTEL_UBUNTU
 from repro.core.attribution import VendorAttributor
 from repro.core.clustering import cluster_canvases
 from repro.core.context import analyze_blocklist_context
@@ -73,9 +75,15 @@ from repro.crawler.crawl import CrawlDataset, CrawlTarget
 from repro.crawler.resilience import PageBudget, RetryPolicy
 from repro.crawler.shards import ExecutionConfig, run_sharded_crawl
 
-__all__ = ["StudyContext", "build_study_graph", "STAGE_DOCS"]
+__all__ = [
+    "StudyConfig",
+    "build_study_graph",
+    "STAGE_DOCS",
+    "CROSS_MACHINE_SAMPLE",
+    "DETECTOR",
+]
 
-#: One-line description per stage name (used by ``--stage`` help and docs).
+#: One-line description per stage name (the names ``run_study(stages=...)`` takes).
 STAGE_DOCS = {
     "crawl.control": "control crawl of the top+tail target list (§3.1)",
     "detect": "fingerprintability detection over successful pages (§3.2)",
@@ -94,13 +102,25 @@ STAGE_DOCS = {
 }
 
 
-@dataclass
-class StudyContext:
-    """Everything ``run_study`` was parameterized by, plus execution knobs.
+#: How many targets, from the top of the list, the cross-machine check
+#: recrawls on the second machine (§3.1).
+CROSS_MACHINE_SAMPLE = 200
 
-    The execution knobs (``execution``, ``checkpoint_dir``) shape *how*
-    stages run, never *what* they produce — they are excluded from every
-    ``config_fingerprint`` on purpose.
+#: The study's one detector: ``detect``, ``adblock_rows`` and
+#: ``cross_machine`` classify with it, and their keys name its ``min_size``.
+DETECTOR = FingerprintDetector()
+
+
+@dataclass(frozen=True)
+class StudyConfig:
+    """What the study measures: the part of its configuration every stage
+    key is computed from.
+
+    How the study runs is not here: the execution config, stage cache,
+    stage selection and observability directory are ``run_study``'s other
+    arguments, so no execution value can reach a stage key.  Build a
+    world's study with :meth:`repro.webgen.ecosystem.World.study_config` and
+    vary it with :func:`dataclasses.replace`.
     """
 
     network: Any
@@ -113,47 +133,35 @@ class StudyContext:
     dns: Any = None
     include_adblock_crawls: bool = True
     include_cross_machine: bool = False
-    cross_machine_sample: int = 200
     retry_policy: Optional[RetryPolicy] = None
     page_budget: Optional[PageBudget] = None
-    detector: FingerprintDetector = field(default_factory=FingerprintDetector)
-    cross_machine_devices: Tuple[DeviceProfile, ...] = (INTEL_UBUNTU, APPLE_M1)
-    # -- execution knobs (never fingerprinted) --------------------------------
-    #: How every crawl executes (workers, supervisor, JS prewarm).  A
-    #: no-fault run produces the identical artifact whatever its
-    #: value, and a faulted supervised one degrades the *data* (visible as
-    #: ``quarantined:*`` rows), not the cache key.
-    execution: ExecutionConfig = ExecutionConfig()
-    checkpoint_dir: Optional[Path] = None
 
-    _network_fp: Optional[str] = field(default=None, repr=False, compare=False)
-    _targets_fp: Optional[str] = field(default=None, init=False, repr=False, compare=False)
-    _matchers: Dict[str, RuleMatcher] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    #: Memos of values derived from the fields above (network and target
+    #: fingerprints, parsed matchers), so never compared.
+    _memo: Dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def network_fingerprint(self) -> str:
-        """Content hash of the synthetic network, computed once per run."""
-        if self._network_fp is None:
-            self._network_fp = fingerprint_network(self.network)
-        return self._network_fp
+        """Content hash of the synthetic network, computed once per config."""
+        if "network" not in self._memo:
+            self._memo["network"] = fingerprint_network(self.network)
+        return self._memo["network"]
 
     def targets_fingerprint(self) -> str:
-        """Hash of the target list, computed once per run (every crawl
+        """Hash of the target list, computed once per config (every crawl
         output's key carries it)."""
-        if self._targets_fp is None:
-            self._targets_fp = fingerprint_targets(self.targets)
-        return self._targets_fp
+        if "targets" not in self._memo:
+            self._memo["targets"] = fingerprint_targets(self.targets)
+        return self._memo["targets"]
 
     def matcher(self, name: str) -> RuleMatcher:
         """The ``easylist``, ``easyprivacy`` or ``ubo-extra`` list, parsed once
-        per run (a matcher keeps no state between calls, so every profile and
-        stage shares it)."""
-        matcher = self._matchers.get(name)
-        if matcher is None:
+        per config (a matcher keeps no state between calls, so every profile
+        and stage of every run shares it)."""
+        key = f"matcher:{name}"
+        if key not in self._memo:
             text = getattr(self, name.replace("-", "_") + "_text")
-            matcher = self._matchers[name] = RuleMatcher.from_text(text, name)
-        return matcher
+            self._memo[key] = RuleMatcher.from_text(text, name)
+        return self._memo[key]
 
     # -- browser profiles, built exactly as the monolithic pipeline did -------
 
@@ -199,45 +207,52 @@ class CrawlStage(Stage):
     name = "crawl"
     artifact = "dataset"
 
-    def __init__(self, outputs: Sequence[str]) -> None:
+    def __init__(
+        self,
+        outputs: Sequence[str],
+        execution: ExecutionConfig = ExecutionConfig(),
+        checkpoint_dir: Optional[Path] = None,
+    ) -> None:
         self.outputs = tuple(outputs)
+        self.execution = execution
+        self.checkpoint_dir = checkpoint_dir
 
     @staticmethod
     def _label(output: str) -> str:
         return output.split(".", 1)[1]
 
-    def _profile(self, ctx: StudyContext, output: str) -> BrowserProfile:
-        return getattr(ctx, f"{self._label(output)}_profile")()
+    def _profile(self, config: StudyConfig, output: str) -> BrowserProfile:
+        return getattr(config, f"{self._label(output)}_profile")()
 
-    def output_fingerprint(self, ctx: StudyContext, output: str) -> Any:
+    def output_fingerprint(self, config: StudyConfig, output: str) -> Any:
         return {
-            "network": ctx.network_fingerprint(),
-            "targets": ctx.targets_fingerprint(),
-            "profile": fingerprint_profile(self._profile(ctx, output)),
+            "network": config.network_fingerprint(),
+            "targets": config.targets_fingerprint(),
+            "profile": fingerprint_profile(self._profile(config, output)),
             "label": self._label(output),
-            "retry": fingerprint_policy(ctx.retry_policy),
-            "budget": fingerprint_policy(ctx.page_budget),
+            "retry": fingerprint_policy(config.retry_policy),
+            "budget": fingerprint_policy(config.page_budget),
         }
 
     def run_outputs(
-        self, ctx: StudyContext, inputs: Dict[str, Any], keys: Dict[str, str]
+        self, config: StudyConfig, inputs: Dict[str, Any], keys: Dict[str, str]
     ) -> Dict[str, Any]:
         checkpoint_dir = None
-        if ctx.checkpoint_dir is not None:
+        if self.checkpoint_dir is not None:
             # Namespace shard checkpoints by the keys being crawled, so two
             # crawls that share a label but differ in targets, profiles,
             # network or profile set never resume from each other's partials.
-            checkpoint_dir = Path(ctx.checkpoint_dir) / stable_hash(keys)[:16]
+            checkpoint_dir = self.checkpoint_dir / stable_hash(keys)[:16]
         outputs = [output for output in self.outputs if output in keys]
         datasets = run_sharded_crawl(
-            ctx.network,
-            ctx.targets,
+            config.network,
+            config.targets,
             checkpoint_dir=checkpoint_dir,
-            retry_policy=ctx.retry_policy,
-            page_budget=ctx.page_budget,
-            execution=ctx.execution,
+            retry_policy=config.retry_policy,
+            page_budget=config.page_budget,
+            execution=self.execution,
             profiles=tuple(
-                (self._label(output), self._profile(ctx, output)) for output in outputs
+                (self._label(output), self._profile(config, output)) for output in outputs
             ),
         )
         return {output: datasets[self._label(output)] for output in outputs}
@@ -256,11 +271,11 @@ class DetectStage(Stage):
     inputs = ("crawl.control",)
     version = "2"
 
-    def config_fingerprint(self, ctx: StudyContext) -> Any:
-        return {"min_size": ctx.detector.min_size}
+    def config_fingerprint(self, config: StudyConfig) -> Any:
+        return {"min_size": DETECTOR.min_size}
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
-        return ctx.detector.detect_all(inputs["crawl.control"].successful())
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
+        return DETECTOR.detect_all(inputs["crawl.control"].successful())
 
 
 class ClusterStage(Stage):
@@ -270,7 +285,7 @@ class ClusterStage(Stage):
     inputs = ("crawl.control", "detect")
     version = "2"
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         return cluster_canvases(inputs["detect"], inputs["crawl.control"].populations())
 
 
@@ -281,7 +296,7 @@ class PrevalenceStage(Stage):
     inputs = ("crawl.control", "detect")
     version = "2"
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         return compute_prevalence(inputs["crawl.control"], inputs["detect"])
 
 
@@ -292,7 +307,7 @@ class ReachStage(Stage):
     inputs = ("crawl.control", "detect", "cluster")
     version = "2"
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         control = inputs["crawl.control"]
         populations = control.populations()
         fp_sites: Dict[str, Set[str]] = {"top": set(), "tail": set()}
@@ -317,27 +332,30 @@ class SignaturesStage(Stage):
     name = "signatures"
     inputs = ("crawl.control", "detect")
 
-    def config_fingerprint(self, ctx: StudyContext) -> Any:
+    def __init__(self, execution: ExecutionConfig = ExecutionConfig()) -> None:
+        self.execution = execution
+
+    def config_fingerprint(self, config: StudyConfig) -> Any:
         return {
-            "network": ctx.network_fingerprint(),
-            "vendors": fingerprint_vendor_knowledge(ctx.vendor_knowledge),
-            "retry": fingerprint_policy(ctx.retry_policy),
-            "budget": fingerprint_policy(ctx.page_budget),
+            "network": config.network_fingerprint(),
+            "vendors": fingerprint_vendor_knowledge(config.vendor_knowledge),
+            "retry": fingerprint_policy(config.retry_policy),
+            "budget": fingerprint_policy(config.page_budget),
         }
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         from repro.core.pipeline import harvest_targets, harvest_vendor_signatures
 
         pages = run_sharded_crawl(
-            ctx.network,
-            harvest_targets(ctx.vendor_knowledge, inputs["crawl.control"]),
-            profile=ctx.control_profile(),
+            config.network,
+            harvest_targets(config.vendor_knowledge, inputs["crawl.control"]),
+            profile=config.control_profile(),
             label="harvest",
-            retry_policy=ctx.retry_policy,
-            page_budget=ctx.page_budget,
-            execution=ctx.execution,
+            retry_policy=config.retry_policy,
+            page_budget=config.page_budget,
+            execution=self.execution,
         )
-        return harvest_vendor_signatures(ctx.vendor_knowledge, inputs["detect"], pages)
+        return harvest_vendor_signatures(config.vendor_knowledge, inputs["detect"], pages)
 
 
 class AttributionStage(Stage):
@@ -346,7 +364,7 @@ class AttributionStage(Stage):
     name = "attribution"
     inputs = ("crawl.control", "detect", "signatures")
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         control = inputs["crawl.control"]
         outcomes = inputs["detect"]
         attributor = VendorAttributor(inputs["signatures"])
@@ -365,22 +383,22 @@ class BlocklistContextStage(Stage):
     name = "blocklist_context"
     inputs = ("crawl.control", "detect")
 
-    def config_fingerprint(self, ctx: StudyContext) -> Any:
-        disconnect = ctx.disconnect
+    def config_fingerprint(self, config: StudyConfig) -> Any:
+        disconnect = config.disconnect
         return {
-            "easylist": fingerprint_text(ctx.easylist_text),
-            "easyprivacy": fingerprint_text(ctx.easyprivacy_text),
+            "easylist": fingerprint_text(config.easylist_text),
+            "easyprivacy": fingerprint_text(config.easyprivacy_text),
             "disconnect": stable_hash(disconnect.to_json()) if disconnect is not None else None,
         }
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         control = inputs["crawl.control"]
         return analyze_blocklist_context(
             inputs["detect"],
             control.populations(),
-            ctx.matcher("easylist"),
-            ctx.matcher("easyprivacy"),
-            ctx.disconnect,
+            config.matcher("easylist"),
+            config.matcher("easyprivacy"),
+            config.disconnect,
         )
 
 
@@ -390,13 +408,13 @@ class ServingContextStage(Stage):
     name = "serving_context"
     inputs = ("crawl.control", "detect")
 
-    def config_fingerprint(self, ctx: StudyContext) -> Any:
-        return {"dns": fingerprint_dns(ctx.dns) if ctx.dns is not None else None}
+    def config_fingerprint(self, config: StudyConfig) -> Any:
+        return {"dns": fingerprint_dns(config.dns) if config.dns is not None else None}
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         control = inputs["crawl.control"]
         return analyze_serving_context(
-            inputs["detect"], control.populations(), dns=ctx.dns
+            inputs["detect"], control.populations(), dns=config.dns
         )
 
 
@@ -406,10 +424,10 @@ class AdblockCompareStage(Stage):
     name = "adblock_rows"
     inputs = ("crawl.control", "detect", "crawl.abp", "crawl.ubo")
 
-    def config_fingerprint(self, ctx: StudyContext) -> Any:
-        return {"min_size": ctx.detector.min_size}
+    def config_fingerprint(self, config: StudyConfig) -> Any:
+        return {"min_size": DETECTOR.min_size}
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         return compare_adblock_crawls(
             inputs["detect"],
             inputs["crawl.control"].populations(),
@@ -417,7 +435,7 @@ class AdblockCompareStage(Stage):
                 "Adblock Plus": inputs["crawl.abp"],
                 "UBlock Origin": inputs["crawl.ubo"],
             },
-            ctx.detector,
+            DETECTOR,
         )
 
 
@@ -441,17 +459,17 @@ class StaticStage(Stage):
     inputs = ("crawl.control", "detect")
     version = "1"
 
-    def config_fingerprint(self, ctx: StudyContext) -> Any:
+    def config_fingerprint(self, config: StudyConfig) -> Any:
         from repro.js.static import ANALYZER_VERSION
 
         return {
             "analyzer": ANALYZER_VERSION,
             # Fetch probes read the network, so its content is part of the
             # artifact identity (the crawl dataset alone is not enough).
-            "network": ctx.network_fingerprint(),
+            "network": config.network_fingerprint(),
         }
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         from repro.core.reducers import StaticReducer
 
         control = inputs["crawl.control"]
@@ -461,13 +479,13 @@ class StaticStage(Stage):
             for observation in control.observations:
                 reducer.ingest_site(observation, outcomes.get(observation.domain))
         for domain, reason in sorted(control.quarantined_sites().items()):
-            classification = self._probe(ctx, domain)
+            classification = self._probe(config, domain)
             if classification is not None:
                 reducer.add_recovery(domain, reason, classification)
         return reducer.finalize()
 
     @staticmethod
-    def _probe(ctx: StudyContext, domain: str) -> Optional[str]:
+    def _probe(config: StudyConfig, domain: str) -> Optional[str]:
         """Fetch-only static class for one uncrawlable site (no JS runs)."""
         from repro.core.reducers import _STATIC_SEVERITY
         from repro.dom.html import parse_html
@@ -475,11 +493,11 @@ class StaticStage(Stage):
         from repro.net.http import Request, ResourceType
         from repro.net.url import URL
 
-        injector = getattr(ctx.network, "injector", None)
+        injector = getattr(config.network, "injector", None)
         if injector is not None:
             # A probe is a visit: it starts a fresh fault clock, as a settle does.
             injector.new_visit()
-        fetch = getattr(ctx.network, "probe_fetch", ctx.network.fetch)
+        fetch = getattr(config.network, "probe_fetch", config.network.fetch)
         try:
             url = URL("https", domain)
             response = fetch(
@@ -512,93 +530,89 @@ class StaticStage(Stage):
 
 
 class CrossMachineStage(Stage):
-    """§3.1 cross-device consistency over a sample of the target list.
+    """§3.1 cross-device consistency over the first
+    :data:`CROSS_MACHINE_SAMPLE` targets, on Intel/Ubuntu and Apple M1.
 
-    A device whose browser profile is the control profile loads each page
-    exactly as the control crawl did, so its rows are the control crawl's
-    rows for the sample's domains, and their detection outcomes are the
-    ``detect`` stage's; only the other devices are crawled, site-major in
-    one pass, and detected.  The cache key chains from ``crawl.control``
-    and ``detect``.
+    Intel/Ubuntu is the control profile's device, so it loads each page
+    exactly as the control crawl did: its rows are the control crawl's rows
+    for the sample's domains, and their detection outcomes are the
+    ``detect`` stage's.  Only Apple M1 is crawled and detected.  The cache
+    key chains from ``crawl.control`` and ``detect``.
     """
 
     name = "cross_machine"
     inputs = ("crawl.control", "detect")
 
-    def config_fingerprint(self, ctx: StudyContext) -> Any:
-        sample = ctx.targets[: ctx.cross_machine_sample]
+    def __init__(self, execution: ExecutionConfig = ExecutionConfig()) -> None:
+        self.execution = execution
+
+    def config_fingerprint(self, config: StudyConfig) -> Any:
         return {
-            "network": ctx.network_fingerprint(),
-            "targets": fingerprint_targets(sample),
-            "devices": list(ctx.cross_machine_devices),
-            "min_size": ctx.detector.min_size,
-            "retry": fingerprint_policy(ctx.retry_policy),
-            "budget": fingerprint_policy(ctx.page_budget),
+            "network": config.network_fingerprint(),
+            "targets": fingerprint_targets(config.targets[:CROSS_MACHINE_SAMPLE]),
+            "devices": [INTEL_UBUNTU, APPLE_M1],
+            "min_size": DETECTOR.min_size,
+            "retry": fingerprint_policy(config.retry_policy),
+            "budget": fingerprint_policy(config.page_budget),
         }
 
-    def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> Any:
+    def run(self, config: StudyConfig, inputs: Dict[str, Any]) -> Any:
         from repro.core.pipeline import groupings_agree
 
-        sample = ctx.targets[: ctx.cross_machine_sample]
+        sample = config.targets[:CROSS_MACHINE_SAMPLE]
         control = inputs["crawl.control"].by_domain()
         detected = inputs["detect"]
-        datasets, known = {}, {}
-        for device in ctx.cross_machine_devices:
-            if BrowserProfile(device=device) == ctx.control_profile():
-                rows = [control[t.domain] for t in sample]
-                datasets[device.name] = CrawlDataset(label=device.name, observations=rows)
-                known[device.name] = {o.domain: detected[o.domain] for o in rows if o.success}
-        profiles = tuple(
-            (device.name, BrowserProfile(device=device))
-            for device in ctx.cross_machine_devices
-            if device.name not in datasets
-        )
-        if profiles:
-            datasets.update(
-                run_sharded_crawl(
-                    ctx.network,
-                    sample,
-                    retry_policy=ctx.retry_policy,
-                    page_budget=ctx.page_budget,
-                    execution=ctx.execution,
-                    profiles=profiles,
-                )
-            )
-        names = [device.name for device in ctx.cross_machine_devices]
+        rows = [control[target.domain] for target in sample]
+        apple = run_sharded_crawl(
+            config.network,
+            sample,
+            retry_policy=config.retry_policy,
+            page_budget=config.page_budget,
+            execution=self.execution,
+            profiles=((APPLE_M1.name, BrowserProfile(device=APPLE_M1)),),
+        )[APPLE_M1.name]
         return groupings_agree(
-            [datasets[name] for name in names], ctx.detector, [known.get(name) for name in names]
+            [CrawlDataset(label=INTEL_UBUNTU.name, observations=rows), apple],
+            DETECTOR,
+            [{o.domain: detected[o.domain] for o in rows if o.success}, None],
         )
 
 
 def build_study_graph(
-    ctx: StudyContext, cache: Optional[StageCache] = None
+    config: StudyConfig,
+    execution: ExecutionConfig = ExecutionConfig(),
+    cache_dir: Optional[Union[str, Path]] = None,
 ) -> StageGraph:
-    """Assemble the stage graph for a context.
+    """Assemble the stage graph of a study.
 
     Optional stages (blocklist context, ad-blocker recrawls, cross-machine
     validation) are included exactly when the monolithic pipeline would have
     run them, so the graph's artifact set mirrors the old control flow.
+    ``execution`` reaches the three stages that crawl; a ``cache_dir`` holds
+    the stage cache and, under ``shards/``, the crawl stage's checkpoints.
     """
+    cache = StageCache(cache_dir) if cache_dir is not None else None
+    checkpoint_dir = Path(cache_dir) / "shards" if cache_dir is not None else None
     crawls = ["crawl.control"]
-    if ctx.wants_adblock_crawls:
+    if config.wants_adblock_crawls:
         crawls += ["crawl.abp", "crawl.ubo"]
     # cross_machine runs right after detect, where it ran before it read
     # detect: run last, at scale 1.0 with jobs=2 the stage spent 2.7 s in
     # the cyclic collector (its forked workers included), against 0.1 s here.
-    stages = [CrawlStage(crawls), DetectStage()]
-    if ctx.include_cross_machine:
-        stages.append(CrossMachineStage())
+    stages = [CrawlStage(crawls, execution, checkpoint_dir), DetectStage()]
+    if config.include_cross_machine:
+        stages.append(CrossMachineStage(execution))
     stages += [
         ClusterStage(),
         PrevalenceStage(),
         ReachStage(),
-        SignaturesStage(),
+        SignaturesStage(execution),
         AttributionStage(),
         ServingContextStage(),
         StaticStage(),
     ]
-    if ctx.wants_blocklist_context:
+    if config.wants_blocklist_context:
         stages.append(BlocklistContextStage())
-    if ctx.wants_adblock_crawls:
+    if config.wants_adblock_crawls:
         stages.append(AdblockCompareStage())
     return StageGraph(stages, cache=cache)

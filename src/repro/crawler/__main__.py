@@ -12,8 +12,6 @@ Usage::
     python -m repro.crawler --scale 0.05 --out crawl.jsonl.gz --resume
     python -m repro.crawler --scale 0.05 --fault-rate 0.1 --out crawl.jsonl.gz
     python -m repro.crawler --scale 0.05 --jobs 4 --out crawl.jsonl.gz
-    python -m repro.crawler --scale 0.05 --stage crawl.control --cache-dir .stage-cache \\
-        --out crawl.jsonl.gz
 
 ``--jobs N`` with N > 1 shards the target list over N worker processes, always
 under the crawl supervisor (each shard checkpoints independently under
@@ -23,11 +21,9 @@ for ``--liveness-deadline`` seconds, and quarantines a site that keeps
 killing workers: such a crawl completes in degraded mode, with the skipped
 sites recorded in ``<out>.shards/quarantine.jsonl`` and counted in the crawl
 health output.  ``--supervised`` only matters at ``--jobs 1``, where it
-isolates the crawl in one supervised worker.  ``--stage`` produces one of
-the study pipeline's crawl outputs through the stage graph instead (the
-``crawl`` stage, for that output's profile alone); with
-``--cache-dir``, an unchanged re-run loads the dataset from the
-content-addressed cache without a single page load.
+isolates the crawl in one supervised worker.  The crawl is a standalone
+dataset: ``python -m repro.experiments --cache-dir`` caches the study's own
+crawls.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import argparse
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from repro.blocklists.matcher import RuleMatcher
 from repro import obs
@@ -52,10 +47,6 @@ from repro.crawler.supervisor import SupervisorConfig
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.obs.recorder import RunRecorder, resolve_run_dir
 from repro.webgen import build_world
-from repro.webgen.vendors import prewarm_sources
-
-#: Outputs of the study's ``crawl`` stage the ``--stage`` flag can produce.
-CRAWL_STAGES = ("crawl.control", "crawl.abp", "crawl.ubo")
 
 
 def main(argv=None) -> int:
@@ -126,18 +117,6 @@ def main(argv=None) -> int:
         "progress before a worker is presumed hung and killed",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="stage cache directory (implies running via the stage graph)",
-    )
-    parser.add_argument(
-        "--stage",
-        choices=CRAWL_STAGES,
-        default=None,
-        help="produce this study crawl output via the stage graph "
-        "(uses the output's canonical profile; --device/--adblock are ignored)",
-    )
-    parser.add_argument(
         "--obs-dir",
         default=None,
         help="write run observability artifacts (manifest.json + trace.jsonl "
@@ -183,12 +162,10 @@ def main(argv=None) -> int:
         supervisor=SupervisorConfig(liveness_deadline_s=args.liveness_deadline)
         if supervised
         else None,
-        js_prewarm=prewarm_sources(),
     )
 
     started = time.time()
     done = {"n": 0}
-    stage_timings = ()
 
     def progress(index, observation):
         done["n"] += 1
@@ -207,40 +184,8 @@ def main(argv=None) -> int:
             extra={"out": str(args.out), "scale": args.scale},
         ).start()
 
-    if args.stage is not None or args.cache_dir is not None:
-        # Stage-graph path: the crawl is one cached output of the study
-        # pipeline's crawl stage, using the output's canonical profile.
-        from repro.core.stages import StageCache, StudyContext, build_study_graph
-
-        stage = args.stage or {
-            "none": "crawl.control", "abp": "crawl.abp", "ubo": "crawl.ubo"
-        }[args.adblock]
-        cache = StageCache(args.cache_dir) if args.cache_dir is not None else None
-        ctx = StudyContext(
-            network=network,
-            targets=world.all_targets,
-            vendor_knowledge=world.vendor_knowledge(),
-            easylist_text=world.easylist_text,
-            easyprivacy_text=world.easyprivacy_text,
-            disconnect=world.disconnect,
-            ubo_extra_text=world.ubo_extra_text,
-            dns=world.network.dns,
-            retry_policy=retry_policy,
-            page_budget=page_budget,
-            execution=execution,
-            checkpoint_dir=Path(args.cache_dir) / "shards"
-            if args.cache_dir is not None
-            else Path(f"{args.out}.shards"),
-        )
-        graph = build_study_graph(ctx, cache=cache)
-        run = graph.execute(ctx, only=[stage])
-        dataset = run.artifacts[stage]
-        save_dataset(dataset, args.out)
-        timing = run.timings[-1]
-        stage_timings = tuple(run.timings)
-        print(f"stage {stage}: {timing.status} in {timing.seconds:.1f}s")
-    elif supervised:
-        label = f"{args.adblock}-{args.device}" if args.adblock != "none" else args.device
+    label = f"{args.adblock}-{args.device}" if args.adblock != "none" else args.device
+    if supervised:
         dataset = run_sharded_crawl(
             network,
             world.all_targets,
@@ -254,7 +199,6 @@ def main(argv=None) -> int:
         )
         save_dataset(dataset, args.out)
     else:
-        label = f"{args.adblock}-{args.device}" if args.adblock != "none" else args.device
         dataset = resume_crawl(
             network,
             world.all_targets,
@@ -270,7 +214,7 @@ def main(argv=None) -> int:
     if recorder is not None:
         from dataclasses import asdict
 
-        trace_path = recorder.finish(health=asdict(health), stage_timings=stage_timings)
+        trace_path = recorder.finish(health=asdict(health))
         print(
             f"observability artifacts -> {trace_path.parent} "
             f"(run {recorder.run_id}; compare with "

@@ -20,8 +20,8 @@ change what any site observes, only *when* it is visited.
 * :func:`plan_shards` — deterministic round-robin split (shard ``i`` takes
   ``targets[i::n]``), so top/tail populations stay balanced across shards;
 * :class:`ExecutionConfig` — how a crawl executes (worker count, supervisor
-  knobs, JS prewarm), carried as one value from ``run_study`` and the CLIs
-  down to the worker;
+  knobs), carried as one value from ``run_study`` and the CLIs down to the
+  worker;
 * :func:`run_sharded_crawl` — the executor: in-process when ``jobs == 1``
   and no supervisor config is given, otherwise supervised worker processes
   (:mod:`repro.crawler.supervisor`: liveness deadline, crash re-dispatch,
@@ -62,7 +62,6 @@ from typing import (
 
 from repro import obs, perf
 from repro.browser.profile import BrowserProfile
-from repro.js import compiler
 from repro.js.static import verdict as static_verdict
 from repro.core.records import SiteObservation
 from repro.crawler.crawl import (
@@ -104,13 +103,6 @@ class ExecutionConfig:
     #: Supervisor knobs.  ``None`` with ``jobs > 1`` means the defaults; set
     #: with ``jobs == 1`` it isolates the crawl in one supervised worker.
     supervisor: Optional["SupervisorConfig"] = None
-    #: Script sources each worker compiles into its warm JS cache before the
-    #: first page load (typically :func:`repro.webgen.vendors.prewarm_sources`,
-    #: passed as plain strings so the crawler never imports ``webgen``).
-    js_prewarm: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "js_prewarm", tuple(self.js_prewarm or ()))
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,6 @@ class WorkerTask:
     page_budget: Optional[PageBudget]
     inner_paths: tuple
     resume: bool
-    execution: ExecutionConfig
     perf_config: perf.RenderCacheConfig
     obs_config: obs.ObsConfig
     #: Trace lane of the shard (``shard-0003``; bisected: ``shard-0003.a``).
@@ -214,14 +205,8 @@ def merge_shard_datasets(
 def _crawl_shard(
     task: WorkerTask, progress: Optional[Callable[[int, SiteObservation], None]] = None
 ) -> Dict[str, CrawlDataset]:
-    """Crawl one shard in this process: prewarm, then a (checkpointed) crawl.
-
-    Re-running the prewarm for a later shard finds the cache warm and
-    records nothing.
-    """
-    execution = task.execution
-    if execution.js_prewarm:
-        compiler.prewarm(execution.js_prewarm)
+    """Crawl one shard in this process (checkpointed when the task names
+    checkpoint files)."""
     with obs.span(
         "crawl.shard", shard=task.lane, label=",".join(task.labels), size=len(task.targets)
     ):
@@ -262,8 +247,6 @@ def shard_worker(task: WorkerTask) -> WorkerResult:
     obs.profiler.maybe_start(task.obs_config)
     metrics_before = obs.METRICS.snapshot()
     verdicts_before = static_verdict.verdict_mark()
-    # Prewarm compiles land after the baseline snapshot: they ship with
-    # this task's delta.
     datasets = _crawl_shard(task)
     result = WorkerResult(
         records={
@@ -347,7 +330,6 @@ def run_sharded_crawl(
                 page_budget=page_budget,
                 inner_paths=inner_paths,
                 resume=resume,
-                execution=execution,
                 perf_config=perf.config(),
                 obs_config=obs.config(),
                 lane=f"shard-{index:04d}",

@@ -24,7 +24,7 @@ cache.  Compiled execution must match the tree-walking oracle in
 counts.  See ``docs/performance.md``.
 """
 
-from repro.js.compiler import prewarm, script_cache
+from repro.js.compiler import script_cache
 from repro.js.errors import JSError, JSRuntimeError, JSSyntaxError
 from repro.js.interpreter import Interpreter
 from repro.js.lexer import tokenize
@@ -44,7 +44,6 @@ from repro.js.values import (
 
 __all__ = [
     "Interpreter",
-    "prewarm",
     "script_cache",
     "tokenize",
     "parse",

@@ -28,10 +28,9 @@ dispatch, environment-dict chain walks or repeated AST traversal:
   ``get``/``set``) never take the fast path.
 * **Compiled-script cache.**  Compiled programs are interned in a
   module-global byte-budget LRU keyed by ``sha256(source)`` and
-  :data:`ENGINE_VERSION`, shared by every page load in the process and
-  pre-warmed by shard workers (:func:`prewarm`).  Counters flow into
-  :data:`repro.obs.METRICS` under the ``js.cache`` / ``js.compile`` /
-  ``js.ic`` layers.
+  :data:`ENGINE_VERSION`, shared by every page load in the process.
+  Counters flow into :data:`repro.obs.METRICS` under the ``js.cache`` /
+  ``js.compile`` / ``js.ic`` layers.
 
 Transparency is the contract.  The tree-walker is kept as an oracle in
 ``tests/js/reference_interpreter.py``, and for any script compiled
@@ -79,7 +78,6 @@ __all__ = [
     "compile_program",
     "get_or_compile",
     "run_compiled",
-    "prewarm",
     "script_cache",
 ]
 
@@ -1698,28 +1696,6 @@ def get_or_compile(source: str, script_url: str = "<inline>") -> CompiledProgram
     _count_compile(elapsed)
     _SCRIPT_CACHE.put(key, compiled, compiled.nbytes, elapsed)
     return compiled
-
-
-def prewarm(sources) -> int:
-    """Compile ``sources`` into the shared cache; returns how many were new.
-
-    Called by shard workers before their first page load so every vendor
-    script is already compiled when pages start executing.  Already-cached
-    sources are skipped without touching hit counters (re-warming a warm
-    process must not inflate the hit rate).
-    """
-    warmed = 0
-    for source in sources or ():
-        key = (_source_digest(source), ENGINE_VERSION)
-        if _SCRIPT_CACHE.contains(key):
-            continue
-        started = time.perf_counter()
-        compiled = compile_program(parse(source, "<prewarm>"))
-        elapsed = time.perf_counter() - started
-        _count_compile(elapsed)
-        _SCRIPT_CACHE.put(key, compiled, compiled.nbytes, elapsed)
-        warmed += 1
-    return warmed
 
 
 def run_compiled(interp, compiled: CompiledProgram, script_url: str = "<inline>") -> Any:

@@ -80,13 +80,16 @@ _STATIC = "repro.js.static"
 
 #: Leaf-ward path fragments -> subsystem labels for the rollup.  First
 #: match walking leaf -> root wins, so a render helper called from the JS
-#: interpreter still counts as render time.  A ``repro.js.compiler`` frame
+#: interpreter still counts as render time, and a standard-library frame
+#: counts for the subsystem that called it.  A ``repro.js.compiler`` frame
 #: is compilation only under one of :data:`_COMPILING`; elsewhere it is a
 #: closure running a compiled script, which is ``js.exec``.  Any JS frame
 #: under a :data:`_STATIC` frame (the lexer and parser the analyzer calls,
-#: its source digest) is ``js.static``.
+#: its source digest) is ``js.static``.  A stack with no frame of the
+#: program's own subsystems below is ``other``: the residual.
 _SUBSYSTEMS: Tuple[Tuple[str, str], ...] = (
     ("repro.crawler.supervisor", "supervisor"),
+    ("repro.crawler", "crawler"),
     ("repro.core.reducers", "reducers"),
     (_STATIC, "js.static"),
     ("repro.js.compiler", "js.compile"),
@@ -97,11 +100,15 @@ _SUBSYSTEMS: Tuple[Tuple[str, str], ...] = (
     ("repro.js.", "js.exec"),
     ("repro.canvas", "render"),
     ("repro.dom", "render"),
+    ("repro.browser", "browser"),
+    ("repro.net", "net"),
+    ("repro.blocklists", "blocklists"),
+    ("repro.webgen", "webgen"),
 )
 
 #: The compiler's entry points: frames below them compile, not execute.
 _COMPILING = frozenset(
-    f"repro.js.compiler:{name}" for name in ("compile_program", "get_or_compile", "prewarm")
+    f"repro.js.compiler:{name}" for name in ("compile_program", "get_or_compile")
 )
 
 

@@ -76,36 +76,43 @@ class World:
             )
         return out
 
+    def study_config(self):
+        """What the paper's study of this world measures (a
+        :class:`~repro.core.stages.study.StudyConfig`); vary it with
+        :func:`dataclasses.replace`."""
+        from repro.core.stages.study import StudyConfig
+
+        return StudyConfig(
+            network=self.network,
+            targets=self.all_targets,
+            vendor_knowledge=self.vendor_knowledge(),
+            easylist_text=self.easylist_text,
+            easyprivacy_text=self.easyprivacy_text,
+            disconnect=self.disconnect,
+            ubo_extra_text=self.ubo_extra_text,
+            dns=self.network.dns,
+        )
+
     def run_full_study(
         self,
         include_adblock_crawls: bool = True,
         include_cross_machine: bool = False,
         jobs: int = 1,
         cache_dir=None,
-        stages=None,
         obs_dir=None,
-        supervisor=None,
     ):
         """Convenience: run the paper's whole pipeline over this world."""
+        from dataclasses import replace
+
         from repro.core.pipeline import run_study
         from repro.crawler.shards import ExecutionConfig
 
-        return run_study(
-            self.network,
-            self.all_targets,
-            self.vendor_knowledge(),
-            easylist_text=self.easylist_text,
-            easyprivacy_text=self.easyprivacy_text,
-            disconnect=self.disconnect,
-            ubo_extra_text=self.ubo_extra_text,
-            dns=self.network.dns,
+        config = replace(
+            self.study_config(),
             include_adblock_crawls=include_adblock_crawls,
             include_cross_machine=include_cross_machine,
-            execution=ExecutionConfig(jobs=jobs, supervisor=supervisor),
-            cache_dir=cache_dir,
-            stages=stages,
-            obs_dir=obs_dir,
         )
+        return run_study(config, ExecutionConfig(jobs=jobs), cache_dir=cache_dir, obs_dir=obs_dir)
 
     def ground_truth_fp_sites(self, population: str) -> List[str]:
         """Domains that truly deploy a fingerprinter (for validation only —

@@ -9,11 +9,11 @@ script URL pattern) plus its blocklist exposure (§5.1 / Table 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.webgen import scripts as S
 
-__all__ = ["VendorSpec", "VENDOR_SPECS", "ServingMode", "prewarm_sources"]
+__all__ = ["VendorSpec", "VENDOR_SPECS", "ServingMode"]
 
 
 class ServingMode:
@@ -401,23 +401,6 @@ VENDOR_SPECS: Tuple[VendorSpec, ...] = (
 
 VENDORS_BY_NAME: Dict[str, VendorSpec] = {v.name: v for v in VENDOR_SPECS}
 
-
-def prewarm_sources() -> List[str]:
-    """Source text of every vendor script whose bytes don't vary per site.
-
-    Used to pre-warm the compiled-script cache in crawl workers
-    (:func:`repro.js.compiler.prewarm`) before their first page load.
-    ``per_site`` vendors take the customer domain, so their bytes differ per
-    deployment and cannot be compiled ahead of time; FingerprintJS
-    contributes both the OSS and the commercial build.
-    """
-    out: List[str] = []
-    for spec in VENDOR_SPECS:
-        if spec.per_site:
-            continue
-        out.append(spec.source())
-    out.append(VENDORS_BY_NAME["FingerprintJS"].source(commercial=True))
-    return out
 
 #: Ad-tech companies that self-host the open-source FingerprintJS build
 #: (§4.3.1): host -> (name, top-site share of FPJS deployments, tail share).

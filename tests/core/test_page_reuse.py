@@ -7,22 +7,24 @@ record against a fresh crawl of the sample, and signature for signature
 against the visiting harvest of ``tests/core/visiting_harvest.py``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro.core.pipeline as pipeline
 import repro.core.stages.study as study
 from repro.browser.profile import BrowserProfile
-from repro.canvas.device import APPLE_M1, INTEL_UBUNTU, device_fleet
+from repro.canvas.device import APPLE_M1, INTEL_UBUNTU
 from repro.config import StudyScale
 from repro.core.detection import DetectionOutcome, FingerprintDetector
 from repro.core.pipeline import (
+    StudyConfig,
     VendorKnowledge,
     harvest_targets,
     harvest_vendor_signatures,
     run_study,
 )
 from repro.core.records import CanvasExtraction, SiteObservation
-from repro.core.stages import StudyContext, build_study_graph
 from repro.crawler.collector import CanvasCollector
 from repro.crawler.crawl import CrawlDataset, CrawlTarget
 from repro.crawler.resilience import RetryPolicy
@@ -74,20 +76,19 @@ class TestCrossMachineReadsTheControlCrawl:
             return agree(datasets, detector, outcomes)
 
         monkeypatch.setattr(pipeline, "groupings_agree", spy)
+        monkeypatch.setattr(study, "CROSS_MACHINE_SAMPLE", SAMPLE)
         targets = world.all_targets[:TARGETS]
         retry = RetryPolicy(max_attempts=3) if faulted else None
         execution = ExecutionConfig(jobs=jobs)
-        result = run_study(
+        config = StudyConfig(
             network_for(world, faulted),
             targets,
             [],
             include_adblock_crawls=False,
             include_cross_machine=True,
-            cross_machine_sample=SAMPLE,
             retry_policy=retry,
-            execution=execution,
-            stages=["cross_machine"],
         )
+        result = run_study(config, execution, stages=["cross_machine"])
         fresh = run_sharded_crawl(
             network_for(world, faulted),
             targets[:SAMPLE],
@@ -106,23 +107,6 @@ class TestCrossMachineReadsTheControlCrawl:
         if faulted:
             assert any(observation.attempts > 1 for observation in fresh.observations)
 
-    def test_devices_without_the_control_device_are_all_crawled(self, world, monkeypatch):
-        seen = []
-        monkeypatch.setattr(study, "run_sharded_crawl", recording(seen))
-        devices = (APPLE_M1, device_fleet(1)[0])
-        ctx = StudyContext(
-            network=world.network,
-            targets=world.all_targets[:TARGETS],
-            vendor_knowledge=[],
-            include_adblock_crawls=False,
-            include_cross_machine=True,
-            cross_machine_sample=SAMPLE,
-            cross_machine_devices=devices,
-        )
-        run = build_study_graph(ctx).execute(ctx, only=["cross_machine"])
-        assert seen == [["control"], [device.name for device in devices]]
-        assert run.artifacts["cross_machine"] is True
-
     def test_validate_cross_machine_crawls_every_device(self, world, monkeypatch):
         seen = []
         monkeypatch.setattr(pipeline, "run_sharded_crawl", recording(seen))
@@ -135,14 +119,8 @@ class TestHarvestReadsTheControlCrawl:
     def test_harvest_equals_the_visiting_harvest(self, world, retry):
         knowledge = world.vendor_knowledge()
         assert any(vendor.known_customers for vendor in knowledge)
-        result = run_study(
-            world.network,
-            world.all_targets,
-            knowledge,
-            include_adblock_crawls=False,
-            retry_policy=retry,
-            stages=["signatures"],
-        )
+        config = replace(world.study_config(), include_adblock_crawls=False, retry_policy=retry)
+        result = run_study(config, stages=["signatures"])
         harvested = result.signatures
         assert harvested == visiting_harvest(world.network, knowledge, result.control)
         assert any(signature.canvas_hashes for signature in harvested)
@@ -164,13 +142,13 @@ class TestHarvestReadsTheControlCrawl:
         vendor = VendorKnowledge(
             name="V", known_customers=tuple(sorted(customers)), script_pattern="x"
         )
-        run_study(
-            world.network,
-            held,
-            [*knowledge, vendor],
+        config = replace(
+            world.study_config(),
+            targets=held,
+            vendor_knowledge=[*knowledge, vendor],
             include_adblock_crawls=False,
-            stages=["signatures"],
         )
+        run_study(config, stages=["signatures"])
         held_domains = {t.domain for t in held}
         harvested = demo_hosts | (customers - held_domains)
         assert held and outside in harvested

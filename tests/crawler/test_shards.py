@@ -171,22 +171,6 @@ class TestSerialParallelEquivalence:
         assert sharded.observations == plain.observations
         assert sharded.label == plain.label
 
-    def test_parallel_workers_equal_serial(self):
-        """Same seed, 1 vs 4 workers: identical observations in order."""
-        world = build_world(StudyScale(fraction=0.005, seed=11))
-        serial = run_sharded_crawl(world.network, world.all_targets)
-
-        world2 = build_world(StudyScale(fraction=0.005, seed=11))
-        parallel = run_sharded_crawl(
-            world2.network, world2.all_targets, execution=ExecutionConfig(jobs=4)
-        )
-
-        assert [o.domain for o in parallel.observations] == [
-            o.domain for o in serial.observations
-        ]
-        assert parallel.observations == serial.observations
-        assert parallel.health() == serial.health()
-
 
 class TestShardedResume:
     def test_resume_after_partial_shards(self, tmp_path):

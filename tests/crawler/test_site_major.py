@@ -21,7 +21,6 @@ from repro.browser.browser import Browser
 from repro.browser.extensions import Extension
 from repro.browser.privacy import CanvasRandomization
 from repro.config import StudyScale
-from repro.core.stages import StudyContext
 from repro.crawler.shards import (
     ExecutionConfig,
     plan_shards,
@@ -68,17 +67,11 @@ def targets(world):
 @pytest.fixture(scope="module")
 def profiles(world):
     """The study's three profiles, control first."""
-    ctx = StudyContext(
-        network=world.network,
-        targets=(),
-        vendor_knowledge=(),
-        easylist_text=world.easylist_text,
-        ubo_extra_text=world.ubo_extra_text,
-    )
+    config = world.study_config()
     return (
-        ("control", ctx.control_profile()),
-        ("abp", ctx.abp_profile()),
-        ("ubo", ctx.ubo_profile()),
+        ("control", config.control_profile()),
+        ("abp", config.abp_profile()),
+        ("ubo", config.ubo_profile()),
     )
 
 

@@ -8,7 +8,8 @@ flush.  The hard contract is byte-identity with the eager oracle
 persist the same dataset bytes as the oracle's — pages with cross-script
 dataflow, parse bombs, runaway loops under a step budget, shared random
 draws, injected faults, supervised workers, whatever.  These tests hold
-that line and pin the flush semantics that make it true.
+that line and pin the flush semantics that make it true; a whole study
+under the oracle is the ``eager`` cells of ``tests/test_invariance_matrix.py``.
 """
 
 import dataclasses
@@ -200,20 +201,6 @@ class TestByteIdentity:
                 execution=ExecutionConfig(jobs=JOBS),
             )
             assert_same_bytes(tmp_path, oracle, crawled, build.__name__)
-
-    def test_small_world_bytes_identical(self, tmp_path):
-        # Every page of a scale-0.01 synthetic web, with its inert
-        # analytics scripts skipped, persists the oracle's bytes.
-        from repro.config import StudyScale
-        from repro.webgen import build_world
-
-        world = build_world(StudyScale(fraction=0.01, seed=20250504))
-        with eager():
-            oracle = run_crawl(world.network, world.all_targets)
-        before = layer_rows(obs.METRICS.snapshot()).get("js.static.triage", {}).get("hits", 0)
-        crawled = run_crawl(world.network, world.all_targets)
-        assert layer_rows(obs.METRICS.snapshot())["js.static.triage"]["hits"] > before
-        assert_same_bytes(tmp_path, oracle, crawled, "world")
 
     def test_budget_pages_time_out(self):
         # The runaway loops fail their pages as the eager crawl does, and
@@ -423,13 +410,14 @@ class TestShippedVerdicts:
     """Every distinct script is analysed once per study, in the crawl."""
 
     def test_parallel_study_static_stage_analyses_nothing(self):
-        from repro.core.pipeline import run_study
+        from repro.core.pipeline import StudyConfig, run_study
 
         perf.reset_caches()
         net, domains = make_network()
         result = run_study(
-            net, make_targets(domains), [], include_adblock_crawls=False,
-            execution=ExecutionConfig(jobs=JOBS), stages=["static"],
+            StudyConfig(net, make_targets(domains), [], include_adblock_crawls=False),
+            ExecutionConfig(jobs=JOBS),
+            stages=["static"],
         )
         [static] = [t for t in result.stage_timings if t.name == "static"]
         counters = static.details["perf"]["js.static"]

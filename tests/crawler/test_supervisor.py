@@ -381,13 +381,14 @@ class TestConfigValidation:
 
 
 def _static_probe_study(out_path):
-    from repro.core.pipeline import run_study
+    from repro.core.pipeline import StudyConfig, run_study
 
     targets = make_targets(8)
     poison = targets[3].domain
     result = run_study(
-        crashy_network(8, poison), targets, [],
-        include_adblock_crawls=False, execution=supervised(), stages=["static"],
+        StudyConfig(crashy_network(8, poison), targets, [], include_adblock_crawls=False),
+        supervised(),
+        stages=["static"],
     )
     with open(out_path, "w") as fh:
         json.dump(
@@ -400,13 +401,14 @@ def _static_probe_study(out_path):
 
 
 def _harvest_study(out_path, **vendor):
-    from repro.core.pipeline import VendorKnowledge, run_study
+    from repro.core.pipeline import StudyConfig, VendorKnowledge, run_study
 
-    result = run_study(
+    config = StudyConfig(
         crashy_network(8, make_targets(8)[3].domain), make_targets(8),
         [VendorKnowledge(name="V", script_pattern="x", **vendor)],
-        include_adblock_crawls=False, execution=supervised(), stages=["signatures"],
+        include_adblock_crawls=False,
     )
+    result = run_study(config, supervised(), stages=["signatures"])
     with open(out_path, "w") as fh:
         json.dump({"quarantined": result.quarantined}, fh)
 
@@ -435,13 +437,13 @@ class TestStudyIntegration:
 
     def test_supervised_study_surfaces_quarantine(self):
         from repro.analysis.report import quarantine_table
-        from repro.core.pipeline import run_study
+        from repro.core.pipeline import StudyConfig, run_study
 
         targets = make_targets(8)
         poison = targets[5].domain
         result = run_study(
-            crashy_network(8, poison), targets, [],
-            include_adblock_crawls=False, execution=supervised(),
+            StudyConfig(crashy_network(8, poison), targets, [], include_adblock_crawls=False),
+            supervised(),
             stages=["crawl.control"],
         )
         assert result.quarantined == {poison: "quarantined:exit:137"}
@@ -483,12 +485,12 @@ class TestStudyIntegration:
 
     def test_unsupervised_study_has_empty_quarantine(self):
         from repro.analysis.report import quarantine_table
-        from repro.core.pipeline import run_study
+        from repro.core.pipeline import StudyConfig, run_study
 
         targets = make_targets(4)
         result = run_study(
-            make_network(4), targets, [],
-            include_adblock_crawls=False, stages=["crawl.control"],
+            StudyConfig(make_network(4), targets, [], include_adblock_crawls=False),
+            stages=["crawl.control"],
         )
         assert result.quarantined == {}
         assert quarantine_table(result) == ""

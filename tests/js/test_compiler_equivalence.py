@@ -40,7 +40,7 @@ from repro.js.values import JSObject, ROOT_SHAPE
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.net.server import Network
 from repro.webgen import build_world
-from repro.webgen.vendors import VENDOR_SPECS, VENDORS_BY_NAME, prewarm_sources
+from repro.webgen.vendors import VENDOR_SPECS, VENDORS_BY_NAME
 
 from tests.js.reference_interpreter import ReferenceInterpreter
 
@@ -384,10 +384,10 @@ class TestCrawlEquivalence:
         reference = crawl_bytes(tmp_path, "reference", reference=True)
         assert compiled == reference
 
-    def test_parallel_prewarmed_crawl_datasets_identical(self, tmp_path):
+    def test_parallel_crawl_datasets_identical(self, tmp_path):
         compiled = crawl_bytes(
             tmp_path, "compiled-par", reference=False, shards=3,
-            execution=ExecutionConfig(jobs=2, js_prewarm=prewarm_sources()),
+            execution=ExecutionConfig(jobs=2),
         )
         reference = crawl_bytes(
             tmp_path, "reference-par", reference=True, shards=3,
@@ -408,9 +408,7 @@ class TestCrawlEquivalence:
         config = SupervisorConfig(liveness_deadline_s=30.0, poll_interval_s=0.01)
         compiled = crawl_bytes(
             tmp_path, "compiled-faulty", reference=False, network=faulty(), shards=3,
-            execution=ExecutionConfig(
-                jobs=2, supervisor=config, js_prewarm=prewarm_sources()
-            ),
+            execution=ExecutionConfig(jobs=2, supervisor=config),
         )
         reference = crawl_bytes(
             tmp_path, "reference-faulty", reference=True, network=faulty(), shards=3,
@@ -435,7 +433,7 @@ class TestCrawlEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# the machinery itself: cache, prewarm, shapes
+# the machinery itself: cache, shapes
 # ---------------------------------------------------------------------------
 
 
@@ -450,15 +448,6 @@ class TestScriptCache:
         second = compiler.get_or_compile(source, "b.js")
         assert first is second  # URL is not part of the key, the digest is
         assert cache.contains(key)
-
-    def test_prewarm_compiles_vendor_corpus(self):
-        compiler.script_cache().clear()
-        sources = prewarm_sources()
-        assert compiler.prewarm(sources) == len(sources)
-        cache = compiler.script_cache()
-        for source in sources:
-            digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            assert cache.contains((digest, compiler.ENGINE_VERSION))
 
     def test_contains_records_no_counters(self):
         from repro import obs

@@ -163,7 +163,6 @@ def worker_task(world, **changes):
         page_budget=None,
         inner_paths=(),
         resume=False,
-        execution=ExecutionConfig(),
         perf_config=perf.config(),
         obs_config=ObsConfig(trace=True),
         lane="shard-0000",

@@ -45,24 +45,19 @@ def faulty(world, rate=0.15, seed=7):
     return FaultyNetwork(world.network, FaultConfig(fault_rate=rate), seed=seed)
 
 
-def run_traced_study(world, tmp_path, **kwargs):
+def run_traced_study(world, tmp_path):
+    from dataclasses import replace
+
     from repro.core.pipeline import run_study
 
     run_dir = tmp_path / "obs"
-    result = run_study(
-        faulty(world),
-        world.all_targets,
-        world.vendor_knowledge(),
-        easylist_text=world.easylist_text,
-        easyprivacy_text=world.easyprivacy_text,
-        disconnect=world.disconnect,
-        ubo_extra_text=world.ubo_extra_text,
-        dns=world.network.dns,
+    config = replace(
+        world.study_config(),
+        network=faulty(world),
         include_adblock_crawls=False,
         retry_policy=RetryPolicy(max_attempts=3),
-        obs_dir=run_dir,
-        **kwargs,
     )
+    result = run_study(config, obs_dir=run_dir)
     return result, run_dir
 
 

@@ -148,6 +148,8 @@ class TestSupervisedCrawlAnalyzeSmoke:
     """
 
     def test_supervised_parallel_crawl_matches_run_study(self, tmp_path, capsys):
+        from dataclasses import replace
+
         from repro.analysis.__main__ import main as analyze_main
         from repro.core.pipeline import run_study
         from repro.crawler.__main__ import main as crawl_main
@@ -167,17 +169,12 @@ class TestSupervisedCrawlAnalyzeSmoke:
 
         world = build_world(StudyScale(fraction=scale, seed=seed))
         study = run_study(
-            world.network,
-            world.all_targets,
-            world.vendor_knowledge(),
-            easylist_text=world.easylist_text,
-            easyprivacy_text=world.easyprivacy_text,
-            disconnect=world.disconnect,
-            ubo_extra_text=world.ubo_extra_text,
-            dns=world.network.dns,
-            include_adblock_crawls=False,
-            retry_policy=RetryPolicy(max_attempts=3),
-            page_budget=PageBudget(max_page_ms=90_000.0),
+            replace(
+                world.study_config(),
+                include_adblock_crawls=False,
+                retry_policy=RetryPolicy(max_attempts=3),
+                page_budget=PageBudget(max_page_ms=90_000.0),
+            )
         )
         assert f"({len(study.control.observations)} sites)" in out
         for pop in ("top", "tail"):

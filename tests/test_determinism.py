@@ -5,8 +5,6 @@ canvases across sites, stable fingerprints across visits); the reproduction
 additionally promises identical *studies* across runs for a fixed seed.
 """
 
-import pytest
-
 from repro.config import StudyScale
 from repro.crawler import run_crawl
 from repro.webgen import build_world
@@ -82,40 +80,3 @@ class TestGoldenDigest:
             science_digest(result)
             == "ad439b6e0a88a2569467adcbfaad9a0d8427e09767c311b474ce7799087da019"
         )
-
-
-class TestFaultClock:
-    """Under fault injection a URL's faults belong to the visit.
-
-    Each settle (one site under one profile, retries included) starts a
-    fresh fault clock, so a faulted study must not depend on what the
-    process fetched before: not on the control crawl a serial recrawl
-    follows, not on the clock a forked worker inherits, and not on the
-    other sites of a shard that share a script URL.
-    """
-
-    @pytest.mark.parametrize("seed,fraction", [(7, 0.005), (11, 0.01)])
-    def test_faulted_study_digest_does_not_depend_on_jobs(self, seed, fraction):
-        from perfbench.gate import science_digest
-        from repro.core.pipeline import run_study
-        from repro.crawler.resilience import RetryPolicy
-        from repro.crawler.shards import ExecutionConfig
-        from repro.net.faults import FaultConfig, FaultyNetwork
-
-        def study(jobs):
-            world = build_world(StudyScale(fraction=fraction, seed=seed))
-            return run_study(
-                FaultyNetwork(world.network, FaultConfig(fault_rate=0.2), seed=seed),
-                world.all_targets,
-                world.vendor_knowledge(),
-                easylist_text=world.easylist_text,
-                easyprivacy_text=world.easyprivacy_text,
-                disconnect=world.disconnect,
-                ubo_extra_text=world.ubo_extra_text,
-                dns=world.network.dns,
-                include_cross_machine=True,
-                retry_policy=RetryPolicy(max_attempts=3),
-                execution=ExecutionConfig(jobs=jobs),
-            )
-
-        assert science_digest(study(1)) == science_digest(study(2))

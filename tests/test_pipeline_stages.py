@@ -1,9 +1,16 @@
-"""End-to-end stage pipeline: serial/parallel/cached equivalence."""
+"""End-to-end stage pipeline: stage keys, selection and partial caches.
+
+That serial, parallel, supervised and cached runs produce the same
+``StudyResult`` is the invariance matrix, ``tests/test_invariance_matrix.py``.
+"""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.config import StudyScale
-from repro.core.stages import StudyContext, build_study_graph
+from repro.core.pipeline import run_study
+from repro.core.stages import build_study_graph
 from repro.crawler.resilience import PageBudget, RetryPolicy
 from repro.crawler.shards import ExecutionConfig
 from repro.webgen import build_world
@@ -21,23 +28,6 @@ def serial_result():
 
 
 class TestSerialParallelCachedEquivalence:
-    def test_parallel_cached_run_equals_serial_uncached(self, serial_result, tmp_path):
-        """jobs=4 + cold cache: same StudyResult as the serial monolith path."""
-        parallel = fresh_world().run_full_study(jobs=4, cache_dir=tmp_path / "cache")
-        assert parallel == serial_result
-        assert all(not t.cached for t in parallel.stage_timings)
-
-    def test_warm_cache_runs_zero_page_loads(self, serial_result, tmp_path):
-        cache_dir = tmp_path / "cache"
-        fresh_world().run_full_study(jobs=2, cache_dir=cache_dir)
-
-        world = fresh_world()
-        served_before = world.network.requests_served
-        warm = world.run_full_study(jobs=2, cache_dir=cache_dir)
-        assert world.network.requests_served == served_before
-        assert all(t.cached for t in warm.stage_timings)
-        assert warm == serial_result
-
     def test_stage_timings_are_recorded_but_not_compared(self, serial_result):
         timings = serial_result.stage_timings
         assert timings, "a graph run must record per-stage timings"
@@ -75,7 +65,7 @@ class TestSerialParallelCachedEquivalence:
 
 class TestStageSelection:
     def test_stage_subset_runs_only_dependency_closure(self):
-        result = fresh_world().run_full_study(stages=["prevalence"])
+        result = run_study(fresh_world().study_config(), stages=["prevalence"])
         names = {t.name for t in result.stage_timings}
         assert names == {"crawl", "detect", "prevalence"}
         assert result.prevalence is not None
@@ -86,10 +76,10 @@ class TestStageSelection:
 class TestExecutionReachesEveryCrawl:
     def test_every_study_crawl_receives_the_study_execution(self, monkeypatch):
         """Control, both ad-blocker crawls and the cross-machine crawl get
-        the study's one ExecutionConfig — triage and prewarm included.  They
-        arrive as two site-major crawls: the study's three profiles, then
-        the one device that is not the control device (the cross-machine
-        check reads the control device's rows from the control crawl)."""
+        the study's one ExecutionConfig.  They arrive as two site-major
+        crawls: the study's three profiles, then the one device that is not
+        the control device (the cross-machine check reads the control
+        device's rows from the control crawl)."""
         import repro.core.pipeline as pipeline
         import repro.core.stages.study as study
         from repro.canvas.device import APPLE_M1
@@ -104,22 +94,19 @@ class TestExecutionReachesEveryCrawl:
         monkeypatch.setattr(study, "run_sharded_crawl", spy)
         monkeypatch.setattr(pipeline, "run_sharded_crawl", spy)
         world = fresh_world()
-        execution = ExecutionConfig(js_prewarm=("var warm = 1;",))
+        config = replace(
+            world.study_config(), targets=world.all_targets[:24], include_cross_machine=True
+        )
+        execution = ExecutionConfig()
         pipeline.run_study(
-            world.network,
-            world.all_targets[:24],
-            world.vendor_knowledge(),
-            easylist_text=world.easylist_text,
-            ubo_extra_text=world.ubo_extra_text,
-            include_cross_machine=True,
-            cross_machine_sample=12,
-            execution=execution,
+            config,
+            execution,
             stages=["crawl.control", "crawl.abp", "crawl.ubo", "cross_machine"],
         )
         assert sorted(labels for labels, _ in seen) == sorted(
             [["control", "abp", "ubo"], [APPLE_M1.name]]
         )
-        assert all(received == execution for _, received in seen)
+        assert all(received is execution for _, received in seen)
 
 
 class TestBlocklistsParsedOnce:
@@ -140,13 +127,7 @@ class TestBlocklistsParsedOnce:
         monkeypatch.setattr(RuleMatcher, "from_text", classmethod(spy))
         world = fresh_world()
         result = pipeline.run_study(
-            world.network,
-            world.all_targets[:24],
-            world.vendor_knowledge(),
-            easylist_text=world.easylist_text,
-            easyprivacy_text=world.easyprivacy_text,
-            disconnect=world.disconnect,
-            ubo_extra_text=world.ubo_extra_text,
+            replace(world.study_config(), targets=world.all_targets[:24]),
             stages=["crawl.abp", "crawl.ubo", "blocklist_context"],
         )
         assert result.blocklist_context is not None
@@ -174,7 +155,7 @@ class TestPartialCrawlCache:
 
     def test_stage_selection_crawls_only_the_named_profile(self):
         world = fresh_world()
-        result = world.run_full_study(stages=["crawl.ubo"])
+        result = run_study(world.study_config(), stages=["crawl.ubo"])
         pages = result.metrics["counters"]
         assert pages["crawler.pages[ubo]"] == len(world.all_targets)
         assert "crawler.pages[control]" not in pages
@@ -183,18 +164,7 @@ class TestPartialCrawlCache:
 
 class TestCacheInvalidation:
     def _ctx(self, world, **overrides):
-        kwargs = dict(
-            network=world.network,
-            targets=world.all_targets,
-            vendor_knowledge=world.vendor_knowledge(),
-            easylist_text=world.easylist_text,
-            easyprivacy_text=world.easyprivacy_text,
-            disconnect=world.disconnect,
-            ubo_extra_text=world.ubo_extra_text,
-            dns=world.network.dns,
-        )
-        kwargs.update(overrides)
-        return StudyContext(**kwargs)
+        return replace(world.study_config(), **overrides)
 
     def _keys(self, ctx):
         keys = {}
@@ -202,12 +172,6 @@ class TestCacheInvalidation:
             for output in stage.produces:
                 keys[output] = stage.cache_key(ctx, keys, output)
         return keys
-
-    def test_jobs_do_not_change_any_cache_key(self):
-        world = build_world(SCALE)
-        k1 = self._keys(self._ctx(world, execution=ExecutionConfig(jobs=1)))
-        k4 = self._keys(self._ctx(world, execution=ExecutionConfig(jobs=4)))
-        assert k1 == k4
 
     def test_blocklist_change_invalidates_only_dependent_stages(self):
         world = build_world(SCALE)
@@ -237,7 +201,6 @@ class TestCacheInvalidation:
         base = fingerprint()
         assert fingerprint(retry_policy=RetryPolicy(max_attempts=3)) != base
         assert fingerprint(page_budget=PageBudget(max_page_ms=1_000.0)) != base
-        assert fingerprint(execution=ExecutionConfig(jobs=4)) == base
 
     def test_network_content_change_invalidates_crawls(self):
         world = build_world(SCALE)

@@ -5,10 +5,11 @@ in the parent, whatever executed the crawl, and every later analysis reads
 its outcomes; the stage cache is its only cache.  A spy on
 :meth:`FingerprintDetector.detect`, keyed by observation identity, makes
 that visible.  That serial, parallel and warm runs produce the same
-``StudyResult`` is pinned in ``tests/test_pipeline_stages.py``.
+``StudyResult`` is pinned in ``tests/test_invariance_matrix.py``.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -47,18 +48,11 @@ def detections(counts, dataset):
     return [counts[id(observation)] for observation in dataset.observations]
 
 
-def study(world, **kwargs):
-    return run_study(
-        world.network,
-        world.all_targets if "targets" not in kwargs else kwargs.pop("targets"),
-        world.vendor_knowledge(),
-        easylist_text=world.easylist_text,
-        easyprivacy_text=world.easyprivacy_text,
-        disconnect=world.disconnect,
-        ubo_extra_text=world.ubo_extra_text,
-        dns=world.network.dns,
-        **kwargs,
-    )
+def study(world, targets=None, **kwargs):
+    config = world.study_config()
+    if targets is not None:
+        config = replace(config, targets=targets)
+    return run_study(config, **kwargs)
 
 
 class TestOneDetectionPass:
